@@ -7,10 +7,10 @@ Subcommands::
     hypstab triangulation  info | cycle | cover | dashboard on gluing data
     hypstab bounds         seifert | jsj | filling calculators
 
-Every emitted number carries a provenance flag (exact | series |
-monte-carlo | empirical-search | formula).  Identical configurations
-(including --seed) produce byte-identical JSON.  The exit code is 0 only
-when all requested checks pass: 1 for failed checks, 2 for bad input.
+Every emitted number carries a flag saying how it was computed.
+Identical configurations (including --seed) produce byte-identical
+JSON.  The exit code is 0 only when all requested checks pass: 1 for
+failed checks, 2 for bad input.
 
 Triangulation targets are file paths in the wire format or built-in
 fixture names (sphere, torus, klein, figure-eight/fig8,
@@ -44,16 +44,7 @@ from .constants import constants_row, rows_to_csv, row_as_dict
 from .fixtures import load_fixture, fixture_names, ALIASES, FIXTURE_WIRES
 from .minkowski import DEFAULT_TOL, GeometryError, lift_klein
 from .simplex import GeodesicSimplex
-from .volume import DEFAULT_BUDGET, ideal_regular_volume, simplex_volume
-
-FORMULA = "formula"
-
-#: VolumeEstimate methods mapped onto the emitted provenance enum.
-_FLAG_OF_METHOD = {"closed-form": "exact"}
-
-
-def _flag(method: str) -> str:
-    return _FLAG_OF_METHOD.get(method, method)
+from .volume import DEFAULT_BUDGET, EXACT, FORMULA, ideal_regular_volume, simplex_volume
 
 
 def _fail(msg: str) -> SystemExit:
@@ -72,7 +63,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.samples < 1000:
-            raise SystemExit("--samples must be at least 1000")
+            raise _fail("--samples must be at least 1000")
 
 
 def _emit(cfg: RunConfig, text: str):
@@ -115,7 +106,7 @@ def _load_simplex(path: str, tol: float) -> GeodesicSimplex:
         verts = [lift_klein(np.asarray(rec["x"], dtype=float),
                             ideal=bool(rec.get("ideal", False)), tol=tol)
                  for rec in data["vertices"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _fail(f"malformed simplex file {path}: {exc}")
     except GeometryError as exc:
         raise _fail(f"invalid vertex in {path}: {exc}")
@@ -128,7 +119,7 @@ def _load_simplex(path: str, tol: float) -> GeodesicSimplex:
 
 def cmd_constants(cfg: RunConfig, args) -> int:
     if not (4 <= args.n_min <= args.n_max <= 8):
-        raise SystemExit("need 4 <= n-min <= n-max <= 8")
+        raise _fail("need 4 <= n-min <= n-max <= 8")
     dims = list(range(args.n_min, args.n_max + 1))
     threads = max(1, int(os.environ.get("HYPSTAB_THREADS", "1")))
 
@@ -180,7 +171,7 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 
 def cmd_volume(cfg: RunConfig, args) -> int:
     if (args.regular_ideal is None) == (args.simplex is None):
-        raise SystemExit("give exactly one of --regular-ideal N or a simplex file")
+        raise _fail("give exactly one of --regular-ideal N or a simplex file")
     try:
         if args.regular_ideal is not None:
             est = ideal_regular_volume(args.regular_ideal, budget=cfg.samples,
@@ -193,14 +184,14 @@ def cmd_volume(cfg: RunConfig, args) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = {"input": label, "volume": {"value": est.value, "flag": _flag(est.method)},
+    payload = {"input": label, "volume": {"value": est.value, "flag": est.method},
                "std_error": est.std_error, "samples": est.samples,
                "seed": cfg.seed}
     if cfg.fmt == "json":
         _emit(cfg, _json_dump(payload))
     else:
         _emit(cfg, f"{label}: vol = {est.value:.9f} +- {est.std_error:.2e} "
-                   f"[{_flag(est.method)}, {est.samples} samples, seed {cfg.seed}]")
+                   f"[{est.method}, {est.samples} samples, seed {cfg.seed}]")
     return 0
 
 
@@ -259,20 +250,23 @@ def cmd_triangulation(cfg: RunConfig, args) -> int:
         l1 = z.l1()
         if cfg.fmt == "json":
             _emit(cfg, _json_dump({"name": name, "cycle_verified": ok,
-                                   "l1": {"value": str(l1), "flag": "exact"},
+                                   "l1": {"value": str(l1), "flag": EXACT},
                                    "simplices": T.simplex_count}))
         else:
             _emit(cfg, f"{name}: cycle {'verified' if ok else 'FAILED'}, "
-                       f"L1 = {l1} (exact), t = {T.simplex_count}")
+                       f"L1 = {l1} ({EXACT}), t = {T.simplex_count}")
         return 0 if ok else 1
 
     if args.action == "cover":
-        if args.characteristic is not None:
-            spec = cx.characteristic_cover_spec(T, args.characteristic)
-        elif args.spec is not None:
-            spec = cx.cover_spec_from_wire(_load_json(args.spec))
-        else:
-            raise SystemExit("cover needs --spec FILE or --characteristic X")
+        if args.characteristic is None and args.spec is None:
+            raise _fail("cover needs --spec FILE or --characteristic X")
+        try:
+            if args.characteristic is not None:
+                spec = cx.characteristic_cover_spec(T, args.characteristic)
+            else:
+                spec = cx.cover_spec_from_wire(_load_json(args.spec))
+        except cx.ComplexError as exc:
+            raise _fail(str(exc))
         try:
             cover = cx.build_cover(T, spec)
         except cx.ComplexError as exc:
@@ -295,7 +289,7 @@ def cmd_triangulation(cfg: RunConfig, args) -> int:
         dash = cx.inequality_dashboard(T)
         payload = {
             "name": dash.name, "dim": dash.dim,
-            "simplices": {"value": dash.simplices, "flag": "exact"},
+            "simplices": {"value": dash.simplices, "flag": EXACT},
             "f_vector": list(dash.f_vector), "euler": dash.euler,
             "euler_bound": dash.euler_bound, "euler_bound_ok": dash.euler_bound_ok,
             "orientable": dash.orientable,
@@ -318,7 +312,7 @@ def cmd_triangulation(cfg: RunConfig, args) -> int:
         ok = dash.euler_bound_ok and dash.cycle_ok is not False
         return 0 if ok else 1
 
-    raise SystemExit(f"unknown action {args.action}")
+    raise _fail(f"unknown action {args.action}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +323,7 @@ def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise SystemExit(f"expected a comma-separated integer list, got {text!r}")
+        raise _fail(f"expected a comma-separated integer list, got {text!r}")
 
 
 def cmd_bounds(cfg: RunConfig, args) -> int:

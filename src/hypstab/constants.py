@@ -18,9 +18,10 @@ that gap:
 * ``C_n = max(1 - eps_n/12, 1 - eta_n/(3 v_n), 1 - a_n eta_n/(2 v_n))``,
   strictly below 1 whenever all components are positive.
 
-eps_n and a_n come from an empirical search, not a certified proof; every
-value carries a certification flag (exact | series | monte-carlo |
-empirical-search) and the search emits a replayable audit trail.
+Only eps_n (and C_n, which depends on it) comes from an empirical
+search, not a certified proof; the search emits a replayable audit
+trail.  alpha_n, k_n, a_n, delta_n and eta_n are exact arithmetic or
+deterministic numerics, and v_n carries the flag of its volume method.
 
 `budget_check` evaluates the bookkeeping inequalities that turn these
 constants into the volume bound ``vol <= C_n v_n t`` for a triangulation
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -49,15 +49,13 @@ from .simplex import (
     regular_ideal_simplex,
 )
 from .volume import (
-    MONTE_CARLO,
+    EMPIRICAL,
+    EXACT,
     VolumeEstimate,
     ball_volume,
     ideal_regular_volume,
     volume_deficit_vs_regular,
 )
-
-EXACT = "exact"
-EMPIRICAL = "empirical-search"
 
 TWO_PI = 2.0 * math.pi
 
@@ -287,9 +285,9 @@ def estimate_a_eps(
     delta: float | None = None,
     v_n: float | None = None,
 ) -> tuple[float, float, SearchAudit]:
-    """Empirical (a_n, eps_n) and the audit trail of the bisection.
+    """(a_n, eps_n) and the audit trail of the bisection.
 
-    a_n is arithmetic (half the bracket margin of alpha_n).  The
+    a_n is exact arithmetic (half the bracket margin of alpha_n).  The
     bisection locates the largest eps at which the randomized
     counterexample search fails to produce a simplex of volume
     >= (1 - eps) v_n violating the dihedral bracket or the 2 delta_n
@@ -425,12 +423,12 @@ def constants_row(
         raise ArithmeticError("the regular ideal simplex failed its own lemma brackets")
     c = compute_Cn(eps, eta, a, v.value)
     flags = {
-        "v_n": MONTE_CARLO if v.method == MONTE_CARLO else v.method,
+        "v_n": v.method,
         "alpha_n": EXACT,
         "k_n": EXACT,
-        "delta_n": EMPIRICAL,
-        "eta_n": EMPIRICAL,
-        "a_n": EMPIRICAL,
+        "delta_n": EXACT,
+        "eta_n": EXACT,
+        "a_n": EXACT,
         "eps_n": EMPIRICAL,
         "C_n": EMPIRICAL,
     }
@@ -452,11 +450,6 @@ def row_as_dict(row: ConstantsRow) -> dict:
     }
 
 
-def rows_to_json(rows: list[ConstantsRow]) -> str:
-    return json.dumps({"rows": [row_as_dict(r) for r in rows]},
-                      sort_keys=True, indent=2)
-
-
 _CSV_FIELDS = ["n", "v_n", "v_n_std_error", "alpha_n", "k_n", "delta_n",
                "eta_n", "a_n", "eps_n", "C_n"]
 
@@ -466,9 +459,7 @@ def rows_to_csv(rows: list[ConstantsRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     header = []
     for f in _CSV_FIELDS:
-        header.append(f)
-        if f not in ("n", "v_n_std_error"):
-            header.append(f + "_flag")
+        header += [f] if f in ("n", "v_n_std_error") else [f, f + "_flag"]
     writer.writerow(header)
     for r in rows:
         d = row_as_dict(r)
@@ -478,12 +469,8 @@ def rows_to_csv(rows: list[ConstantsRow]) -> str:
                 line.append(repr(r.n))
             elif f == "v_n_std_error":
                 line.append(repr(r.v_n.std_error))
-                continue
             else:
-                key = f if f != "v_n" else "v_n"
-                line.append(repr(d[key]["value"]))
-                line.append(d[key]["flag"])
-                continue
+                line += [repr(d[f]["value"]), d[f]["flag"]]
         writer.writerow(line)
     return buf.getvalue()
 

@@ -15,12 +15,11 @@ spacelike vector q_i in the Minkowski span of the simplex with
 * the incenter/inradius:  the interior point with <c, q_i> constant,
   normalized to the hyperboloid, with sinh r = -<inc, q_i>.
 
-Point-to-simplex distances are computed exactly by enumerating faces and
-orthogonally projecting (in the Minkowski form) onto each face span; the
-nearest point of a convex simplex lies in the relative interior of
-exactly one face, where it coincides with the foot of the perpendicular.
-A projected-gradient optimizer over barycentric coordinates is kept as
-an independent cross-check (``method="pgd"``).
+Point-to-simplex distances are exact: the nearest point of a convex
+simplex lies in the relative interior of exactly one face, where it is
+the Minkowski-orthogonal foot on the face span.  An active-set search
+over the Gram matrix finds that face, descending to the boundary
+whenever a foot falls outside its face.
 """
 
 from __future__ import annotations
@@ -298,195 +297,83 @@ def barycentric_coords(K: GeodesicSimplex, p: ProjectivePoint) -> np.ndarray:
 # point-to-simplex distance
 
 
-def _foot_on_face(p_rep: np.ndarray, vmat: np.ndarray):
-    """Foot of the Minkowski-orthogonal projection of p onto span(rows).
+def _gram_nearest(gram: np.ndarray, dots: np.ndarray, subset: tuple,
+                  ideal: np.ndarray, tol: float):
+    """Nearest point of the face on `subset`, given <p, v_j> for all vertices.
 
-    Returns (coefficients, squared-norm of the projection); the foot on
-    the hyperboloid is the normalized projection.  The projection of a
-    timelike vector onto a Lorentzian subspace is always timelike.
+    Returns (distance, sub-face, coefficients): the nearest point is
+    sum_j c_j v_j over the sub-face vertices, on the hyperboloid.
+    Active-set recursion: the orthogonal foot on the face span either
+    lands inside the face (then it is the nearest point) or the nearest
+    point lies on the boundary.  Gram entries and the products <p, v_j>
+    are all it needs, never the ambient coordinates, which keeps the
+    clearance scan fast enough to sit inside optimization loops.
     """
-    a = _mink_rows(vmat, vmat)
-    rhs = _mink_rows(vmat, p_rep[None, :]).ravel()
-    c = np.linalg.solve(a, rhs)
-    return c, float(c @ rhs)
+    best, best_face, best_coeffs = math.inf, None, None
+    seen = set()
 
-
-def _distance_by_projection(p: ProjectivePoint, E: GeodesicSimplex, tol: float):
-    """Exact distance via face enumeration and orthogonal feet.
-
-    For every face, the critical point of the distance on its geodesic
-    span is the orthogonal foot; the foot is an admissible candidate when
-    its cone coefficients are nonnegative.  The nearest point of the
-    simplex lies in the relative interior of exactly one face and shows
-    up there as a feasible foot, so the minimum over feasible candidates
-    is the exact distance.
-    """
-    vmat = E.rep_matrix
-    best = (math.inf, None)
-    for size in range(1, E.k + 2):
-        for subset in itertools.combinations(range(E.k + 1), size):
-            if size == 1:
-                v = E.vertices[subset[0]]
-                if v.is_ideal:
-                    continue
-                d = _arccosh_stable(-mink(p.rep, v.rep))
-                if d < best[0]:
-                    best = (d, v)
-                continue
-            sub = vmat[list(subset)]
-            try:
-                c, nsq = _foot_on_face(p.rep, sub)
-            except np.linalg.LinAlgError:
-                continue
-            if nsq >= -tol:
-                continue
-            if np.min(c) < -1e-12 * max(1.0, float(np.max(np.abs(c)))):
-                continue
+    def visit(s: tuple):
+        nonlocal best, best_face, best_coeffs
+        if s in seen:
+            return
+        seen.add(s)
+        if len(s) == 1:
+            i = s[0]
+            if ideal[i]:
+                return
+            d = _arccosh_stable(-dots[i])
+            if d < best:
+                best, best_face, best_coeffs = d, s, np.ones(1)
+            return
+        idx = list(s)
+        g = gram[np.ix_(idx, idx)]
+        r = dots[idx]
+        try:
+            c = np.linalg.solve(g, r)
+        except np.linalg.LinAlgError:
+            return
+        nsq = float(c @ r)
+        feasible = nsq < -tol and float(np.min(c)) >= -1e-12 * max(1.0, float(np.max(np.abs(c))))
+        if feasible:
             d = _arccosh_stable(math.sqrt(-nsq))
-            if d < best[0]:
-                foot = sub.T @ c
-                foot = foot / math.sqrt(-nsq)
-                if foot[0] < 0:
-                    foot = -foot
-                best = (d, ProjectivePoint(foot, FINITE))
-    if best[1] is None:
-        raise SingularSystemError("no feasible foot found; face spans are degenerate")
-    return best
+            if d < best:
+                best, best_face, best_coeffs = d, s, c / math.sqrt(-nsq)
+            return
+        for drop in range(len(s)):
+            visit(s[:drop] + s[drop + 1:])
+
+    visit(tuple(subset))
+    if best_face is None:
+        raise SingularSystemError("no feasible foot found on any subface")
+    return best, best_face, best_coeffs
 
 
-def _project_to_std_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto { x >= 0, sum x = 1 }."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(y) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(y - theta, 0.0)
-
-
-def _distance_by_pgd(p: ProjectivePoint, E: GeodesicSimplex, seed: int, tol: float):
-    """Multi-start projected gradient over barycentric coordinates.
-
-    Minimizes cosh d = -<p, S(lam)> / sqrt(-<S, S>), which is continuous
-    and unimodal along segments through the minimizer; refined by
-    golden-section exchanges on the active face.
-    """
-    vmat = E.rep_matrix
-    m = E.k + 1
-    gp = _mink_rows(vmat, p.rep[None, :]).ravel()  # <v_i, p>
-    gram = E.gram
-
-    def fval(lam):
-        a = -lam @ gp
-        b = -lam @ gram @ lam
-        if b <= 0:
-            return math.inf
-        return a / math.sqrt(b)
-
-    def grad(lam):
-        a = -lam @ gp
-        b = -lam @ gram @ lam
-        sb = math.sqrt(b)
-        return -gp / sb + a * (gram @ lam) / (b * sb)
-
-    rng = np.random.default_rng(seed)
-    starts = [np.full(m, 1.0 / m)]
-    starts += [rng.dirichlet(np.ones(m)) for _ in range(7)]
-    best_lam, best_f = None, math.inf
-    for lam0 in starts:
-        lam = lam0.copy()
-        f = fval(lam)
-        step = 1.0
-        for _ in range(200):
-            g = grad(lam)
-            improved = False
-            while step > 1e-14:
-                cand = _project_to_std_simplex(lam - step * g)
-                fc = fval(cand)
-                if fc < f - 1e-16:
-                    lam, f = cand, fc
-                    improved = True
-                    step *= 1.5
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        # golden-section polish along coordinate exchanges
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        for _ in range(3):
-            for i in range(m):
-                for j in range(i + 1, m):
-                    lo, hi = -lam[i], lam[j]
-                    if hi - lo < 1e-15:
-                        continue
-
-                    def fex(t, i=i, j=j):
-                        cand = lam.copy()
-                        cand[i] += t
-                        cand[j] -= t
-                        return fval(cand)
-
-                    a, b = lo, hi
-                    c1 = b - phi * (b - a)
-                    c2 = a + phi * (b - a)
-                    f1, f2 = fex(c1), fex(c2)
-                    for _ in range(40):
-                        if f1 < f2:
-                            b, c2, f2 = c2, c1, f1
-                            c1 = b - phi * (b - a)
-                            f1 = fex(c1)
-                        else:
-                            a, c1, f1 = c1, c2, f2
-                            c2 = a + phi * (b - a)
-                            f2 = fex(c2)
-                    t = (a + b) / 2
-                    if fex(t) < f:
-                        lam[i] += t
-                        lam[j] -= t
-                        lam = np.maximum(lam, 0.0)
-                        lam /= lam.sum()
-                        f = fval(lam)
-        if f < best_f:
-            best_lam, best_f = lam, f
-    d = _arccosh_stable(best_f)
-    foot = barycentric_point(E, best_lam)
-    return d, foot
-
-
-def nearest_point_on_simplex(
-    p: ProjectivePoint, E: GeodesicSimplex, method: str = "project", seed: int = 0,
-    tol: float = DEFAULT_TOL,
-):
+def nearest_point_on_simplex(p: ProjectivePoint, E: GeodesicSimplex,
+                             tol: float = DEFAULT_TOL):
     """(distance, nearest point) from a finite point to a geodesic simplex."""
     if p.kind != FINITE:
         raise GeometryError("distance from an ideal point is not defined")
     if is_degenerate(E):
         raise DegenerateSimplexError("distance to a degenerate simplex")
-    if method == "project":
-        return _distance_by_projection(p, E, tol)
-    if method == "pgd":
-        return _distance_by_pgd(p, E, seed, tol)
-    raise ValueError(f"unknown method {method!r}")
+    dots = _mink_rows(E.rep_matrix, p.rep[None, :]).ravel()
+    d, face, coeffs = _gram_nearest(E.gram, dots, tuple(range(E.k + 1)),
+                                    E.ideal_flags(), tol)
+    foot = E.rep_matrix[list(face)].T @ coeffs
+    return d, ProjectivePoint(foot, FINITE)
 
 
-def distance_point_to_simplex(
-    p: ProjectivePoint, E: GeodesicSimplex, method: str = "project", seed: int = 0
-) -> float:
+def distance_point_to_simplex(p: ProjectivePoint, E: GeodesicSimplex) -> float:
     """min over x in E of d(p, x)."""
-    return nearest_point_on_simplex(p, E, method=method, seed=seed)[0]
+    return nearest_point_on_simplex(p, E)[0]
 
 
 # ---------------------------------------------------------------------------
 # face clearances
 #
-# Everything below works purely on the Minkowski Gram matrix of the
-# simplex: writing the incenter of a face F as sum_i d_i v_i over its
-# vertices, the tangency system <x, q_i> = -1 diagonalizes and gives the
-# closed form d_i = sqrt((G_F^{-1})_{ii}).  Distances only need products
-# of the query point with vertex representatives, never the ambient
-# coordinates, which keeps the clearance scan fast enough to sit inside
-# optimization loops.
+# Face centers are computed from the Minkowski Gram matrix alone: writing
+# the incenter of a face F as sum_i d_i v_i over its vertices, the
+# tangency system <x, q_i> = -1 diagonalizes and gives the closed form
+# d_i = sqrt((G_F^{-1})_{ii}).
 
 
 def _gram_incenter_coeffs(gram_face: np.ndarray) -> np.ndarray:
@@ -502,49 +389,6 @@ def _gram_incenter_coeffs(gram_face: np.ndarray) -> np.ndarray:
     if nx >= 0:
         raise SingularSystemError("incenter candidate is not timelike")
     return d / math.sqrt(-nx)
-
-
-def _gram_nearest(gram: np.ndarray, dots: np.ndarray, subset: tuple,
-                  ideal: np.ndarray, tol: float) -> float:
-    """Distance to the face on `subset`, given <p, v_j> for all vertices.
-
-    Active-set recursion: the orthogonal foot on the face span either
-    lands inside the face (then it is the nearest point) or the nearest
-    point lies on the boundary.
-    """
-    best = math.inf
-    seen = set()
-
-    def visit(s: tuple):
-        nonlocal best
-        if s in seen:
-            return
-        seen.add(s)
-        if len(s) == 1:
-            i = s[0]
-            if ideal[i]:
-                return
-            best = min(best, _arccosh_stable(-dots[i]))
-            return
-        idx = list(s)
-        g = gram[np.ix_(idx, idx)]
-        r = dots[idx]
-        try:
-            c = np.linalg.solve(g, r)
-        except np.linalg.LinAlgError:
-            return
-        nsq = float(c @ r)
-        feasible = nsq < -tol and float(np.min(c)) >= -1e-12 * max(1.0, float(np.max(np.abs(c))))
-        if feasible:
-            best = min(best, _arccosh_stable(math.sqrt(-nsq)))
-            return
-        for drop in range(len(s)):
-            visit(s[:drop] + s[drop + 1:])
-
-    visit(tuple(subset))
-    if best is math.inf:
-        raise SingularSystemError("no feasible foot found on any subface")
-    return best
 
 
 def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
@@ -592,7 +436,7 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
         for other in itertools.chain(codim2, facets):
             if e_set <= set(other):
                 continue
-            d = _gram_nearest(gram, dots, other, ideal, tol)
+            d = _gram_nearest(gram, dots, other, ideal, tol)[0]
             if d < best:
                 best = d
     return best

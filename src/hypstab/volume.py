@@ -36,9 +36,17 @@ from .simplex import (
     regular_ideal_simplex,
 )
 
-MONTE_CARLO = "monte-carlo"
-CLOSED_FORM = "closed-form"
+# Provenance flags carried by every emitted number.
+#: closed form or deterministic numerics with no sampling and no search
+EXACT = "exact"
+#: a truncated convergent series, good to about 1e-15
 SERIES = "series"
+#: a seeded Monte Carlo estimate with a standard error
+MONTE_CARLO = "monte-carlo"
+#: the seeded randomized eps_n search, never a certified proof
+EMPIRICAL = "empirical-search"
+#: arithmetic of a stated bound formula on the supplied inputs
+FORMULA = "formula"
 
 #: Default Monte Carlo sample budget.
 DEFAULT_BUDGET = 2_000_000
@@ -272,7 +280,7 @@ def ideal_regular_volume(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) ->
     if not 2 <= n <= 8:
         raise GeometryError("supported dimensions are 2..8")
     if n == 2:
-        return VolumeEstimate(math.pi, 0.0, 0, CLOSED_FORM)
+        return VolumeEstimate(math.pi, 0.0, 0, EXACT)
     if n == 3:
         return VolumeEstimate(3.0 * lobachevsky(math.pi / 3.0), 0.0, 0, SERIES)
     return simplex_volume(regular_ideal_simplex(n), budget=budget, seed=seed)

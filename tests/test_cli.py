@@ -150,8 +150,40 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_samples_floor():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["volume", "--regular-ideal", "3", "--samples", "10"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, spec", [
+    pytest.param(["constants", "--n-min", "3"], None, id="n-min"),
+    pytest.param(["volume", "--samples", "10", "--regular-ideal", "3"], None,
+                 id="samples"),
+    pytest.param(["volume"], None, id="no-simplex"),
+    pytest.param(["volume"], {"dim": 2, "vertices": [{"x": ["a", 0]}]},
+                 id="simplex-not-numeric"),
+    pytest.param(["triangulation", "cover", "torus"], None, id="no-spec"),
+    pytest.param(["bounds", "seifert", "--d", "1,x"], None, id="int-list"),
+    pytest.param(["triangulation", "bogus", "torus"], None, id="action"),
+    pytest.param(["triangulation", "cover", "torus", "--spec"], {"degree": 2},
+                 id="spec-no-perms"),
+    pytest.param(["triangulation", "cover", "torus", "--spec"],
+                 {"degree": 2, "perms": {"0": [1, 1], "1": [1, 2], "2": [1, 2]}},
+                 id="spec-not-permutation"),
+    pytest.param(["triangulation", "cover", "torus", "--characteristic", "0"], None,
+                 id="characteristic-0"),
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
+    if spec is not None:
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        argv = argv + [str(f)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
 
 
 def test_constants_quick(capsys):
@@ -165,5 +197,8 @@ def test_constants_quick(capsys):
     assert row["C_n"]["flag"] == "empirical-search"
     assert row["k_n"]["value"] == 5
     assert row["v_n"]["flag"] == "monte-carlo"
+    for name in ("alpha_n", "k_n", "delta_n", "eta_n", "a_n"):
+        assert row[name]["flag"] == "exact"
+    assert row["eps_n"]["flag"] == "empirical-search"
     # quick mode widens errors but leaves flags unchanged
     assert row["v_n"]["std_error"] > 1e-4

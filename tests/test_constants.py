@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -15,8 +16,8 @@ from hypstab.constants import (
     estimate_a_eps,
     margin_a,
     regular_simplex_passes_lemmas,
+    row_as_dict,
     rows_to_csv,
-    rows_to_json,
 )
 from hypstab.minkowski import GeometryError, random_isometry
 from hypstab.simplex import apply_isometry, min_face_clearance, regular_ideal_simplex
@@ -174,7 +175,7 @@ def test_row_serialization_round_trip():
                            eps_start=1e-3)
     assert row.C_n < 1.0
     assert row.eta_n > 0 and row.delta_n > 0 and row.eps_n > 0 and row.a_n > 0
-    js = rows_to_json([row])
+    js = json.dumps(row_as_dict(row))
     assert '"C_n"' in js and '"empirical-search"' in js
     csv_text = rows_to_csv([row])
     header, data = csv_text.strip().split("\n")

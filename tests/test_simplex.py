@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from hypstab.minkowski import (
     GeometryError,
+    _arccosh_stable,
+    _mink_rows,
+    distance,
     finite_point,
     ideal_point,
     lift_klein,
@@ -310,8 +313,10 @@ def test_distance_project_vs_pgd_and_grid():
         for trial in range(6):
             E = random_nondegenerate_simplex(n, rng, k=k)
             p = lift_klein(0.9 * rng.uniform(-1, 1, size=n) / math.sqrt(n))
-            d_proj = distance_point_to_simplex(p, E)
-            d_pgd = distance_point_to_simplex(p, E, method="pgd", seed=trial)
+            d_proj, foot = nearest_point_on_simplex(p, E)
+            assert distance(p, foot) == pytest.approx(d_proj, abs=1e-7)
+            assert distance_point_to_simplex(foot, E) == pytest.approx(0.0, abs=1e-7)
+            d_pgd = _distance_by_pgd(p, E, seed=trial)
             assert d_pgd == pytest.approx(d_proj, abs=5e-6)
             # dense-grid audit: grid points lie in E, so d_proj <= every
             # grid distance, and the grid minimum converges from above
@@ -333,6 +338,105 @@ def _grid_distances(p, E, steps):
     s = s[good] / np.sqrt(nrm[good])[:, None]
     cosh_d = s[:, 0] * p.rep[0] - s[:, 1:] @ p.rep[1:]
     return float(np.arccosh(np.clip(cosh_d.min(), 1.0, None)))
+
+
+def _project_to_std_simplex(y):
+    """Euclidean projection onto { x >= 0, sum x = 1 }."""
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, len(y) + 1)
+    cond = u - css / idx > 0
+    rho = idx[cond][-1]
+    theta = css[rho - 1] / rho
+    return np.maximum(y - theta, 0.0)
+
+
+def _distance_by_pgd(p, E, seed):
+    """Independent oracle: multi-start projected gradient over barycentric
+    coordinates.
+
+    Minimizes cosh d = -<p, S(lam)> / sqrt(-<S, S>), which is continuous
+    and unimodal along segments through the minimizer; refined by
+    golden-section exchanges on the active face.
+    """
+    vmat = E.rep_matrix
+    m = E.k + 1
+    gp = _mink_rows(vmat, p.rep[None, :]).ravel()  # <v_i, p>
+    gram = E.gram
+
+    def fval(lam):
+        a = -lam @ gp
+        b = -lam @ gram @ lam
+        if b <= 0:
+            return math.inf
+        return a / math.sqrt(b)
+
+    def grad(lam):
+        a = -lam @ gp
+        b = -lam @ gram @ lam
+        sb = math.sqrt(b)
+        return -gp / sb + a * (gram @ lam) / (b * sb)
+
+    rng = np.random.default_rng(seed)
+    starts = [np.full(m, 1.0 / m)]
+    starts += [rng.dirichlet(np.ones(m)) for _ in range(7)]
+    best_f = math.inf
+    for lam0 in starts:
+        lam = lam0.copy()
+        f = fval(lam)
+        step = 1.0
+        for _ in range(200):
+            g = grad(lam)
+            improved = False
+            while step > 1e-14:
+                cand = _project_to_std_simplex(lam - step * g)
+                fc = fval(cand)
+                if fc < f - 1e-16:
+                    lam, f = cand, fc
+                    improved = True
+                    step *= 1.5
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        # golden-section polish along coordinate exchanges
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(3):
+            for i in range(m):
+                for j in range(i + 1, m):
+                    lo, hi = -lam[i], lam[j]
+                    if hi - lo < 1e-15:
+                        continue
+
+                    def fex(t, i=i, j=j):
+                        cand = lam.copy()
+                        cand[i] += t
+                        cand[j] -= t
+                        return fval(cand)
+
+                    a, b = lo, hi
+                    c1 = b - phi * (b - a)
+                    c2 = a + phi * (b - a)
+                    f1, f2 = fex(c1), fex(c2)
+                    for _ in range(40):
+                        if f1 < f2:
+                            b, c2, f2 = c2, c1, f1
+                            c1 = b - phi * (b - a)
+                            f1 = fex(c1)
+                        else:
+                            a, c1, f1 = c1, c2, f2
+                            c2 = a + phi * (b - a)
+                            f2 = fex(c2)
+                    t = (a + b) / 2
+                    if fex(t) < f:
+                        lam[i] += t
+                        lam[j] -= t
+                        lam = np.maximum(lam, 0.0)
+                        lam /= lam.sum()
+                        f = fval(lam)
+        if f < best_f:
+            best_f = f
+    return _arccosh_stable(best_f)
 
 
 def test_distance_errors():
@@ -415,6 +519,5 @@ def test_finite_segment_incenter_is_midpoint():
     b = lift_klein([0.6, 0.0, 0.0])
     seg = GeodesicSimplex((a, b), 3)
     res = incenter_inradius(seg)
-    from hypstab.minkowski import distance
     assert distance(a, res.incenter) == pytest.approx(distance(b, res.incenter), abs=1e-12)
     assert res.inradius == pytest.approx(distance(a, b) / 2, abs=1e-12)
