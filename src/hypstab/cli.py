@@ -182,8 +182,7 @@ def cmd_volume(cfg: RunConfig, args) -> int:
             est = simplex_volume(K, budget=cfg.samples, seed=cfg.seed)
             label = args.simplex
     except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _fail(str(exc))
     payload = {"input": label, "volume": {"value": est.value, "flag": est.method},
                "std_error": est.std_error, "samples": est.samples,
                "seed": cfg.seed}
@@ -285,34 +284,32 @@ def cmd_triangulation(cfg: RunConfig, args) -> int:
                        f"chi = {counts.euler}")
         return 0
 
-    if args.action == "dashboard":
-        dash = cx.inequality_dashboard(T)
-        payload = {
-            "name": dash.name, "dim": dash.dim,
-            "simplices": {"value": dash.simplices, "flag": EXACT},
-            "f_vector": list(dash.f_vector), "euler": dash.euler,
-            "euler_bound": dash.euler_bound, "euler_bound_ok": dash.euler_bound_ok,
-            "orientable": dash.orientable,
-            "cycle_l1": None if dash.cycle_l1 is None else str(dash.cycle_l1),
-            "cycle_ok": dash.cycle_ok,
-            "annotations": list(dash.annotations),
-        }
-        if cfg.fmt == "json":
-            _emit(cfg, _json_dump(payload))
-        else:
-            lines = [f"{dash.name}: t = {dash.simplices} (upper bound for the "
-                     f"Delta-complexity), chi = {dash.euler}",
-                     f"  |chi| <= 2^(n+1) t = {dash.euler_bound}: "
-                     f"{'ok' if dash.euler_bound_ok else 'VIOLATED'}"]
-            if dash.cycle_l1 is not None:
-                lines.append(f"  alternated cycle: L1 = {dash.cycle_l1} <= t, "
-                             f"boundary {'vanishes' if dash.cycle_ok else 'NONZERO'}")
-            lines += [f"  note: {a}" for a in dash.annotations]
-            _emit(cfg, "\n".join(lines))
-        ok = dash.euler_bound_ok and dash.cycle_ok is not False
-        return 0 if ok else 1
-
-    raise _fail(f"unknown action {args.action}")
+    # dashboard: argparse admits no other action
+    dash = cx.inequality_dashboard(T)
+    payload = {
+        "name": dash.name, "dim": dash.dim,
+        "simplices": {"value": dash.simplices, "flag": EXACT},
+        "f_vector": list(dash.f_vector), "euler": dash.euler,
+        "euler_bound": dash.euler_bound, "euler_bound_ok": dash.euler_bound_ok,
+        "orientable": dash.orientable,
+        "cycle_l1": None if dash.cycle_l1 is None else str(dash.cycle_l1),
+        "cycle_ok": dash.cycle_ok,
+        "annotations": list(dash.annotations),
+    }
+    if cfg.fmt == "json":
+        _emit(cfg, _json_dump(payload))
+    else:
+        lines = [f"{dash.name}: t = {dash.simplices} (upper bound for the "
+                 f"Delta-complexity), chi = {dash.euler}",
+                 f"  |chi| <= 2^(n+1) t = {dash.euler_bound}: "
+                 f"{'ok' if dash.euler_bound_ok else 'VIOLATED'}"]
+        if dash.cycle_l1 is not None:
+            lines.append(f"  alternated cycle: L1 = {dash.cycle_l1} <= t, "
+                         f"boundary {'vanishes' if dash.cycle_ok else 'NONZERO'}")
+        lines += [f"  note: {a}" for a in dash.annotations]
+        _emit(cfg, "\n".join(lines))
+    ok = dash.euler_bound_ok and dash.cycle_ok is not False
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +374,7 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
                               for n, cb in zip(sweep, seq)] +
                              [f"  limit -> v_A = {seq[0].limit}"])
     except bounds_mod.BoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _fail(str(exc))
     _emit(cfg, _json_dump(payload) if cfg.fmt == "json" else text)
     return 0
 

@@ -6,13 +6,16 @@ vertex images and the hyperbolic volume element is
     dvol = (1 - |x|^2)^{-(n+1)/2} dx.
 
 The integrand is bounded away from the ideal vertices and blows up (but
-stays integrable) at them, so `simplex_volume` splits the simplex into a
-core plus a geometric sequence of corner shells around each ideal
-vertex; on each stratum the integrand varies by a bounded factor and a
-plain Monte Carlo mean converges quickly.  Strata own independent random
-substreams derived from (seed, stratum index), so the result is
-bit-identical regardless of evaluation order, and a pilot pass feeds a
-Neyman allocation of the remaining sample budget.
+stays integrable) at them, so both estimators here, `simplex_volume` and
+`volume_deficit_vs_regular`, share one stratified sampler: a core plus a
+geometric sequence of corner shells around each ideal vertex, with a
+geometric tail beyond the last shell.  On each stratum the integrand
+varies by a bounded factor and a plain Monte Carlo mean converges
+quickly.  Strata own independent random substreams derived from the
+seed and the stratum index, so results are bit-identical regardless of
+evaluation order.  `simplex_volume` adds a pilot pass that feeds a
+Neyman allocation of the remaining sample budget; the deficit spends
+the same number of samples on every stratum.
 
 Dimensions 2 and 3 have closed/series forms: every ideal triangle has
 area pi, and the regular ideal tetrahedron has volume 3 * Lambda(pi/3)
@@ -23,7 +26,7 @@ series good to ~1e-15.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -126,63 +129,70 @@ def ball_volume(n: int, r: float) -> float:
 # stratified Monte Carlo over the Klein-model simplex
 
 
-@dataclass
-class _Stratum:
-    vertex_rows: np.ndarray      # rows: stratum simplex vertices (Klein coords)
-    measure: float               # exact Euclidean volume of the sampled region
-    reject_vertex: int | None    # local barycentric index capped at 1/2, if any
-    to_global: tuple | None      # (corner index, scale) for shells, None for core
-    rng: np.random.Generator = field(default=None)
-    n_acc: int = 0
-    sum_f: float = 0.0
-    sum_f2: float = 0.0
+def _klein_form(K: GeodesicSimplex):
+    """(M, Euclidean volume, ideal vertex indices) of K in the Klein model.
 
-    def mean(self):
-        return self.sum_f / self.n_acc if self.n_acc else 0.0
-
-    def sem(self):
-        if self.n_acc < 2:
-            return math.inf if self.measure > 0 else 0.0
-        var = max(self.sum_f2 / self.n_acc - self.mean() ** 2, 0.0)
-        return math.sqrt(var / self.n_acc)
-
-
-def _draw(stratum: _Stratum, count: int, mmat: np.ndarray, exponent: float,
-          core_ideal_idx: np.ndarray | None):
-    """Draw `count` uniforms in the stratum region and accumulate the integrand.
-
-    The hyperbolic density 1 - |x|^2 is evaluated as lambda^T M lambda
-    with M_jk = 1 - w_j . w_k >= 0 in *global* barycentric coordinates,
-    a cancellation-free form that stays accurate into deep corners.
+    M_jk = 1 - w_j . w_k >= 0, with exact zeros on the ideal diagonal, so
+    that 1 - |x|^2 = lambda^T M lambda in barycentric coordinates: a
+    cancellation-free form that stays accurate into deep corners.
     """
-    if count <= 0:
-        return
+    w = K.klein_vertices()
+    ideal = K.ideal_flags()
+    mmat = 1.0 - w @ w.T
+    np.fill_diagonal(mmat, np.where(ideal, 0.0, np.diag(mmat)))
+    vol_t = abs(np.linalg.det(w[1:] - w[0])) / math.gamma(K.ambient_dim + 1)
+    return mmat, vol_t, np.flatnonzero(ideal)
+
+
+def _strata(n: int, ideal_idx: np.ndarray, levels: int) -> list:
+    """(mass fraction, corner) of the core and of each dyadic corner shell.
+
+    The core is the simplex minus a half-size corner at every ideal
+    vertex (corner None); the shell at level lev around vertex i is the
+    corner of scale 0.5**lev minus its own half-size corner (corner
+    (i, 0.5**lev)).  Masses are fractions of the Euclidean volume.
+    """
+    if ideal_idx.size and levels < 1:
+        raise GeometryError("ideal vertices need at least one shell level")
+    shrink = 1.0 - 0.5 ** n
+    strata = [(1.0 - ideal_idx.size * 0.5 ** n, None)]
+    for i in ideal_idx:
+        for lev in range(1, levels + 1):
+            strata.append((0.5 ** (lev * n) * shrink, (int(i), 0.5 ** lev)))
+    return strata
+
+
+def _draw(rng: np.random.Generator, count: int, n: int, corner,
+          ideal_idx: np.ndarray) -> np.ndarray:
+    """Global barycentric coordinates of the accepted uniform draws in a stratum.
+
+    Antithetic pairs of Dirichlet(1, ..., 1) draws; the core rejects every
+    point with a coordinate >= 1/2 at an ideal vertex, a shell rejects
+    local coordinate >= 1/2 at its corner and maps into the scaled corner.
+    """
     half = (count + 1) // 2
-    u = stratum.rng.random((half, stratum.vertex_rows.shape[0]))
+    u = rng.random((half, n + 1))
     u = np.vstack([u, 1.0 - u])[:count]
     e = -np.log(np.clip(u, 1e-300, 1.0))
     lam = e / e.sum(axis=1, keepdims=True)
-    if stratum.reject_vertex is not None:
-        keep = lam[:, stratum.reject_vertex] < 0.5
-        lam = lam[keep]
-        if core_ideal_idx is not None and core_ideal_idx.size:
-            keep2 = np.all(lam[:, core_ideal_idx] < 0.5, axis=1)
-            lam = lam[keep2]
-    elif core_ideal_idx is not None and core_ideal_idx.size:
-        keep = np.all(lam[:, core_ideal_idx] < 0.5, axis=1)
-        lam = lam[keep]
-    if stratum.to_global is not None:
-        corner, scale = stratum.to_global
-        glob = scale * lam
-        glob[:, corner] = 1.0 - scale * (1.0 - lam[:, corner])
-        lam = glob
-    if lam.shape[0] == 0:
-        return
-    dens = np.einsum("si,ij,sj->s", lam, mmat, lam)
-    f = np.clip(dens, 1e-300, None) ** exponent
-    stratum.n_acc += f.shape[0]
-    stratum.sum_f += float(f.sum())
-    stratum.sum_f2 += float((f * f).sum())
+    if corner is None:
+        return lam[np.all(lam[:, ideal_idx] < 0.5, axis=1)] if ideal_idx.size else lam
+    i, scale = corner
+    lam = lam[lam[:, i] < 0.5]
+    glob = scale * lam
+    glob[:, i] = 1.0 - scale * (1.0 - lam[:, i])
+    return glob
+
+
+def _density(lam: np.ndarray, mmat: np.ndarray, exponent: float) -> np.ndarray:
+    """The hyperbolic density (lambda^T M lambda)^exponent at each row of lam."""
+    return np.clip(np.einsum("si,ij,sj->s", lam, mmat, lam), 1e-300, None) ** exponent
+
+
+def _tail(n: int, mass: float, mean: float) -> float:
+    """Geometric extrapolation of a corner beyond its last shell."""
+    rho = 0.5 ** ((n - 1) / 2.0)
+    return mass * mean * rho / (1.0 - rho)
 
 
 def simplex_volume(
@@ -206,65 +216,54 @@ def simplex_volume(
     if budget < 1000:
         raise GeometryError("budget below 1000 samples")
 
-    w = K.klein_vertices()
-    ideal = K.ideal_flags()
-    mmat = 1.0 - w @ w.T  # M_jk = 1 - w_j . w_k, exact zeros on ideal diagonal
-    np.fill_diagonal(mmat, np.where(ideal, 0.0, np.diag(mmat)))
+    mmat, vol_t, ideal_idx = _klein_form(K)
     exponent = -(n + 1) / 2.0
-    vol_t = abs(np.linalg.det(w[1:] - w[0])) / math.gamma(n + 1)
-    ideal_idx = np.flatnonzero(ideal)
-    m = ideal_idx.size
+    strata = _strata(n, ideal_idx, levels)
+    k = len(strata)
+    measure = [vol_t * mass for mass, _ in strata]
+    rngs = [np.random.default_rng([seed, idx]) for idx in range(k)]
+    n_acc, sum_f, sum_f2 = [0] * k, [0.0] * k, [0.0] * k
 
-    strata: list[_Stratum] = []
-    shrink = 1.0 - 0.5 ** n
-    if m == 0:
-        strata.append(_Stratum(w, vol_t, None, None))
-    else:
-        strata.append(_Stratum(w, vol_t * (1.0 - m * 0.5 ** n), None, None))
-        for i in ideal_idx:
-            for lev in range(1, levels + 1):
-                scale = 0.5 ** lev
-                rows = w[i] + scale * (w - w[i])
-                strata.append(_Stratum(rows, vol_t * scale ** n * shrink, int(i),
-                                       (int(i), scale)))
-    core = strata[0]
-    core_mask = ideal_idx if m else None
+    def sample(idx, count):
+        f = _density(_draw(rngs[idx], count, n, strata[idx][1], ideal_idx), mmat, exponent)
+        n_acc[idx] += f.shape[0]
+        sum_f[idx] += float(f.sum())
+        sum_f2[idx] += float((f * f).sum())
 
-    for idx, s in enumerate(strata):
-        s.rng = np.random.default_rng([seed, idx])
+    def sem(idx):  # standard error of the stratum mean
+        if n_acc[idx] < 2:
+            return math.inf
+        mean = sum_f[idx] / n_acc[idx]
+        return math.sqrt(max(sum_f2[idx] / n_acc[idx] - mean ** 2, 0.0) / n_acc[idx])
 
-    pilot = max(16, budget // (6 * len(strata)))
-    for s in strata:
-        _draw(s, pilot, mmat, exponent,
-              core_mask if s is core and s.to_global is None else None)
-    spent = pilot * len(strata)
+    pilot = max(16, budget // (6 * k))
+    for idx in range(k):
+        sample(idx, pilot)
+    spent = pilot * k
 
-    weights = np.array([s.measure * (s.sem() * math.sqrt(max(s.n_acc, 1)))
-                        if s.n_acc >= 2 else 0.0 for s in strata])
+    # Neyman allocation of the rest of the budget
+    weights = np.array([measure[idx] * (sem(idx) * math.sqrt(n_acc[idx]))
+                        if n_acc[idx] >= 2 else 0.0 for idx in range(k)])
     total_w = weights.sum()
     remaining = max(budget - spent, 0)
     if total_w > 0 and remaining > 0:
         alloc = np.floor(remaining * weights / total_w).astype(int)
-        for s, extra in zip(strata, alloc):
-            _draw(s, int(extra), mmat, exponent,
-                  core_mask if s is core and s.to_global is None else None)
+        for idx, extra in enumerate(alloc):
+            sample(idx, int(extra))
         spent += int(alloc.sum())
 
     value = 0.0
     var = 0.0
-    for s in strata:
-        if s.measure == 0.0:
-            continue
-        if s.n_acc == 0:
+    tails = []
+    for idx, (_, corner) in enumerate(strata):
+        if n_acc[idx] == 0:
             raise GeometryError("a stratum received no accepted samples; raise the budget")
-        value += s.measure * s.mean()
-        var += (s.measure * s.sem()) ** 2
-
-    # geometric tail beyond the last shell of each ideal corner
-    rho = 0.5 ** ((n - 1) / 2.0)
-    for i in ideal_idx:
-        last = strata[1 + int(np.where(ideal_idx == i)[0][0]) * levels + levels - 1]
-        tail = last.measure * last.mean() * rho / (1.0 - rho)
+        mean = sum_f[idx] / n_acc[idx]
+        value += measure[idx] * mean
+        var += (measure[idx] * sem(idx)) ** 2
+        if corner is not None and corner[1] == 0.5 ** levels:
+            tails.append(_tail(n, measure[idx], mean))
+    for tail in tails:
         value += tail
         var += tail ** 2
 
@@ -291,7 +290,8 @@ def volume_deficit_vs_regular(
     budget: int = 32768,
     seed=0,
     levels: int = 12,
-    v_ref: float | None = None,
+    *,
+    v_ref: float,
 ) -> tuple[float, float]:
     """Relative deficit (v_n - vol(K)) / v_n with its standard error.
 
@@ -300,75 +300,37 @@ def volume_deficit_vs_regular(
     so the variance of the estimated difference scales with the distance
     of K from regular instead of with the volumes themselves.  This is
     what makes volume comparisons resolvable at the 1e-4 level inside
-    search loops where a plain estimate would drown in noise.
+    search loops where a plain estimate would drown in noise.  The
+    samples follow the strata of the regular simplex, all of whose
+    corners are ideal; `v_ref` is the caller's value of v_n.
     """
     n = K.ambient_dim
     if K.k != n:
         raise GeometryError("deficit needs a full-dimensional simplex")
     if is_degenerate(K):
         raise DegenerateSimplexError("deficit of a degenerate simplex")
-    if v_ref is None:
-        v_ref = ideal_regular_volume(n, seed=seed).value
-    reg = regular_ideal_simplex(n)
     exponent = -(n + 1) / 2.0
-
-    def prep(S):
-        w = S.klein_vertices()
-        ideal = S.ideal_flags()
-        mm = 1.0 - w @ w.T
-        np.fill_diagonal(mm, np.where(ideal, 0.0, np.diag(mm)))
-        return mm, abs(np.linalg.det(w[1:] - w[0])) / math.gamma(n + 1)
-
-    mk, volk = prep(K)
-    mr, volr = prep(reg)
+    mk, volk, _ = _klein_form(K)
+    mr, volr, ideal_idx = _klein_form(regular_ideal_simplex(n))
+    strata = _strata(n, ideal_idx, levels)
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-
-    # strata of the standard simplex: core plus dyadic shells at every corner
-    # (all corners of the regular simplex are ideal)
-    masses = [1.0 - (n + 1) * 0.5 ** n]
-    corners = [None]
-    shrink = 1.0 - 0.5 ** n
-    for i in range(n + 1):
-        for lev in range(1, levels + 1):
-            masses.append(0.5 ** (lev * n) * shrink)
-            corners.append((i, 0.5 ** lev))
-    per = max(32, budget // len(masses))
+    per = max(32, budget // len(strata))
     total = 0.0
     var = 0.0
-    samples = 0
-    last_shell = {}
-    for idx, (mass, corner) in enumerate(zip(masses, corners)):
+    tails = []
+    for idx, (mass, corner) in enumerate(strata):
         rng = np.random.default_rng(seed_seq + [0xD1F, idx])
-        half = (per + 1) // 2
-        u = rng.random((half, n + 1))
-        u = np.vstack([u, 1.0 - u])[:per]
-        e = -np.log(np.clip(u, 1e-300, 1.0))
-        lam = e / e.sum(axis=1, keepdims=True)
-        if corner is None:
-            keep = np.all(lam < 0.5, axis=1)
-            lam = lam[keep]
-        else:
-            i, scale = corner
-            keep = lam[:, i] < 0.5
-            lam = lam[keep]
-            glob = scale * lam
-            glob[:, i] = 1.0 - scale * (1.0 - lam[:, i])
-            lam = glob
+        lam = _draw(rng, per, n, corner, ideal_idx)
         if lam.shape[0] < 2:
             raise GeometryError("stratum starved; raise the deficit budget")
-        fk = np.clip(np.einsum("si,ij,sj->s", lam, mk, lam), 1e-300, None) ** exponent
-        fr = np.clip(np.einsum("si,ij,sj->s", lam, mr, lam), 1e-300, None) ** exponent
-        g = volk * fk - volr * fr
+        g = volk * _density(lam, mk, exponent) - volr * _density(lam, mr, exponent)
         mean = float(g.mean())
         sem = float(g.std(ddof=1)) / math.sqrt(g.shape[0])
         total += mass * mean
         var += (mass * sem) ** 2
-        samples += int(lam.shape[0])
-        if corner is not None:
-            last_shell[corner[0]] = (mass, mean)
-    rho = 0.5 ** ((n - 1) / 2.0)
-    for mass, mean in last_shell.values():
-        tail = mass * mean * rho / (1.0 - rho)
+        if corner is not None and corner[1] == 0.5 ** levels:
+            tails.append(_tail(n, mass, mean))
+    for tail in tails:
         total += tail
         var += tail ** 2
     return -total / v_ref, math.sqrt(var) / v_ref

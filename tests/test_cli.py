@@ -62,9 +62,10 @@ def test_volume_degenerate_input(tmp_path, capsys):
         "vertices": [{"x": [1, 0], "ideal": True}, {"x": [-1, 0], "ideal": True},
                      {"x": [0.5, 0.0]}],
     }))
-    code, _, err = run(capsys, "volume", str(f), "--samples", "1e4")
-    assert code == 2
-    assert "degenerate" in err
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "volume", str(f), "--samples", "1e4")
+    assert exc.value.code == 2
+    assert "degenerate" in capsys.readouterr().err
 
 
 def test_triangulation_info_figure_eight(capsys):
@@ -172,6 +173,11 @@ def test_samples_floor():
                  id="spec-not-permutation"),
     pytest.param(["triangulation", "cover", "torus", "--characteristic", "0"], None,
                  id="characteristic-0"),
+    pytest.param(["volume", "--samples", "1e4"],
+                 {"dim": 2, "vertices": [{"x": [1, 0], "ideal": True},
+                                         {"x": [-1, 0], "ideal": True}, {"x": [0.5, 0.0]}]},
+                 id="simplex-degenerate"),
+    pytest.param(["bounds", "seifert", "--e", "-1"], None, id="seifert-negative-e"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     if spec is not None:

@@ -159,6 +159,8 @@ def test_mc_rejects_bad_input():
         simplex_volume(regular_ideal_simplex(3, 2))  # not full-dimensional
     with pytest.raises(GeometryError):
         simplex_volume(regular_ideal_simplex(3), budget=10)
+    with pytest.raises(GeometryError):
+        simplex_volume(regular_ideal_simplex(3), levels=0)  # corners left unsampled
 
 
 def test_deficit_estimator():
@@ -176,6 +178,33 @@ def test_deficit_estimator():
     plain = (V3 - est.value) / V3
     assert d > 0
     assert abs(d - plain) < 3 * math.hypot(sd, est.std_error / V3)
+
+
+# Gauss-Bonnet for the regular ideal 4-simplex: (pi/3)(4 pi - 10 arccos(1/3))
+V4 = 4 * math.pi ** 2 / 3 - 10 * math.pi / 3 * math.acos(1 / 3)
+
+
+def exact_ideal_volume(K):
+    """Milnor (n = 3) or Gauss-Bonnet (n = 4) volume of an ideal simplex."""
+    if K.ambient_dim == 3:
+        return sum(quad_lobachevsky(dihedral_angle(K, 0, j)) for j in (1, 2, 3))
+    angles = sum(dihedral_angle(K, i, j) for i, j in itertools.combinations(range(5), 2))
+    return math.pi / 3 * (4 * math.pi - angles)
+
+
+@pytest.mark.parametrize("n, v_n", [(3, V3), (4, V4)])
+def test_deficit_vs_exact_oracle(n, v_n):
+    # the exact volumes share no code with the stratified sampler behind
+    # both volume_deficit_vs_regular and simplex_volume
+    base = regular_ideal_simplex(n).klein_vertices()
+    rng = np.random.default_rng(40 + n)
+    for i, scale in enumerate(np.linspace(0.02, 0.29, 10)):
+        kv = base + scale * rng.standard_normal(base.shape)
+        kv /= np.linalg.norm(kv, axis=1, keepdims=True)
+        K = GeodesicSimplex(tuple(lift_klein(x, ideal=True) for x in kv), n)
+        d, sd = volume_deficit_vs_regular(K, budget=32768, seed=i, levels=12, v_ref=v_n)
+        exact = (v_n - exact_ideal_volume(K)) / v_n
+        assert abs(d - exact) <= 4 * sd
 
 
 # frozen from a 20M-sample run (0.2689044 +- 1.8e-5), cross-checked against
