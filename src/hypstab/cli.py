@@ -1,16 +1,22 @@
 """Batch command-line front end.
 
-Subcommands::
+Subcommands and the flags each one reads::
 
     hypstab constants      per-dimension constants table (C_n pipeline)
+        --n-min --n-max --restarts --depth --climb-iters
+        --seed --samples --format text|json|csv --out
     hypstab volume         hyperbolic simplex volume (file or regular ideal)
+        --regular-ideal --seed --samples --tolerance --format text|json --out
     hypstab triangulation  info | cycle | cover | dashboard on gluing data
+        --spec --characteristic --format text|json --out
     hypstab bounds         seifert | jsj | filling calculators
+        --e --chi --d --va --vb --vc --vd --h --n --figure-eight
+        --format text|json --out
 
 Every emitted number carries a flag saying how it was computed.
 Identical configurations (including --seed) produce byte-identical
 JSON.  The exit code is 0 only when all requested checks pass: 1 for
-failed checks, 2 for bad input.
+failed checks, 2 for bad input (one "error:" line on stderr).
 
 Triangulation targets are file paths in the wire format or built-in
 fixture names (sphere, torus, klein, figure-eight/fig8,
@@ -34,7 +40,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,30 +57,15 @@ def _fail(msg: str) -> SystemExit:
     return SystemExit(2)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    samples: int = DEFAULT_BUDGET
-    tolerance: float = DEFAULT_TOL
-    fmt: str = "text"
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.samples < 1000:
-            raise _fail("--samples must be at least 1000")
-
-
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(args, payload, text: str):
+    """Write the result: ``payload`` as JSON under --format json, else ``text``."""
+    if args.fmt == "json":
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _load_json(path: str):
@@ -106,10 +96,10 @@ def _load_simplex(path: str, tol: float) -> GeodesicSimplex:
         verts = [lift_klein(np.asarray(rec["x"], dtype=float),
                             ideal=bool(rec.get("ideal", False)), tol=tol)
                  for rec in data["vertices"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"malformed simplex file {path}: {exc}")
     except GeometryError as exc:
         raise _fail(f"invalid vertex in {path}: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _fail(f"malformed simplex file {path}: {exc}")
     return GeodesicSimplex(tuple(verts), dim)
 
 
@@ -117,7 +107,7 @@ def _load_simplex(path: str, tol: float) -> GeodesicSimplex:
 # constants
 
 
-def cmd_constants(cfg: RunConfig, args) -> int:
+def cmd_constants(args) -> int:
     if not (4 <= args.n_min <= args.n_max <= 8):
         raise _fail("need 4 <= n-min <= n-max <= 8")
     dims = list(range(args.n_min, args.n_max + 1))
@@ -126,7 +116,7 @@ def cmd_constants(cfg: RunConfig, args) -> int:
     def job(n):
         try:
             row, _ = constants_row(
-                n, budget=cfg.samples, seed=cfg.seed, restarts=args.restarts,
+                n, budget=args.samples, seed=args.seed, restarts=args.restarts,
                 bisection_depth=args.depth, climb_iters=args.climb_iters)
             return n, row, None
         except Exception as exc:  # row-level failure; other rows still emitted
@@ -134,20 +124,14 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(job, dims))
-    results.sort(key=lambda r: r[0])
     rows = [row for _, row, _ in results if row is not None]
     errors = {n: err for n, _, err in results if err is not None}
 
-    if cfg.fmt == "json":
-        payload = {"rows": [row_as_dict(r) for r in rows],
-                   "errors": {str(n): e for n, e in errors.items()},
-                   "seed": cfg.seed, "samples": cfg.samples}
-        _emit(cfg, _json_dump(payload))
-    elif cfg.fmt == "csv":
-        text = rows_to_csv(rows)
-        if errors:
-            text += "".join(f"# error n={n}: {e}\n" for n, e in errors.items())
-        _emit(cfg, text)
+    payload = {"rows": [row_as_dict(r) for r in rows],
+               "errors": {str(n): e for n, e in errors.items()},
+               "seed": args.seed, "samples": args.samples}
+    if args.fmt == "csv":
+        text = rows_to_csv(rows) + "".join(f"# error n={n}: {e}\n" for n, e in errors.items())
     else:
         lines = [f"{'n':>2} {'v_n':>12} {'+-':>9} {'alpha_n':>10} {'k':>2} "
                  f"{'delta_n':>10} {'eta_n':>12} {'a_n':>10} {'eps_n':>12} {'C_n':>18} flags"]
@@ -159,7 +143,8 @@ def cmd_constants(cfg: RunConfig, args) -> int:
                 f"[v:{r.flags['v_n']} rest:{r.flags['eps_n']}]")
         for n, e in errors.items():
             lines.append(f"{n:>2} ERROR: {e}")
-        _emit(cfg, "\n".join(lines))
+        text = "\n".join(lines)
+    _emit(args, payload, text)
     if errors or any(not r.C_n < 1.0 for r in rows):
         return 1
     return 0
@@ -169,28 +154,25 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 # volume
 
 
-def cmd_volume(cfg: RunConfig, args) -> int:
+def cmd_volume(args) -> int:
     if (args.regular_ideal is None) == (args.simplex is None):
         raise _fail("give exactly one of --regular-ideal N or a simplex file")
     try:
         if args.regular_ideal is not None:
-            est = ideal_regular_volume(args.regular_ideal, budget=cfg.samples,
-                                       seed=cfg.seed)
+            est = ideal_regular_volume(args.regular_ideal, budget=args.samples,
+                                       seed=args.seed)
             label = f"regular ideal {args.regular_ideal}-simplex"
         else:
-            K = _load_simplex(args.simplex, cfg.tolerance)
-            est = simplex_volume(K, budget=cfg.samples, seed=cfg.seed)
+            K = _load_simplex(args.simplex, args.tolerance)
+            est = simplex_volume(K, budget=args.samples, seed=args.seed)
             label = args.simplex
     except GeometryError as exc:
         raise _fail(str(exc))
     payload = {"input": label, "volume": {"value": est.value, "flag": est.method},
                "std_error": est.std_error, "samples": est.samples,
-               "seed": cfg.seed}
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dump(payload))
-    else:
-        _emit(cfg, f"{label}: vol = {est.value:.9f} +- {est.std_error:.2e} "
-                   f"[{est.method}, {est.samples} samples, seed {cfg.seed}]")
+               "seed": args.seed}
+    _emit(args, payload, f"{label}: vol = {est.value:.9f} +- {est.std_error:.2e} "
+                         f"[{est.method}, {est.samples} samples, seed {args.seed}]")
     return 0
 
 
@@ -206,7 +188,7 @@ def _links_payload(T):
     }
 
 
-def cmd_triangulation(cfg: RunConfig, args) -> int:
+def cmd_triangulation(args) -> int:
     T = _load_triangulation(args.target)
     name = (T.labels or {}).get("name", args.target)
     report = cx.validate(T)
@@ -220,20 +202,16 @@ def cmd_triangulation(cfg: RunConfig, args) -> int:
             "f_vector": list(counts.f_vector), "euler": counts.euler,
             "orientable": orient.orientable,
         }
+        lines = [f"{name}: dim {T.dim}, {T.simplex_count} simplices, "
+                 f"{'closed' if report.closed else 'bounded'}, "
+                 f"{'orientable' if orient.orientable else 'nonorientable'}",
+                 f"  f-vector {counts.f_vector}, chi = {counts.euler}"]
         if T.dim == 3 and report.closed:
             payload["links"] = _links_payload(T)
-        if cfg.fmt == "json":
-            _emit(cfg, _json_dump(payload))
-        else:
-            lines = [f"{name}: dim {T.dim}, {T.simplex_count} simplices, "
-                     f"{'closed' if report.closed else 'bounded'}, "
-                     f"{'orientable' if orient.orientable else 'nonorientable'}",
-                     f"  f-vector {counts.f_vector}, chi = {counts.euler}"]
-            if "links" in payload:
-                for i, v in enumerate(payload["links"]["vertex_links"]):
-                    lines.append(f"  vertex {i}: link chi = {v['euler']} ({v['faces']} faces)")
-                lines.append(f"  edge valences: {payload['links']['edge_valences']}")
-            _emit(cfg, "\n".join(lines))
+            for i, v in enumerate(payload["links"]["vertex_links"]):
+                lines.append(f"  vertex {i}: link chi = {v['euler']} ({v['faces']} faces)")
+            lines.append(f"  edge valences: {payload['links']['edge_valences']}")
+        _emit(args, payload, "\n".join(lines))
         return 0 if report.valid else 1
 
     if args.action == "cycle":
@@ -247,13 +225,11 @@ def cmd_triangulation(cfg: RunConfig, args) -> int:
             return 1
         ok = cx.verify_cycle(T, z)
         l1 = z.l1()
-        if cfg.fmt == "json":
-            _emit(cfg, _json_dump({"name": name, "cycle_verified": ok,
-                                   "l1": {"value": str(l1), "flag": EXACT},
-                                   "simplices": T.simplex_count}))
-        else:
-            _emit(cfg, f"{name}: cycle {'verified' if ok else 'FAILED'}, "
-                       f"L1 = {l1} ({EXACT}), t = {T.simplex_count}")
+        _emit(args, {"name": name, "cycle_verified": ok,
+                     "l1": {"value": str(l1), "flag": EXACT},
+                     "simplices": T.simplex_count},
+              f"{name}: cycle {'verified' if ok else 'FAILED'}, "
+              f"L1 = {l1} ({EXACT}), t = {T.simplex_count}")
         return 0 if ok else 1
 
     if args.action == "cover":
@@ -276,12 +252,9 @@ def cmd_triangulation(cfg: RunConfig, args) -> int:
                    "cover_simplices": cover.simplex_count,
                    "f_vector": list(counts.f_vector), "euler": counts.euler,
                    "wire": cx.to_wire(cover)}
-        if cfg.fmt == "json":
-            _emit(cfg, _json_dump(payload))
-        else:
-            _emit(cfg, f"{name}: degree-{spec.degree} cover with "
-                       f"{cover.simplex_count} simplices, f {counts.f_vector}, "
-                       f"chi = {counts.euler}")
+        _emit(args, payload, f"{name}: degree-{spec.degree} cover with "
+                             f"{cover.simplex_count} simplices, f {counts.f_vector}, "
+                             f"chi = {counts.euler}")
         return 0
 
     # dashboard: argparse admits no other action
@@ -296,18 +269,15 @@ def cmd_triangulation(cfg: RunConfig, args) -> int:
         "cycle_ok": dash.cycle_ok,
         "annotations": list(dash.annotations),
     }
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dump(payload))
-    else:
-        lines = [f"{dash.name}: t = {dash.simplices} (upper bound for the "
-                 f"Delta-complexity), chi = {dash.euler}",
-                 f"  |chi| <= 2^(n+1) t = {dash.euler_bound}: "
-                 f"{'ok' if dash.euler_bound_ok else 'VIOLATED'}"]
-        if dash.cycle_l1 is not None:
-            lines.append(f"  alternated cycle: L1 = {dash.cycle_l1} <= t, "
-                         f"boundary {'vanishes' if dash.cycle_ok else 'NONZERO'}")
-        lines += [f"  note: {a}" for a in dash.annotations]
-        _emit(cfg, "\n".join(lines))
+    lines = [f"{dash.name}: t = {dash.simplices} (upper bound for the "
+             f"Delta-complexity), chi = {dash.euler}",
+             f"  |chi| <= 2^(n+1) t = {dash.euler_bound}: "
+             f"{'ok' if dash.euler_bound_ok else 'VIOLATED'}"]
+    if dash.cycle_l1 is not None:
+        lines.append(f"  alternated cycle: L1 = {dash.cycle_l1} <= t, "
+                     f"boundary {'vanishes' if dash.cycle_ok else 'NONZERO'}")
+    lines += [f"  note: {a}" for a in dash.annotations]
+    _emit(args, payload, "\n".join(lines))
     ok = dash.euler_bound_ok and dash.cycle_ok is not False
     return 0 if ok else 1
 
@@ -323,7 +293,24 @@ def _parse_int_list(text: str) -> list[int]:
         raise _fail(f"expected a comma-separated integer list, got {text!r}")
 
 
-def cmd_bounds(cfg: RunConfig, args) -> int:
+def _sweep_table(text: str, bound) -> tuple[dict, list[str]]:
+    """Payload rows and limit, and the text lines, of a jsj or filling
+    table: ``bound(n)`` for each n of the --n list ``text``."""
+    sweep = _parse_int_list(text)
+    if not sweep:
+        raise _fail("--n needs at least one value")
+    seq = [bound(n) for n in sweep]
+    rows = [{"n": n, "degree": cb.degree, "bound": cb.bound,
+             "normalized": {"value": cb.normalized, "flag": FORMULA}}
+            for n, cb in zip(sweep, seq)]
+    lines = [f"  n={n}: degree {cb.degree}, bound {cb.bound}, "
+             f"normalized {float(cb.normalized):.6g} [{FORMULA}]"
+             for n, cb in zip(sweep, seq)]
+    lines.append(f"  limit -> v_A = {seq[0].limit}")
+    return {"rows": rows, "limit": {"value": seq[0].limit, "flag": FORMULA}}, lines
+
+
+def cmd_bounds(args) -> int:
     try:
         if args.calculator == "seifert":
             degs = _parse_int_list(args.d)
@@ -335,47 +322,30 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
                        "rows": rows, "limit": {"value": 0, "flag": FORMULA},
                        "decreasing": all(seq[i].normalized >= seq[i + 1].normalized
                                          for i in range(len(seq) - 1))}
-            text = "\n".join([f"seifert e={args.e} chi={args.chi}"] +
-                             [f"  fiber-unwrap degree d^2={cb.degree}: bound {cb.bound}, "
-                              f"normalized {float(cb.normalized):.6g} [formula]"
-                              for cb in seq] + ["  limit -> 0"])
+            lines = ([f"seifert e={args.e} chi={args.chi}"] +
+                     [f"  fiber-unwrap degree d^2={cb.degree}: bound {cb.bound}, "
+                      f"normalized {float(cb.normalized):.6g} [{FORMULA}]"
+                      for cb in seq] + ["  limit -> 0"])
         elif args.calculator == "jsj":
-            sweep = _parse_int_list(args.n)
-            seq = [bounds_mod.jsj_cover_bound(args.va, args.vb, args.vc, args.vd,
-                                              getattr(args, "h"), n) for n in sweep]
-            rows = [{"n": n, "degree": cb.degree, "bound": cb.bound,
-                     "normalized": {"value": cb.normalized, "flag": FORMULA}}
-                    for n, cb in zip(sweep, seq)]
-            payload = {"calculator": "jsj", "rows": rows,
-                       "limit": {"value": seq[0].limit, "flag": FORMULA}}
-            text = "\n".join([f"jsj v_A={args.va} v_B={args.vb} v_C={args.vc} "
-                              f"v_D={args.vd} h={args.h}"] +
-                             [f"  n={n}: degree {cb.degree}, bound {cb.bound}, "
-                              f"normalized {float(cb.normalized):.6g} [formula]"
-                              for n, cb in zip(sweep, seq)] +
-                             [f"  limit -> v_A = {seq[0].limit}"])
+            table, sweep_lines = _sweep_table(args.n, lambda n: bounds_mod.jsj_cover_bound(
+                args.va, args.vb, args.vc, args.vd, args.h, n))
+            payload = {"calculator": "jsj", **table}
+            lines = [f"jsj v_A={args.va} v_B={args.vb} v_C={args.vc} "
+                     f"v_D={args.vd} h={args.h}"] + sweep_lines
         else:  # filling
             if args.figure_eight:
                 preset = bounds_mod.FIGURE_EIGHT_FILLING
                 va, vb, vd = preset["v_a"], preset["v_b"], preset["v_d"]
             else:
                 va, vb, vd = args.va, args.vb, args.vd
-            sweep = _parse_int_list(args.n)
-            seq = [bounds_mod.filling_bound(va, vb, vd, n) for n in sweep]
-            rows = [{"n": n, "degree": cb.degree, "bound": cb.bound,
-                     "normalized": {"value": cb.normalized, "flag": FORMULA}}
-                    for n, cb in zip(sweep, seq)]
-            payload = {"calculator": "filling", "v_a": va, "v_b": vb, "v_d": vd,
-                       "rows": rows, "limit": {"value": seq[0].limit, "flag": FORMULA}}
+            table, sweep_lines = _sweep_table(
+                args.n, lambda n: bounds_mod.filling_bound(va, vb, vd, n))
+            payload = {"calculator": "filling", "v_a": va, "v_b": vb, "v_d": vd, **table}
             label = " (figure-eight preset: v_A = c(N) = 2)" if args.figure_eight else ""
-            text = "\n".join([f"filling v_A={va} v_B={vb} v_D={vd}{label}"] +
-                             [f"  n={n}: degree {cb.degree}, bound {cb.bound}, "
-                              f"normalized {float(cb.normalized):.6g} [formula]"
-                              for n, cb in zip(sweep, seq)] +
-                             [f"  limit -> v_A = {seq[0].limit}"])
+            lines = [f"filling v_A={va} v_B={vb} v_D={vd}{label}"] + sweep_lines
     except bounds_mod.BoundsError as exc:
         raise _fail(str(exc))
-    _emit(cfg, _json_dump(payload) if cfg.fmt == "json" else text)
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -383,24 +353,37 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed (default 0; identical seeds give identical output)")
-    common.add_argument("--samples", type=lambda s: int(float(s)), default=DEFAULT_BUDGET,
-                        help="Monte Carlo sample budget (default 2e6, min 1e3)")
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
-                        help="validation tolerance for geometric inputs")
-    common.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                        default="text")
-    common.add_argument("--out", default=None, help="write output to a file")
+def _sample_count(text: str) -> int:
+    """Type of --samples: a count written as an integer or a float, at least 1e3."""
+    try:
+        count = int(float(text))
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a sample count: {text!r}")
+    if count < 1000:
+        raise argparse.ArgumentTypeError("must be at least 1000")
+    return count
 
+
+def _add_sampling(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed (default 0; identical seeds give identical output)")
+    p.add_argument("--samples", type=_sample_count, default=DEFAULT_BUDGET,
+                   help="Monte Carlo sample budget (default 2e6, min 1e3)")
+
+
+def _add_output(p: argparse.ArgumentParser, formats=("text", "json")):
+    p.add_argument("--format", dest="fmt", choices=formats, default="text")
+    p.add_argument("--out", default=None, help="write output to a file")
+
+
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hypstab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("constants", parents=[common],
-                       help="per-dimension constants table (4 <= n <= 8)")
+    c = sub.add_parser("constants", help="per-dimension constants table (4 <= n <= 8)")
+    _add_sampling(c)
+    _add_output(c, ("text", "json", "csv"))
     c.add_argument("--n-min", type=int, default=4)
     c.add_argument("--n-max", type=int, default=5)
     c.add_argument("--restarts", type=int, default=64,
@@ -409,16 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--climb-iters", type=int, default=12)
     c.set_defaults(func=cmd_constants)
 
-    v = sub.add_parser("volume", parents=[common],
-                       help="volume of a geodesic simplex")
+    v = sub.add_parser("volume", help="volume of a geodesic simplex")
+    _add_sampling(v)
+    v.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+                   help="validation tolerance for the vertices of a simplex file")
+    _add_output(v)
     v.add_argument("simplex", nargs="?", default=None,
                    help="simplex file in Klein coordinates")
     v.add_argument("--regular-ideal", type=int, default=None, metavar="N",
                    help="use the regular ideal N-simplex")
     v.set_defaults(func=cmd_volume)
 
-    t = sub.add_parser("triangulation", parents=[common],
-                       help="operations on face-pairing gluing data")
+    t = sub.add_parser("triangulation", help="operations on face-pairing gluing data")
+    _add_output(t)
     t.add_argument("action", choices=("info", "cycle", "cover", "dashboard"))
     t.add_argument("target", help="wire-format file or fixture name "
                                   f"({', '.join(fixture_names())})")
@@ -427,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the x-characteristic cover of a torus complex")
     t.set_defaults(func=cmd_triangulation)
 
-    b = sub.add_parser("bounds", parents=[common],
-                       help="covering-degree bound calculators")
+    b = sub.add_parser("bounds", help="covering-degree bound calculators")
+    _add_output(b)
     b.add_argument("calculator", choices=("seifert", "jsj", "filling"))
     b.add_argument("--e", type=int, default=0, help="Euler number (seifert)")
     b.add_argument("--chi", type=int, default=-2, help="chi of the base surface (seifert)")
@@ -447,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, seed=args.seed, samples=args.samples,
-                    tolerance=args.tolerance, fmt=args.fmt, out=args.out)
-    return args.func(cfg, args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

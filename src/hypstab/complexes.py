@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 class ComplexError(ValueError):
@@ -66,11 +67,8 @@ class Triangulation:
     pairings: tuple
     labels: dict | None = None
 
-    @property
-    def slots(self):
-        return ((s, f) for s in range(self.simplex_count) for f in range(self.dim + 1))
-
-    def slot_table(self) -> dict:
+    @cached_property
+    def _slot_table(self) -> dict:
         """(simplex, facet) -> (pairing index, side) with side in {'a','b'}."""
         table = {}
         for idx, p in enumerate(self.pairings):
@@ -83,7 +81,7 @@ class Triangulation:
     def neighbor(self, s: int, f: int):
         """(other simplex, other facet, vertex map dict) across the pairing,
         or None on the boundary."""
-        entry = self._table().get((s, f))
+        entry = self._slot_table.get((s, f))
         if entry is None:
             return None
         idx, side = entry
@@ -91,11 +89,6 @@ class Triangulation:
         if side == "a":
             return p.b, p.facet_b, p.forward(), idx, +1
         return p.a, p.facet_a, p.backward(), idx, -1
-
-    def _table(self):
-        if not hasattr(self, "_slot_cache"):
-            object.__setattr__(self, "_slot_cache", self.slot_table())
-        return self._slot_cache
 
 
 @dataclass(frozen=True)
@@ -623,7 +616,7 @@ def from_wire(data: dict, name: str | None = None) -> Triangulation:
                     tuple(int(v) for v in rec["map"]))
             for rec in data["pairings"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ComplexError(f"malformed triangulation data: {exc}") from exc
     labels = {"name": name} if name else None
     T = Triangulation(dim, count, pairings, labels)
@@ -644,7 +637,7 @@ def cover_spec_from_wire(data: dict) -> CoverSpec:
         d = int(data["degree"])
         perms = {int(k): tuple(int(v) - 1 for v in perm)
                  for k, perm in data["perms"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ComplexError(f"malformed cover spec: {exc}") from exc
     return CoverSpec(d, perms)
 

@@ -59,7 +59,7 @@ from .volume import (
 
 TWO_PI = 2.0 * math.pi
 
-# shared defaults of the eps_n search (estimate_a_eps and constants_row)
+# defaults of the eps_n search settings of estimate_a_eps
 SEARCH_DEFAULTS = dict(restarts=64, bisection_depth=20, climb_iters=12,
                        cheap_budget=4096, verify_budget=1_048_576,
                        probe_levels=14, eps_start=0.9)
@@ -282,8 +282,9 @@ def estimate_a_eps(
     verify_budget: int = SEARCH_DEFAULTS["verify_budget"],
     probe_levels: int = SEARCH_DEFAULTS["probe_levels"],
     eps_start: float = SEARCH_DEFAULTS["eps_start"],
-    delta: float | None = None,
-    v_n: float | None = None,
+    *,
+    delta: float,
+    v_n: float,
 ) -> tuple[float, float, SearchAudit]:
     """(a_n, eps_n) and the audit trail of the bisection.
 
@@ -294,7 +295,8 @@ def estimate_a_eps(
     clearance; eps_n is HALF that boundary value, so the reported
     constant sits robustly inside the accepted region instead of on the
     noise-sensitive flip line.  Flagged empirical-search, never
-    certified.
+    certified.  ``delta`` (delta_n) and ``v_n`` are the clearance and
+    the reference volume the search tests against.
 
     Raises `RuntimeError` when no admissible eps is found (search budget
     exhausted), rather than silently defaulting.
@@ -302,10 +304,6 @@ def estimate_a_eps(
     if n < 4:
         raise GeometryError("the bracket constants live in dimension >= 4")
     a = margin_a(n)
-    if delta is None:
-        delta = delta_n(n)
-    if v_n is None:
-        v_n = ideal_regular_volume(n, seed=seed).value
     audit = SearchAudit(n, seed, restarts, bisection_depth, climb_iters,
                         cheap_budget, probe_levels, a, delta, v_n)
 
@@ -399,26 +397,20 @@ def constants_row(
     n: int,
     budget: int = 2_000_000,
     seed: int = 0,
-    restarts: int = SEARCH_DEFAULTS["restarts"],
-    bisection_depth: int = SEARCH_DEFAULTS["bisection_depth"],
-    climb_iters: int = SEARCH_DEFAULTS["climb_iters"],
-    cheap_budget: int = SEARCH_DEFAULTS["cheap_budget"],
-    verify_budget: int = SEARCH_DEFAULTS["verify_budget"],
-    eps_start: float = SEARCH_DEFAULTS["eps_start"],
+    **search,
 ) -> tuple[ConstantsRow, SearchAudit]:
     """Full per-dimension pipeline: v_n, alpha_n/k_n, delta_n, eta_n, a_n,
-    eps_n and the constant C_n, each value tagged with its certification."""
+    eps_n and the constant C_n, each value tagged with its certification.
+
+    ``search`` holds the eps_n search settings of `estimate_a_eps`
+    (restarts, bisection_depth, ...); unset ones take SEARCH_DEFAULTS."""
     if n < 4:
         raise GeometryError("constants rows live in dimension >= 4")
     row = alpha_k_table(n, n)[0]
     v = ideal_regular_volume(n, budget=budget, seed=seed)
     dlt = delta_n(n)
     eta = ball_volume(n, dlt)
-    a, eps, audit = estimate_a_eps(
-        n, seed=seed, restarts=restarts, bisection_depth=bisection_depth,
-        climb_iters=climb_iters, cheap_budget=cheap_budget,
-        verify_budget=verify_budget, eps_start=eps_start, delta=dlt, v_n=v.value,
-    )
+    a, eps, audit = estimate_a_eps(n, seed=seed, delta=dlt, v_n=v.value, **search)
     if not regular_simplex_passes_lemmas(n, a, dlt):
         raise ArithmeticError("the regular ideal simplex failed its own lemma brackets")
     c = compute_Cn(eps, eta, a, v.value)

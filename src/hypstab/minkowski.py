@@ -174,6 +174,8 @@ def lift_klein(x, ideal: bool = False, tol: float = DEFAULT_TOL) -> ProjectivePo
     """Inverse of `to_klein`: lift a Klein-ball point to the hyperboloid or cone."""
     x = np.asarray(x, dtype=float)
     r2 = float(x @ x)
+    if not math.isfinite(r2):
+        raise GeometryError(f"Klein coordinates must be finite, got {x}")
     if ideal:
         if abs(r2 - 1.0) > 1e3 * tol:
             raise GeometryError(f"ideal lift needs |x| = 1, got |x|^2 = {r2}")

@@ -1,9 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypstab.cli import main
-from hypstab.complexes import to_wire
+from hypstab.complexes import characteristic_cover_spec, cover_spec_to_wire, to_wire
 from hypstab.fixtures import load_fixture
 
 
@@ -178,6 +183,31 @@ def test_samples_floor():
                                          {"x": [-1, 0], "ideal": True}, {"x": [0.5, 0.0]}]},
                  id="simplex-degenerate"),
     pytest.param(["bounds", "seifert", "--e", "-1"], None, id="seifert-negative-e"),
+    pytest.param(["triangulation", "info"], {"dim": "x", "simplices": 1, "pairings": []},
+                 id="wire-dim-not-integer"),
+    pytest.param(["triangulation", "info"],
+                 {"dim": 1, "simplices": 1, "pairings": [{"a": [0, 0], "b": [0, 1], "map": ["q"]}]},
+                 id="wire-map-not-integer"),
+    pytest.param(["volume", "--regular-ideal", "3", "--samples", "inf"], None, id="samples-inf"),
+    pytest.param(["volume", "--samples", "1e4"],
+                 {"dim": 2, "vertices": [{"x": [math.nan, 0]}, {"x": [1, 0], "ideal": True},
+                                         {"x": [0, 1], "ideal": True}]},
+                 id="simplex-nan"),
+    pytest.param(["bounds", "jsj", "--n", ","], None, id="jsj-empty-sweep"),
+    # flags a subcommand does not read, and csv outside constants
+    pytest.param(["bounds", "seifert", "--seed", "1"], None, id="bounds-seed"),
+    pytest.param(["bounds", "seifert", "--samples", "1e4"], None, id="bounds-samples"),
+    pytest.param(["bounds", "seifert", "--tolerance", "1e-9"], None, id="bounds-tolerance"),
+    pytest.param(["triangulation", "info", "torus", "--seed", "1"], None, id="triangulation-seed"),
+    pytest.param(["triangulation", "info", "torus", "--samples", "1e4"], None,
+                 id="triangulation-samples"),
+    pytest.param(["triangulation", "info", "torus", "--tolerance", "1e-9"], None,
+                 id="triangulation-tolerance"),
+    pytest.param(["constants", "--tolerance", "1e-9"], None, id="constants-tolerance"),
+    pytest.param(["volume", "--regular-ideal", "3", "--format", "csv"], None, id="volume-csv"),
+    pytest.param(["triangulation", "info", "torus", "--format", "csv"], None,
+                 id="triangulation-csv"),
+    pytest.param(["bounds", "seifert", "--format", "csv"], None, id="bounds-csv"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     if spec is not None:
@@ -208,3 +238,103 @@ def test_constants_quick(capsys):
     assert row["eps_n"]["flag"] == "empirical-search"
     # quick mode widens errors but leaves flags unchanged
     assert row["v_n"]["std_error"] > 1e-4
+
+
+def test_constants_json_identical_across_threads(monkeypatch, capsys):
+    argv = ["constants", "--n-min", "4", "--n-max", "5", "--samples", "1e4",
+            "--restarts", "2", "--depth", "10", "--climb-iters", "3", "--format", "json"]
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HYPSTAB_THREADS", threads)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
+    assert payload["errors"] == {}
+    assert [row["n"] for row in payload["rows"]] == [4, 5]
+    assert all(row["C_n"]["value"] < 1.0 for row in payload["rows"])
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a malformed file or list ends in exit 0, 1 or 2, never a traceback
+
+#: small JSON values; integers stay small because the target is malformed
+#: input, not scale
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-2.0, 2.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=5)
+
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+SIMPLEX_DOC = {"dim": 3, "vertices": [{"x": [0.1, 0.2, 0.0]}, {"x": [1.0, 0.0, 0.0], "ideal": True},
+                                      {"x": [0.0, 0.7, 0.0]}, {"x": [0.0, 0.0, -0.6]}]}
+
+#: (valid document, argv with FILE where the document's path goes)
+FUZZ_DOCUMENTS = [
+    *[pytest.param(to_wire(load_fixture(name)), ["triangulation", action, "FILE"],
+                   id=f"wire-{name}-{action}")
+      for name in ("torus", "figure-eight") for action in ("info", "cycle", "dashboard")],
+    pytest.param(to_wire(load_fixture("torus")),
+                 ["triangulation", "cover", "FILE", "--characteristic", "2"], id="wire-cover"),
+    pytest.param(cover_spec_to_wire(characteristic_cover_spec(load_fixture("torus"), 2)),
+                 ["triangulation", "cover", "torus", "--spec", "FILE"], id="cover-spec"),
+    pytest.param(SIMPLEX_DOC, ["volume", "FILE", "--samples", "1e3"], id="simplex"),
+]
+
+
+def _paths(doc, prefix=()):
+    """The root and every key or index path into a JSON document."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _assert_clean_exit(argv):
+    """main returns 0 or 1 or raises SystemExit(2); any other exception fails."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, (argv, sink.getvalue())
+    else:
+        assert code in (0, 1), (argv, sink.getvalue())
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@pytest.mark.parametrize("doc, argv", FUZZ_DOCUMENTS)
+@FUZZ
+@given(data=st.data())
+def test_fuzz_input_files(fuzz_file, doc, argv, data):
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    fuzz_file.write_text(json.dumps(_replaced(doc, path, data.draw(SMALL_JSON, label="value"))))
+    _assert_clean_exit([str(fuzz_file) if a == "FILE" else a for a in argv])
+
+
+@FUZZ
+@given(flag=st.sampled_from([("seifert", "--d"), ("jsj", "--n"), ("filling", "--n")]),
+       items=st.lists(st.integers(-3, 2000).map(str) | st.text("0123456789-_ x.,", max_size=4),
+                      max_size=4))
+def test_fuzz_bounds_lists(flag, items):
+    calculator, option = flag
+    _assert_clean_exit(["bounds", calculator, f"{option}={','.join(items)}"])

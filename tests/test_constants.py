@@ -21,6 +21,7 @@ from hypstab.constants import (
 )
 from hypstab.minkowski import GeometryError, random_isometry
 from hypstab.simplex import apply_isometry, min_face_clearance, regular_ideal_simplex
+from hypstab.volume import ideal_regular_volume
 
 TWO_PI = 2 * math.pi
 
@@ -150,12 +151,13 @@ QUICK = dict(restarts=8, bisection_depth=8, climb_iters=6,
 
 
 def test_estimate_a_eps_quick():
-    a, eps, audit = estimate_a_eps(4, seed=0, **QUICK)
+    ref = dict(delta=delta_n(4), v_n=ideal_regular_volume(4, seed=0).value)
+    a, eps, audit = estimate_a_eps(4, seed=0, **QUICK, **ref)
     assert a == pytest.approx(margin_a(4), abs=1e-15)
     assert eps > 0
     assert audit.final_eps == eps
     # deterministic replay
-    a2, eps2, audit2 = estimate_a_eps(4, seed=0, **QUICK)
+    a2, eps2, audit2 = estimate_a_eps(4, seed=0, **QUICK, **ref)
     assert (a2, eps2) == (a, eps)
     assert [(s.eps, s.counterexample) for s in audit.steps] == \
            [(s.eps, s.counterexample) for s in audit2.steps]
@@ -164,7 +166,7 @@ def test_estimate_a_eps_quick():
 
 def test_estimate_a_eps_rejects_low_dim():
     with pytest.raises(GeometryError):
-        estimate_a_eps(3)
+        estimate_a_eps(3, delta=0.1, v_n=1.0)
 
 
 def test_row_serialization_round_trip():
