@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -111,7 +112,10 @@ def cmd_constants(args) -> int:
     if not (4 <= args.n_min <= args.n_max <= 8):
         raise _fail("need 4 <= n-min <= n-max <= 8")
     dims = list(range(args.n_min, args.n_max + 1))
-    threads = max(1, int(os.environ.get("HYPSTAB_THREADS", "1")))
+    try:
+        threads = max(1, int(os.environ.get("HYPSTAB_THREADS", "1")))
+    except ValueError:
+        raise _fail(f"HYPSTAB_THREADS must be an integer, got {os.environ['HYPSTAB_THREADS']!r}")
 
     def job(n):
         try:
@@ -364,8 +368,30 @@ def _sample_count(text: str) -> int:
     return count
 
 
+def _seed(text: str) -> int:
+    """Type of --seed: a non-negative integer, as numpy's generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return seed
+
+
+def _tolerance(text: str) -> float:
+    """Type of --tolerance: a finite number >= 0 (a NaN would pass every vertex check)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError("must be a finite number >= 0")
+    return tol
+
+
 def _add_sampling(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="random seed (default 0; identical seeds give identical output)")
     p.add_argument("--samples", type=_sample_count, default=DEFAULT_BUDGET,
                    help="Monte Carlo sample budget (default 2e6, min 1e3)")
@@ -394,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("volume", help="volume of a geodesic simplex")
     _add_sampling(v)
-    v.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+    v.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
                    help="validation tolerance for the vertices of a simplex file")
     _add_output(v)
     v.add_argument("simplex", nargs="?", default=None,

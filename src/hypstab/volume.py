@@ -12,10 +12,19 @@ geometric sequence of corner shells around each ideal vertex, with a
 geometric tail beyond the last shell.  On each stratum the integrand
 varies by a bounded factor and a plain Monte Carlo mean converges
 quickly.  Strata own independent random substreams derived from the
-seed and the stratum index, so results are bit-identical regardless of
-evaluation order.  `simplex_volume` adds a pilot pass that feeds a
-Neyman allocation of the remaining sample budget; the deficit spends
-the same number of samples on every stratum.
+seed and the stratum index ([seed, idx] for the volume, [seed..., 0xD1F,
+idx] for the deficit), so results do not depend on evaluation order.
+`simplex_volume` adds a pilot pass that feeds a Neyman allocation of the
+remaining sample budget; the deficit spends the same number of samples
+on every stratum.
+
+The sampler works a block at a time: it stacks the antithetic uniform
+draws of consecutive strata (splitting a large one) into one array of
+`_BLOCK_ROWS` rows, then takes the log, normalises, rejects, maps into
+the corners and evaluates the density once per block, with each row's
+corner and scale looked up from its stratum.  Per-stratum counts and
+sums come from `np.bincount`.  Each stratum's draws are the same however
+the strata fall into blocks.
 
 Dimensions 2 and 3 have closed/series forms: every ideal triangle has
 area pi, and the regular ideal tetrahedron has volume 3 * Lambda(pi/3)
@@ -162,31 +171,99 @@ def _strata(n: int, ideal_idx: np.ndarray, levels: int) -> list:
     return strata
 
 
-def _draw(rng: np.random.Generator, count: int, n: int, corner,
-          ideal_idx: np.ndarray) -> np.ndarray:
-    """Global barycentric coordinates of the accepted uniform draws in a stratum.
+#: Rows of one block of the sampling kernel.  Small enough that a block
+#: stays in cache and that its (rows x n+1) @ (n+1 x n+1) density products
+#: run on one BLAS thread: OpenBLAS split 2^16-row products across
+#: threads, which on a loaded 2-CPU machine made them about 20 times
+#: slower, while a 1M-sample deficit in 4096-row blocks used one CPU for
+#: n = 4 to 8.  Large enough that numpy's per-call overhead is a small
+#: share; a 4096-sample deficit is one block.
+_BLOCK_ROWS = 1 << 12
 
-    Antithetic pairs of Dirichlet(1, ..., 1) draws; the core rejects every
-    point with a coordinate >= 1/2 at an ideal vertex, a shell rejects
-    local coordinate >= 1/2 at its corner and maps into the scaled corner.
+
+def _uniform_blocks(rngs, requests, width: int):
+    """The antithetic uniform rows of all requests, in order, in full blocks.
+
+    Request (idx, count) draws half = ceil(count / 2) rows u from
+    rngs[idx] in one call and stands for u followed by the first
+    count - half rows of 1 - u; a request may span blocks.  Yields
+    (rows, request index of each row) with _BLOCK_ROWS rows in every
+    block but the last; the rows array is reused.
     """
-    half = (count + 1) // 2
-    u = rng.random((half, n + 1))
-    u = np.vstack([u, 1.0 - u])[:count]
-    e = -np.log(np.clip(u, 1e-300, 1.0))
-    lam = e / e.sum(axis=1, keepdims=True)
-    if corner is None:
-        return lam[np.all(lam[:, ideal_idx] < 0.5, axis=1)] if ideal_idx.size else lam
-    i, scale = corner
-    lam = lam[lam[:, i] < 0.5]
-    glob = scale * lam
-    glob[:, i] = 1.0 - scale * (1.0 - lam[:, i])
-    return glob
+    buf = np.empty((_BLOCK_ROWS, width))
+    ids, sizes, fill = [], [], 0
+    for r, (idx, count) in enumerate(requests):
+        half = (count + 1) // 2
+        u = rngs[idx].random((half, width))
+        lo = 0
+        while lo < count:
+            hi = min(count, lo + _BLOCK_ROWS - fill)
+            part = buf[fill:fill + hi - lo]
+            head = min(max(half - lo, 0), hi - lo)  # rows of u, then of 1 - u
+            part[:head] = u[lo:lo + head]
+            np.subtract(1.0, u[lo + head - half:hi - half], out=part[head:])
+            ids.append(r)
+            sizes.append(hi - lo)
+            fill += hi - lo
+            lo = hi
+            if fill == _BLOCK_ROWS:
+                yield buf, np.repeat(ids, sizes)
+                ids, sizes, fill = [], [], 0
+    if fill:
+        yield buf[:fill], np.repeat(ids, sizes)
 
 
-def _density(lam: np.ndarray, mmat: np.ndarray, exponent: float) -> np.ndarray:
-    """The hyperbolic density (lambda^T M lambda)^exponent at each row of lam."""
-    return np.clip(np.einsum("si,ij,sj->s", lam, mmat, lam), 1e-300, None) ** exponent
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each row of a (rows, few) array, one column after another.
+
+    numpy's axis-1 sum pays a loop call per row, about five times the
+    cost of these column additions at n + 1 columns.
+    """
+    s = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        s += a[:, j]
+    return s
+
+
+def _sample(rngs, requests, n: int, strata: list, ideal_idx: np.ndarray,
+            terms) -> tuple[np.ndarray, np.ndarray]:
+    """Integrand values at the accepted draws of each request, in request order.
+
+    Request (idx, count) turns `count` antithetic uniform rows from
+    rngs[idx] into Dirichlet(1, ..., 1) points of stratum idx: the core
+    rejects every point with a coordinate >= 1/2 at an ideal vertex, the
+    shell with corner (i, scale) rejects local coordinate >= 1/2 at i and
+    maps into the scaled corner.  The integrand at an accepted point
+    lambda is the sum of c * (lambda^T M lambda)^{-(n+1)/2} over the
+    (c, M) in `terms`.  Every step runs once per block of many strata,
+    with the corner and scale of each row looked up from its request.
+    Returns the values and the request index of each.
+    """
+    width = n + 1
+    exponent = -width / 2.0
+    strat = np.array([idx for idx, _ in requests], dtype=np.intp)
+    corner = np.array([-1 if c is None else c[0] for _, c in strata])[strat]
+    scale = np.array([1.0 if c is None else c[1] for _, c in strata])[strat]
+    values, owners = [np.empty(0)], [np.empty(0, dtype=np.intp)]
+    for lam, owner in _uniform_blocks(rngs, requests, width):
+        np.clip(lam, 1e-300, 1.0, out=lam)
+        np.log(lam, out=lam)
+        np.negative(lam, out=lam)
+        lam /= _row_sums(lam)[:, None]
+        ci = corner[owner]
+        at = lam.ravel()[np.arange(ci.size) * width + ci]  # a core row (ci = -1) ignores it
+        keep = at < 0.5
+        core = np.flatnonzero(ci < 0)
+        keep[core] = np.all(lam[core[:, None], ideal_idx] < 0.5, axis=1)
+        lam, owner, ci, at = lam[keep], owner[keep], ci[keep], at[keep]
+        sc = scale[owner]
+        lam *= sc[:, None]
+        shell = np.flatnonzero(ci >= 0)
+        lam.ravel()[shell * width + ci[shell]] = 1.0 - sc[shell] * (1.0 - at[shell])
+        values.append(sum(c * np.maximum(_row_sums((lam @ mmat) * lam), 1e-300) ** exponent
+                          for c, mmat in terms))
+        owners.append(owner)
+    return np.concatenate(values), np.concatenate(owners)
 
 
 def _tail(n: int, mass: float, mean: float) -> float:
@@ -217,18 +294,14 @@ def simplex_volume(
         raise GeometryError("budget below 1000 samples")
 
     mmat, vol_t, ideal_idx = _klein_form(K)
-    exponent = -(n + 1) / 2.0
     strata = _strata(n, ideal_idx, levels)
     k = len(strata)
     measure = [vol_t * mass for mass, _ in strata]
     rngs = [np.random.default_rng([seed, idx]) for idx in range(k)]
-    n_acc, sum_f, sum_f2 = [0] * k, [0.0] * k, [0.0] * k
 
-    def sample(idx, count):
-        f = _density(_draw(rngs[idx], count, n, strata[idx][1], ideal_idx), mmat, exponent)
-        n_acc[idx] += f.shape[0]
-        sum_f[idx] += float(f.sum())
-        sum_f2[idx] += float((f * f).sum())
+    def sample(counts):  # accepted draws, sum of f and sum of f^2 per stratum
+        f, owner = _sample(rngs, list(enumerate(counts)), n, strata, ideal_idx, [(1.0, mmat)])
+        return np.array([np.bincount(owner, w, minlength=k) for w in (None, f, f * f)])
 
     def sem(idx):  # standard error of the stratum mean
         if n_acc[idx] < 2:
@@ -237,19 +310,21 @@ def simplex_volume(
         return math.sqrt(max(sum_f2[idx] / n_acc[idx] - mean ** 2, 0.0) / n_acc[idx])
 
     pilot = max(16, budget // (6 * k))
-    for idx in range(k):
-        sample(idx, pilot)
+    sums = sample([pilot] * k)
+    n_acc, sum_f, sum_f2 = sums
     spent = pilot * k
 
-    # Neyman allocation of the rest of the budget
+    # Neyman allocation of the rest of the budget; each stratum's
+    # generator carries on from its pilot draws.  The shares are formed
+    # first so that a single stratum gets exactly the remaining budget.
     weights = np.array([measure[idx] * (sem(idx) * math.sqrt(n_acc[idx]))
                         if n_acc[idx] >= 2 else 0.0 for idx in range(k)])
     total_w = weights.sum()
     remaining = max(budget - spent, 0)
     if total_w > 0 and remaining > 0:
-        alloc = np.floor(remaining * weights / total_w).astype(int)
-        for idx, extra in enumerate(alloc):
-            sample(idx, int(extra))
+        alloc = np.floor(remaining * (weights / total_w)).astype(int)
+        sums = sums + sample(alloc)
+        n_acc, sum_f, sum_f2 = sums
         spent += int(alloc.sum())
 
     value = 0.0
@@ -309,27 +384,29 @@ def volume_deficit_vs_regular(
         raise GeometryError("deficit needs a full-dimensional simplex")
     if is_degenerate(K):
         raise DegenerateSimplexError("deficit of a degenerate simplex")
-    exponent = -(n + 1) / 2.0
     mk, volk, _ = _klein_form(K)
     mr, volr, ideal_idx = _klein_form(regular_ideal_simplex(n))
     strata = _strata(n, ideal_idx, levels)
+    k = len(strata)
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    per = max(32, budget // len(strata))
+    rngs = [np.random.default_rng(seed_seq + [0xD1F, idx]) for idx in range(k)]
+    per = max(32, budget // k)
+    g, owner = _sample(rngs, [(idx, per) for idx in range(k)], n, strata, ideal_idx,
+                       [(volk, mk), (-volr, mr)])
+    count = np.bincount(owner, minlength=k)
+    if count.min() < 2:
+        raise GeometryError("stratum starved; raise the deficit budget")
+    mean = np.bincount(owner, g, minlength=k) / count
+    dev = g - mean[owner]
+    sem = np.sqrt(np.bincount(owner, dev * dev, minlength=k) / (count - 1)) / np.sqrt(count)
     total = 0.0
     var = 0.0
     tails = []
-    for idx, (mass, corner) in enumerate(strata):
-        rng = np.random.default_rng(seed_seq + [0xD1F, idx])
-        lam = _draw(rng, per, n, corner, ideal_idx)
-        if lam.shape[0] < 2:
-            raise GeometryError("stratum starved; raise the deficit budget")
-        g = volk * _density(lam, mk, exponent) - volr * _density(lam, mr, exponent)
-        mean = float(g.mean())
-        sem = float(g.std(ddof=1)) / math.sqrt(g.shape[0])
-        total += mass * mean
-        var += (mass * sem) ** 2
+    for (mass, corner), m, s in zip(strata, mean.tolist(), sem.tolist()):
+        total += mass * m
+        var += (mass * s) ** 2
         if corner is not None and corner[1] == 0.5 ** levels:
-            tails.append(_tail(n, mass, mean))
+            tails.append(_tail(n, mass, m))
     for tail in tails:
         total += tail
         var += tail ** 2

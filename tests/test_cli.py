@@ -194,6 +194,17 @@ def test_samples_floor():
                                          {"x": [0, 1], "ideal": True}]},
                  id="simplex-nan"),
     pytest.param(["bounds", "jsj", "--n", ","], None, id="jsj-empty-sweep"),
+    # a NaN tolerance let an off-sphere "ideal" vertex through
+    pytest.param(["volume", "--samples", "1e4", "--tolerance", "nan"],
+                 {"dim": 2, "vertices": [{"x": [0.5, 0], "ideal": True},
+                                         {"x": [-1, 0], "ideal": True}, {"x": [0, 1], "ideal": True}]},
+                 id="tolerance-nan"),
+    pytest.param(["volume", "--regular-ideal", "3", "--tolerance", "inf"], None, id="tolerance-inf"),
+    pytest.param(["volume", "--regular-ideal", "3", "--tolerance", "-1"], None,
+                 id="tolerance-negative"),
+    pytest.param(["volume", "--regular-ideal", "4", "--samples", "1e3", "--seed", "-1"], None,
+                 id="volume-seed-negative"),
+    pytest.param(["constants", "--seed", "-1"], None, id="constants-seed-negative"),
     # flags a subcommand does not read, and csv outside constants
     pytest.param(["bounds", "seifert", "--seed", "1"], None, id="bounds-seed"),
     pytest.param(["bounds", "seifert", "--samples", "1e4"], None, id="bounds-samples"),
@@ -254,6 +265,16 @@ def test_constants_json_identical_across_threads(monkeypatch, capsys):
     assert payload["errors"] == {}
     assert [row["n"] for row in payload["rows"]] == [4, 5]
     assert all(row["C_n"]["value"] < 1.0 for row in payload["rows"])
+
+
+def test_bad_thread_count_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("HYPSTAB_THREADS", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--n-min", "4", "--n-max", "4", "--samples", "1e3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "HYPSTAB_THREADS" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from hypstab import volume
 from hypstab.minkowski import GeometryError, lift_klein, random_isometry
 from hypstab.simplex import (
     GeodesicSimplex,
     apply_isometry,
     barycentric_point,
     dihedral_angle,
+    is_degenerate,
     random_nondegenerate_simplex,
     regular_ideal_simplex,
 )
@@ -251,3 +253,151 @@ def test_near_regular_volumes_increase():
         vols.append(V3 * (1 - d))
     assert all(b > a - 2e-3 for a, b in zip(vols, vols[1:]))
     assert vols[-1] == pytest.approx(V3, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-stratum sampling loop that the block kernel replaced.
+# Same substreams, antithetic layout, rejection and corner map, one stratum
+# at a time with the three-operand einsum density; the kernel's density
+# and per-stratum sums round differently, hence the 1e-12 tolerance.
+
+
+def _ref_draw(rng, count, n, corner, ideal_idx):
+    half = (count + 1) // 2
+    u = rng.random((half, n + 1))
+    u = np.vstack([u, 1.0 - u])[:count]
+    e = -np.log(np.clip(u, 1e-300, 1.0))
+    lam = e / e.sum(axis=1, keepdims=True)
+    if corner is None:
+        return lam[np.all(lam[:, ideal_idx] < 0.5, axis=1)] if ideal_idx.size else lam
+    i, scale = corner
+    lam = lam[lam[:, i] < 0.5]
+    glob = scale * lam
+    glob[:, i] = 1.0 - scale * (1.0 - lam[:, i])
+    return glob
+
+
+def _ref_density(lam, mmat, exponent):
+    return np.clip(np.einsum("si,ij,sj->s", lam, mmat, lam), 1e-300, None) ** exponent
+
+
+def reference_simplex_volume(K, budget, seed, levels):
+    n = K.ambient_dim
+    mmat, vol_t, ideal_idx = volume._klein_form(K)
+    exponent = -(n + 1) / 2.0
+    strata = volume._strata(n, ideal_idx, levels)
+    k = len(strata)
+    measure = [vol_t * mass for mass, _ in strata]
+    rngs = [np.random.default_rng([seed, idx]) for idx in range(k)]
+    n_acc, sum_f, sum_f2 = [0] * k, [0.0] * k, [0.0] * k
+
+    def sample(idx, count):
+        f = _ref_density(_ref_draw(rngs[idx], count, n, strata[idx][1], ideal_idx),
+                         mmat, exponent)
+        n_acc[idx] += f.shape[0]
+        sum_f[idx] += float(f.sum())
+        sum_f2[idx] += float((f * f).sum())
+
+    def sem(idx):
+        if n_acc[idx] < 2:
+            return math.inf
+        mean = sum_f[idx] / n_acc[idx]
+        return math.sqrt(max(sum_f2[idx] / n_acc[idx] - mean ** 2, 0.0) / n_acc[idx])
+
+    pilot = max(16, budget // (6 * k))
+    for idx in range(k):
+        sample(idx, pilot)
+    spent = pilot * k
+    weights = np.array([measure[idx] * (sem(idx) * math.sqrt(n_acc[idx]))
+                        if n_acc[idx] >= 2 else 0.0 for idx in range(k)])
+    total_w = weights.sum()
+    remaining = max(budget - spent, 0)
+    if total_w > 0 and remaining > 0:
+        # shares formed first, as in simplex_volume: one stratum gets all
+        alloc = np.floor(remaining * (weights / total_w)).astype(int)
+        for idx, extra in enumerate(alloc):
+            sample(idx, int(extra))
+        spent += int(alloc.sum())
+    value = var = 0.0
+    tails = []
+    for idx, (_, corner) in enumerate(strata):
+        mean = sum_f[idx] / n_acc[idx]
+        value += measure[idx] * mean
+        var += (measure[idx] * sem(idx)) ** 2
+        if corner is not None and corner[1] == 0.5 ** levels:
+            tails.append(volume._tail(n, measure[idx], mean))
+    for tail in tails:
+        value += tail
+        var += tail ** 2
+    return value, math.sqrt(var), spent
+
+
+def reference_deficit(K, budget, seed, levels, v_ref):
+    n = K.ambient_dim
+    exponent = -(n + 1) / 2.0
+    mk, volk, _ = volume._klein_form(K)
+    mr, volr, ideal_idx = volume._klein_form(regular_ideal_simplex(n))
+    strata = volume._strata(n, ideal_idx, levels)
+    seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    per = max(32, budget // len(strata))
+    total = var = 0.0
+    tails = []
+    for idx, (mass, corner) in enumerate(strata):
+        rng = np.random.default_rng(seed_seq + [0xD1F, idx])
+        lam = _ref_draw(rng, per, n, corner, ideal_idx)
+        g = volk * _ref_density(lam, mk, exponent) - volr * _ref_density(lam, mr, exponent)
+        mean = float(g.mean())
+        sem = float(g.std(ddof=1)) / math.sqrt(g.shape[0])
+        total += mass * mean
+        var += (mass * sem) ** 2
+        if corner is not None and corner[1] == 0.5 ** levels:
+            tails.append(volume._tail(n, mass, mean))
+    for tail in tails:
+        total += tail
+        var += tail ** 2
+    return -total / v_ref, math.sqrt(var) / v_ref
+
+
+def _kernel_case_simplex(n, kind, rng):
+    """A random simplex with all-finite, mixed or all-ideal vertices, away from regular."""
+    while True:
+        directions = rng.standard_normal((n + 1, n))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        verts = [lift_klein(d, ideal=True) if kind == "ideal" or (kind == "mixed" and i % 2)
+                 else lift_klein(0.9 * rng.random() ** (1.0 / n) * d)
+                 for i, d in enumerate(directions)]
+        K = GeodesicSimplex(tuple(verts), n)
+        if not is_degenerate(K, tol=1e-6):
+            return K
+
+
+KERNEL_CASES = [(n, kind) for n in (2, 3, 4, 5) for kind in ("finite", "mixed", "ideal")]
+
+
+@pytest.mark.parametrize("n, kind", KERNEL_CASES)
+def test_deficit_kernel_matches_reference(n, kind):
+    K = _kernel_case_simplex(n, kind, np.random.default_rng([n, len(kind)]))
+    for levels in (1, 12, 14, 40):
+        strata = 1 + (n + 1) * levels
+        # 33 per stratum is odd (antithetic truncation); at levels 1 every
+        # stratum of the last budget spans three blocks
+        big = (2 * volume._BLOCK_ROWS + 1) * strata if levels == 1 else 60_001
+        for budget, seed in ((33 * strata, 0), (4097, [3, 1, 4]), (20_001, 7), (big, [2, 9])):
+            got = volume_deficit_vs_regular(K, budget, seed, levels, v_ref=1.0)
+            ref = reference_deficit(K, budget, seed, levels, v_ref=1.0)
+            assert all(type(x) is float for x in got)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (levels, budget, seed)
+
+
+@pytest.mark.parametrize("n, kind", KERNEL_CASES)
+def test_simplex_volume_kernel_matches_reference(n, kind):
+    K = _kernel_case_simplex(n, kind, np.random.default_rng([n, len(kind), 1]))
+    for levels in (1, 12, 40):
+        # 1000 is the budget floor; the Neyman draws of 200k split strata
+        # across blocks
+        for budget, seed in ((1000, 0), (50_001, 5), (200_000, 2)):
+            est = simplex_volume(K, budget, seed, levels)
+            value, std_error, samples = reference_simplex_volume(K, budget, seed, levels)
+            assert est.samples == samples, (levels, budget, seed)
+            assert est.value == pytest.approx(value, rel=1e-12, abs=0.0), (levels, budget, seed)
+            assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
