@@ -4,19 +4,24 @@ Subcommands and the flags each one reads::
 
     hypstab constants      per-dimension constants table (C_n pipeline)
         --n-min --n-max --restarts --depth --climb-iters
-        --seed --samples --format text|json|csv --out
+        --seed --format text|json|csv --out
     hypstab volume         hyperbolic simplex volume (file or regular ideal)
-        --regular-ideal --seed --samples --tolerance --format text|json --out
+        FILE --seed --samples --tolerance --format text|json --out
+        --regular-ideal N --format text|json --out
     hypstab triangulation  info | cycle | cover | dashboard on gluing data
         --spec --characteristic --format text|json --out
     hypstab bounds         seifert | jsj | filling calculators
         --e --chi --d --va --vb --vc --vd --h --n --figure-eight
         --format text|json --out
 
-Every emitted number carries a flag saying how it was computed.
-Identical configurations (including --seed) produce byte-identical
-JSON.  The exit code is 0 only when all requested checks pass: 1 for
-failed checks, 2 for bad input (one "error:" line on stderr).
+Every emitted number carries a flag saying how it was computed.  v_n,
+the volume of the regular ideal simplex, is exact (computed, not
+sampled), so --regular-ideal reads no --seed, --samples or --tolerance;
+a simplex file's volume is Monte Carlo.  --seed of constants seeds the
+eps_n search.  Identical configurations (including --seed) produce
+byte-identical JSON.  The exit code is 0 only when all requested checks
+pass: 1 for failed checks, 2 for bad input (one "error:" line on
+stderr).
 
 Triangulation targets are file paths in the wire format or built-in
 fixture names (sphere, torus, klein, figure-eight/fig8,
@@ -120,7 +125,7 @@ def cmd_constants(args) -> int:
     def job(n):
         try:
             row, _ = constants_row(
-                n, budget=args.samples, seed=args.seed, restarts=args.restarts,
+                n, seed=args.seed, restarts=args.restarts,
                 bisection_depth=args.depth, climb_iters=args.climb_iters)
             return n, row, None
         except Exception as exc:  # row-level failure; other rows still emitted
@@ -133,7 +138,7 @@ def cmd_constants(args) -> int:
 
     payload = {"rows": [row_as_dict(r) for r in rows],
                "errors": {str(n): e for n, e in errors.items()},
-               "seed": args.seed, "samples": args.samples}
+               "seed": args.seed}
     if args.fmt == "csv":
         text = rows_to_csv(rows) + "".join(f"# error n={n}: {e}\n" for n, e in errors.items())
     else:
@@ -161,22 +166,30 @@ def cmd_constants(args) -> int:
 def cmd_volume(args) -> int:
     if (args.regular_ideal is None) == (args.simplex is None):
         raise _fail("give exactly one of --regular-ideal N or a simplex file")
+    file_flags = (args.seed, args.samples, args.tolerance)
+    if args.regular_ideal is not None and file_flags != (None, None, None):
+        raise _fail("--seed, --samples and --tolerance apply to a simplex file, "
+                    "not to --regular-ideal")
+    seed = 0 if args.seed is None else args.seed
     try:
         if args.regular_ideal is not None:
-            est = ideal_regular_volume(args.regular_ideal, budget=args.samples,
-                                       seed=args.seed)
+            est = ideal_regular_volume(args.regular_ideal)
             label = f"regular ideal {args.regular_ideal}-simplex"
         else:
-            K = _load_simplex(args.simplex, args.tolerance)
-            est = simplex_volume(K, budget=args.samples, seed=args.seed)
+            K = _load_simplex(args.simplex,
+                              DEFAULT_TOL if args.tolerance is None else args.tolerance)
+            est = simplex_volume(K, seed=seed,
+                                 budget=DEFAULT_BUDGET if args.samples is None else args.samples)
             label = args.simplex
     except GeometryError as exc:
         raise _fail(str(exc))
     payload = {"input": label, "volume": {"value": est.value, "flag": est.method},
-               "std_error": est.std_error, "samples": est.samples,
-               "seed": args.seed}
-    _emit(args, payload, f"{label}: vol = {est.value:.9f} +- {est.std_error:.2e} "
-                         f"[{est.method}, {est.samples} samples, seed {args.seed}]")
+               "std_error": est.std_error, "samples": est.samples}
+    text = f"{label}: vol = {est.value:.9f} +- {est.std_error:.2e} [{est.method}"
+    if args.simplex is not None:
+        payload["seed"] = seed
+        text += f", {est.samples} samples, seed {seed}"
+    _emit(args, payload, text + "]")
     return 0
 
 
@@ -379,6 +392,18 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive_int(text: str) -> int:
+    """Type of the eps_n search counts: an integer >= 1 (a search with no
+    restart, bisection step or climb step evaluates no simplex)."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return count
+
+
 def _tolerance(text: str) -> float:
     """Type of --tolerance: a finite number >= 0 (a NaN would pass every vertex check)."""
     try:
@@ -388,13 +413,6 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol >= 0):
         raise argparse.ArgumentTypeError("must be a finite number >= 0")
     return tol
-
-
-def _add_sampling(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=_seed, default=0,
-                   help="random seed (default 0; identical seeds give identical output)")
-    p.add_argument("--samples", type=_sample_count, default=DEFAULT_BUDGET,
-                   help="Monte Carlo sample budget (default 2e6, min 1e3)")
 
 
 def _add_output(p: argparse.ArgumentParser, formats=("text", "json")):
@@ -408,20 +426,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="per-dimension constants table (4 <= n <= 8)")
-    _add_sampling(c)
+    c.add_argument("--seed", type=_seed, default=0,
+                   help="seed of the eps search (default 0; identical seeds give identical output)")
     _add_output(c, ("text", "json", "csv"))
     c.add_argument("--n-min", type=int, default=4)
     c.add_argument("--n-max", type=int, default=5)
-    c.add_argument("--restarts", type=int, default=64,
-                   help="optimizer restarts in the eps search")
-    c.add_argument("--depth", type=int, default=20, help="bisection step budget")
-    c.add_argument("--climb-iters", type=int, default=12)
+    c.add_argument("--restarts", type=_positive_int, default=64,
+                   help="optimizer restarts in the eps search (at least 1)")
+    c.add_argument("--depth", type=_positive_int, default=20,
+                   help="bisection step budget (at least 1)")
+    c.add_argument("--climb-iters", type=_positive_int, default=12,
+                   help="hill-climb steps per restart (at least 1)")
     c.set_defaults(func=cmd_constants)
 
     v = sub.add_parser("volume", help="volume of a geodesic simplex")
-    _add_sampling(v)
-    v.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
-                   help="validation tolerance for the vertices of a simplex file")
+    v.add_argument("--seed", type=_seed, default=None,
+                   help="random seed of a simplex file's volume (default 0; "
+                        "identical seeds give identical output)")
+    v.add_argument("--samples", type=_sample_count, default=None,
+                   help="Monte Carlo sample budget of a simplex file's volume "
+                        "(default 2e6, min 1e3)")
+    v.add_argument("--tolerance", type=_tolerance, default=None,
+                   help="validation tolerance for the vertices of a simplex file "
+                        f"(default {DEFAULT_TOL:g})")
     _add_output(v)
     v.add_argument("simplex", nargs="?", default=None,
                    help="simplex file in Klein coordinates")

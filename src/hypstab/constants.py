@@ -21,7 +21,7 @@ that gap:
 Only eps_n (and C_n, which depends on it) comes from an empirical
 search, not a certified proof; the search emits a replayable audit
 trail.  alpha_n, k_n, a_n, delta_n and eta_n are exact arithmetic or
-deterministic numerics, and v_n carries the flag of its volume method.
+deterministic numerics, and so is v_n (see `ideal_regular_volume`).
 
 `budget_check` evaluates the bookkeeping inequalities that turn these
 constants into the volume bound ``vol <= C_n v_n t`` for a triangulation
@@ -299,10 +299,16 @@ def estimate_a_eps(
     the reference volume the search tests against.
 
     Raises `RuntimeError` when no admissible eps is found (search budget
-    exhausted), rather than silently defaulting.
+    exhausted), rather than silently defaulting, and `GeometryError` when
+    restarts, bisection_depth or climb_iters is below 1: a search that
+    evaluates no simplex would accept any eps.
     """
     if n < 4:
         raise GeometryError("the bracket constants live in dimension >= 4")
+    for name, count in (("restarts", restarts), ("bisection_depth", bisection_depth),
+                        ("climb_iters", climb_iters)):
+        if count < 1:
+            raise GeometryError(f"{name} must be at least 1, got {count}")
     a = margin_a(n)
     audit = SearchAudit(n, seed, restarts, bisection_depth, climb_iters,
                         cheap_budget, probe_levels, a, delta, v_n)
@@ -393,21 +399,17 @@ def regular_simplex_passes_lemmas(n: int, a: float, delta: float) -> bool:
     return min_face_clearance(K) > 2.0 * delta
 
 
-def constants_row(
-    n: int,
-    budget: int = 2_000_000,
-    seed: int = 0,
-    **search,
-) -> tuple[ConstantsRow, SearchAudit]:
+def constants_row(n: int, seed: int = 0, **search) -> tuple[ConstantsRow, SearchAudit]:
     """Full per-dimension pipeline: v_n, alpha_n/k_n, delta_n, eta_n, a_n,
     eps_n and the constant C_n, each value tagged with its certification.
 
-    ``search`` holds the eps_n search settings of `estimate_a_eps`
-    (restarts, bisection_depth, ...); unset ones take SEARCH_DEFAULTS."""
+    ``seed`` seeds the eps_n search, whose other settings ``search``
+    holds (restarts, bisection_depth, ... of `estimate_a_eps`); unset ones
+    take SEARCH_DEFAULTS."""
     if n < 4:
         raise GeometryError("constants rows live in dimension >= 4")
     row = alpha_k_table(n, n)[0]
-    v = ideal_regular_volume(n, budget=budget, seed=seed)
+    v = ideal_regular_volume(n)
     dlt = delta_n(n)
     eta = ball_volume(n, dlt)
     a, eps, audit = estimate_a_eps(n, seed=seed, delta=dlt, v_n=v.value, **search)

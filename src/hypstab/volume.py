@@ -26,14 +26,24 @@ corner and scale looked up from its stratum.  Per-stratum counts and
 sums come from `np.bincount`.  Each stratum's draws are the same however
 the strata fall into blocks.
 
-Dimensions 2 and 3 have closed/series forms: every ideal triangle has
-area pi, and the regular ideal tetrahedron has volume 3 * Lambda(pi/3)
-with Lambda the Lobachevsky function, evaluated here by an accelerated
-series good to ~1e-15.
+v_n, the volume of the regular ideal n-simplex, is computed, not
+sampled: every ideal triangle has area pi, the regular ideal tetrahedron
+has volume 3 Lambda(pi/3) (Lambda the Lobachevsky function, an
+accelerated series good to ~1e-15), Gauss-Bonnet gives v_4, and
+Schlafli's differential formula along the family of regular simplices
+gives every n (Milnor, "The Schlafli differential equality", Collected
+Papers I): the regular n-simplex of edge length x has all dihedral
+angles theta_n(x) = arccos(cosh x / (1 + (n-1) cosh x)) and C(n+1, 2)
+codimension-2 faces, regular (n-2)-simplices of the same edge, so
+
+    V_n(l) = C(n+1, 2)/(n-1) int_0^l V_{n-2}(x) (-theta_n'(x)) dx,
+
+with V_0 = 1 and V_1(x) = x, and v_n is the limit l -> infinity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,10 +59,9 @@ from .simplex import (
 )
 
 # Provenance flags carried by every emitted number.
-#: closed form or deterministic numerics with no sampling and no search
+#: closed form or deterministic numerics (quadrature, a convergent
+#: series) with no sampling and no search
 EXACT = "exact"
-#: a truncated convergent series, good to about 1e-15
-SERIES = "series"
 #: a seeded Monte Carlo estimate with a standard error
 MONTE_CARLO = "monte-carlo"
 #: the seeded randomized eps_n search, never a certified proof
@@ -345,19 +354,67 @@ def simplex_volume(
     return VolumeEstimate(value, math.sqrt(var), spent, MONTE_CARLO)
 
 
-def ideal_regular_volume(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> VolumeEstimate:
-    """v_n, the volume of the regular ideal n-simplex.
+#: Unit panels of [0, _PANELS] and Gauss-Legendre nodes per panel of the
+#: Schlafli quadrature.  The integrand decays like exp(-x) for n >= 3,
+#: so the part beyond the last panel is below 1e-15 of v_n.
+_PANELS = 40
+_NODES = 16
 
-    Exact in dimension 2 (every ideal triangle has area pi), series in
-    dimension 3 (3 Lambda(pi/3)), Monte Carlo above.
+
+def _schlafli_volume(n: int) -> float:
+    """v_n by Schlafli's formula along the regular family (module docstring).
+
+    V_{n-2}, V_{n-4}, ... are tabulated at the nodes of every panel; a
+    panel's cumulative integral comes from the Legendre interpolant of
+    its node values (one matrix for all panels) plus the totals of the
+    panels before it.  -theta_m' is written with e = sech x as
+    e tanh x / ((m-1 + e) sqrt((m-2 + e)(m + e))), the factored form of
+    1 - cos^2 theta_m, which cancels at large x; the integer is added
+    before e, because e + m - 2 rounds to 0 at m = 2 and large x.
+    """
+    leg = np.polynomial.legendre
+    t, wts = leg.leggauss(_NODES)
+    # node values -> integral from -1 to each node of their interpolant
+    cumulative = (leg.legvander(t, _NODES) @ leg.legint(np.eye(_NODES), lbnd=-1)
+                  @ np.linalg.inv(leg.legvander(t, _NODES - 1)))
+    x = np.arange(_PANELS)[:, None] + (t + 1.0) / 2.0
+    e, tanh = 1.0 / np.cosh(x), np.tanh(x)
+    vol = np.ones_like(x) if n % 2 == 0 else x
+    for m in range(2 + n % 2, n + 1, 2):
+        f = vol * e * tanh / (((m - 1) + e) * np.sqrt(((m - 2) + e) * (m + e)))
+        totals = 0.5 * f @ wts
+        before = np.concatenate(([0.0], np.cumsum(totals)[:-1]))
+        vol = math.comb(m + 1, 2) / (m - 1) * (before[:, None] + 0.5 * f @ cumulative.T)
+    return math.comb(n + 1, 2) / (n - 1) * float(totals.sum())
+
+
+def ideal_regular_volume(n: int) -> VolumeEstimate:
+    """v_n, the volume of the regular ideal n-simplex, for 2 <= n <= 8.
+
+    pi in dimension 2, 3 Lambda(pi/3) in dimension 3, Gauss-Bonnet
+    (4 pi^2/3 - (10 pi/3) arccos(1/3)) in dimension 4 and Schlafli's
+    formula above; every value is flagged exact.
     """
     if not 2 <= n <= 8:
         raise GeometryError("supported dimensions are 2..8")
     if n == 2:
-        return VolumeEstimate(math.pi, 0.0, 0, EXACT)
-    if n == 3:
-        return VolumeEstimate(3.0 * lobachevsky(math.pi / 3.0), 0.0, 0, SERIES)
-    return simplex_volume(regular_ideal_simplex(n), budget=budget, seed=seed)
+        value = math.pi
+    elif n == 3:
+        value = 3.0 * lobachevsky(math.pi / 3.0)
+    elif n == 4:
+        value = 4.0 * math.pi ** 2 / 3.0 - 10.0 * math.pi / 3.0 * math.acos(1.0 / 3.0)
+    else:
+        value = _schlafli_volume(n)
+    return VolumeEstimate(value, 0.0, 0, EXACT)
+
+
+@functools.lru_cache(maxsize=None)
+def _regular_klein_form(n: int):
+    """`_klein_form` of the regular ideal n-simplex, with read-only arrays."""
+    mmat, vol_t, ideal_idx = _klein_form(regular_ideal_simplex(n))
+    mmat.setflags(write=False)
+    ideal_idx.setflags(write=False)
+    return mmat, vol_t, ideal_idx
 
 
 def volume_deficit_vs_regular(
@@ -385,7 +442,7 @@ def volume_deficit_vs_regular(
     if is_degenerate(K):
         raise DegenerateSimplexError("deficit of a degenerate simplex")
     mk, volk, _ = _klein_form(K)
-    mr, volr, ideal_idx = _klein_form(regular_ideal_simplex(n))
+    mr, volr, ideal_idx = _regular_klein_form(n)
     strata = _strata(n, ideal_idx, levels)
     k = len(strata)
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
@@ -446,7 +503,7 @@ def maximality_probe(
     """
     if not 2 <= n <= 5:
         raise GeometryError("probe supports dimensions 2..5")
-    v_ref = ideal_regular_volume(n, seed=seed).value
+    v_ref = ideal_regular_volume(n).value
     rng = np.random.default_rng([seed, 0xBEEF])
     best = (-math.inf, 0.0, None)
     violations = 0

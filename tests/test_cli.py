@@ -19,17 +19,18 @@ def run(capsys, *argv):
 
 
 def test_volume_regular_ideal_2_exact(capsys):
-    code, out, _ = run(capsys, "volume", "--regular-ideal", "2", "--samples", "1e4")
+    code, out, _ = run(capsys, "volume", "--regular-ideal", "2")
     assert code == 0
     assert "3.141592654" in out and "[exact" in out
 
 
-def test_volume_regular_ideal_3_series_json(capsys):
-    code, out, _ = run(capsys, "volume", "--regular-ideal", "3",
-                       "--samples", "1e4", "--format", "json")
+def test_volume_regular_ideal_3_exact_json(capsys):
+    code, out, _ = run(capsys, "volume", "--regular-ideal", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["volume"]["flag"] == "series"
+    assert payload["volume"]["flag"] == "exact"
+    assert payload["std_error"] == 0.0 and payload["samples"] == 0
+    assert "seed" not in payload
     assert abs(payload["volume"]["value"] - 1.0149416064096536) < 1e-12
 
 
@@ -205,6 +206,18 @@ def test_samples_floor():
     pytest.param(["volume", "--regular-ideal", "4", "--samples", "1e3", "--seed", "-1"], None,
                  id="volume-seed-negative"),
     pytest.param(["constants", "--seed", "-1"], None, id="constants-seed-negative"),
+    # an eps search with no restart, step or climb evaluates no simplex
+    pytest.param(["constants", "--restarts", "0"], None, id="constants-restarts-0"),
+    pytest.param(["constants", "--restarts", "-3"], None, id="constants-restarts-negative"),
+    pytest.param(["constants", "--depth", "0"], None, id="constants-depth-0"),
+    pytest.param(["constants", "--climb-iters", "-1"], None, id="constants-climb-iters-negative"),
+    # v_n is computed, not sampled
+    pytest.param(["constants", "--samples", "1e4"], None, id="constants-samples"),
+    pytest.param(["volume", "--regular-ideal", "4", "--samples", "1e4"], None,
+                 id="regular-ideal-samples"),
+    pytest.param(["volume", "--regular-ideal", "4", "--seed", "1"], None, id="regular-ideal-seed"),
+    pytest.param(["volume", "--regular-ideal", "4", "--tolerance", "1e-9"], None,
+                 id="regular-ideal-tolerance"),
     # flags a subcommand does not read, and csv outside constants
     pytest.param(["bounds", "seifert", "--seed", "1"], None, id="bounds-seed"),
     pytest.param(["bounds", "seifert", "--samples", "1e4"], None, id="bounds-samples"),
@@ -235,7 +248,7 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
 
 def test_constants_quick(capsys):
     code, out, _ = run(capsys, "constants", "--n-min", "4", "--n-max", "4",
-                       "--samples", "1e4", "--restarts", "4", "--depth", "16",
+                       "--restarts", "4", "--depth", "16",
                        "--climb-iters", "4", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -243,16 +256,16 @@ def test_constants_quick(capsys):
     assert row["C_n"]["value"] < 1.0
     assert row["C_n"]["flag"] == "empirical-search"
     assert row["k_n"]["value"] == 5
-    assert row["v_n"]["flag"] == "monte-carlo"
-    for name in ("alpha_n", "k_n", "delta_n", "eta_n", "a_n"):
+    for name in ("v_n", "alpha_n", "k_n", "delta_n", "eta_n", "a_n"):
         assert row[name]["flag"] == "exact"
     assert row["eps_n"]["flag"] == "empirical-search"
-    # quick mode widens errors but leaves flags unchanged
-    assert row["v_n"]["std_error"] > 1e-4
+    # v_n is computed, not sampled
+    assert row["v_n"]["std_error"] == 0.0
+    assert "samples" not in payload
 
 
 def test_constants_json_identical_across_threads(monkeypatch, capsys):
-    argv = ["constants", "--n-min", "4", "--n-max", "5", "--samples", "1e4",
+    argv = ["constants", "--n-min", "4", "--n-max", "5",
             "--restarts", "2", "--depth", "10", "--climb-iters", "3", "--format", "json"]
     outs = []
     for threads in ("1", "2"):
@@ -270,7 +283,7 @@ def test_constants_json_identical_across_threads(monkeypatch, capsys):
 def test_bad_thread_count_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("HYPSTAB_THREADS", "x")
     with pytest.raises(SystemExit) as exc:
-        main(["constants", "--n-min", "4", "--n-max", "4", "--samples", "1e3"])
+        main(["constants", "--n-min", "4", "--n-max", "4"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1

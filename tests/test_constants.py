@@ -151,7 +151,7 @@ QUICK = dict(restarts=8, bisection_depth=8, climb_iters=6,
 
 
 def test_estimate_a_eps_quick():
-    ref = dict(delta=delta_n(4), v_n=ideal_regular_volume(4, seed=0).value)
+    ref = dict(delta=delta_n(4), v_n=ideal_regular_volume(4).value)
     a, eps, audit = estimate_a_eps(4, seed=0, **QUICK, **ref)
     assert a == pytest.approx(margin_a(4), abs=1e-15)
     assert eps > 0
@@ -169,9 +169,17 @@ def test_estimate_a_eps_rejects_low_dim():
         estimate_a_eps(3, delta=0.1, v_n=1.0)
 
 
+@pytest.mark.parametrize("setting", ["restarts", "bisection_depth", "climb_iters"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_estimate_a_eps_rejects_empty_search(setting, count):
+    # a search that evaluates no simplex finds no counterexample at any eps
+    with pytest.raises(GeometryError, match=setting):
+        estimate_a_eps(4, **{setting: count}, delta=0.1, v_n=1.0)
+
+
 def test_row_serialization_round_trip():
     # serialization only; uses a quick, deterministic row
-    row, _ = constants_row(4, budget=20_000, seed=1, restarts=4,
+    row, _ = constants_row(4, seed=1, restarts=4,
                            bisection_depth=6, climb_iters=4,
                            cheap_budget=1024, verify_budget=16384,
                            eps_start=1e-3)

@@ -26,6 +26,7 @@ from hypstab.volume import (
     sphere_area,
     volume_deficit_vs_regular,
     VolumeEstimate,
+    EXACT,
     MONTE_CARLO,
 )
 
@@ -86,7 +87,7 @@ def test_ball_volume_monotone():
 
 def test_volume_estimate_invariant():
     with pytest.raises(GeometryError):
-        VolumeEstimate(1.0, 0.1, 0, "series")
+        VolumeEstimate(1.0, 0.1, 0, EXACT)
 
 
 def test_ideal_regular_volume_low_dims():
@@ -94,7 +95,7 @@ def test_ideal_regular_volume_low_dims():
     assert v2.value == math.pi and v2.std_error == 0.0
     v3 = ideal_regular_volume(3)
     assert v3.value == pytest.approx(V3, abs=1e-13)
-    assert v3.method == "series"
+    assert v3.method == EXACT
 
 
 def test_mc_ideal_triangle_is_pi():
@@ -215,18 +216,60 @@ V4_REF = 0.2689044
 
 
 def test_v4_default_budget_accuracy():
-    est = ideal_regular_volume(4, seed=123)
+    est = simplex_volume(regular_ideal_simplex(4), seed=123)
     assert est.method == MONTE_CARLO
     assert est.std_error <= 1e-3 * est.value
     assert abs(est.value - V4_REF) < 3 * (est.std_error + 1.8e-5)
 
 
+# v_5..v_7 by Schlafli's formula, frozen from a nested adaptive scipy quad
+# of the same integrals on [0, 60] (no shared code with the tabulator;
+# the two agreed to 2e-17)
+V5_TO_V7 = {5: 0.057564737685178, 6: 0.010239275420177, 7: 0.0015528659365175}
+# frozen 2M-sample Monte Carlo value of v_5 and its standard error
+V5_MC, V5_MC_SE = 0.0575638, 1.2e-5
+
+
+@pytest.mark.parametrize("n, exact", [(3, V3), (4, V4)])
+def test_schlafli_matches_closed_forms(n, exact):
+    # 3 Lambda(pi/3) by the series, Gauss-Bonnet by arithmetic
+    assert volume._schlafli_volume(n) == pytest.approx(exact, rel=0, abs=1e-13)
+
+
+def test_ideal_regular_volume_exact():
+    assert ideal_regular_volume(4).value == V4  # bit for bit: the same expression
+    for n in range(2, 9):
+        v = ideal_regular_volume(n)
+        assert v.method == EXACT and v.std_error == 0.0 and v.samples == 0
+    for n, value in V5_TO_V7.items():
+        assert ideal_regular_volume(n).value == pytest.approx(value, rel=0, abs=1e-12)
+    assert abs(ideal_regular_volume(5).value - V5_MC) <= V5_MC_SE
+    with pytest.raises(GeometryError):
+        ideal_regular_volume(9)
+
+
+def test_v5_matches_monte_carlo():
+    # the stratified sampler shares no code with the Schlafli quadrature
+    est = simplex_volume(regular_ideal_simplex(5), budget=200_000, seed=5)
+    assert abs(est.value - ideal_regular_volume(5).value) <= 4 * est.std_error
+
+
 def test_vn_decreasing_in_n():
     # observed property of the v_n sequence, not a paper claim
-    v4 = ideal_regular_volume(4, budget=200_000, seed=3)
-    v5 = ideal_regular_volume(5, budget=200_000, seed=3)
-    assert V3 > v4.value + 5 * v4.std_error
-    assert v4.value - 5 * v4.std_error > v5.value + 5 * v5.std_error
+    v = [ideal_regular_volume(n).value for n in range(3, 9)]
+    assert all(a > b for a, b in zip(v, v[1:]))
+
+
+def test_regular_klein_form_cached_read_only():
+    mmat, vol_t, ideal_idx = volume._regular_klein_form(4)
+    assert volume._regular_klein_form(4)[0] is mmat
+    fresh = volume._klein_form(regular_ideal_simplex(4))
+    assert np.array_equal(mmat, fresh[0]) and vol_t == fresh[1]
+    assert np.array_equal(ideal_idx, fresh[2])
+    with pytest.raises(ValueError):
+        mmat[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ideal_idx[0] = 1
 
 
 def test_maximality_probe_smoke():
