@@ -9,7 +9,8 @@ Subcommands and the flags each one reads::
         FILE --seed --samples --tolerance --format text|json --out
         --regular-ideal N --format text|json --out
     hypstab triangulation  info | cycle | cover | dashboard on gluing data
-        --spec --characteristic --format text|json --out
+        --format text|json --out
+        cover only: one of --spec --characteristic
     hypstab bounds         seifert | jsj | filling calculators
         --e --chi --d --va --vb --vc --vd --h --n --figure-eight
         --format text|json --out
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import complexes as cx
-from .constants import constants_row, rows_to_csv, row_as_dict
+from .constants import constants_row, row_as_dict, rows_to_csv, rows_to_text
 from .fixtures import load_fixture, fixture_names, ALIASES, FIXTURE_WIRES
 from .minkowski import DEFAULT_TOL, GeometryError, lift_klein
 from .simplex import GeodesicSimplex
@@ -142,17 +143,7 @@ def cmd_constants(args) -> int:
     if args.fmt == "csv":
         text = rows_to_csv(rows) + "".join(f"# error n={n}: {e}\n" for n, e in errors.items())
     else:
-        lines = [f"{'n':>2} {'v_n':>12} {'+-':>9} {'alpha_n':>10} {'k':>2} "
-                 f"{'delta_n':>10} {'eta_n':>12} {'a_n':>10} {'eps_n':>12} {'C_n':>18} flags"]
-        for r in rows:
-            lines.append(
-                f"{r.n:>2} {r.v_n.value:>12.8f} {r.v_n.std_error:>9.1e} "
-                f"{r.alpha_n:>10.7f} {r.k_n:>2} {r.delta_n:>10.7f} {r.eta_n:>12.5e} "
-                f"{r.a_n:>10.7f} {r.eps_n:>12.5e} {r.C_n:>18.12f} "
-                f"[v:{r.flags['v_n']} rest:{r.flags['eps_n']}]")
-        for n, e in errors.items():
-            lines.append(f"{n:>2} ERROR: {e}")
-        text = "\n".join(lines)
+        text = "\n".join([rows_to_text(rows)] + [f"{n:>2} ERROR: {e}" for n, e in errors.items()])
     _emit(args, payload, text)
     if errors or any(not r.C_n < 1.0 for r in rows):
         return 1
@@ -206,6 +197,10 @@ def _links_payload(T):
 
 
 def cmd_triangulation(args) -> int:
+    if args.action != "cover" and (args.spec, args.characteristic) != (None, None):
+        raise _fail(f"--spec and --characteristic apply to cover, not to {args.action}")
+    if args.action == "cover" and (args.spec is None) == (args.characteristic is None):
+        raise _fail("cover needs exactly one of --spec FILE or --characteristic X")
     T = _load_triangulation(args.target)
     name = (T.labels or {}).get("name", args.target)
     report = cx.validate(T)
@@ -250,8 +245,6 @@ def cmd_triangulation(args) -> int:
         return 0 if ok else 1
 
     if args.action == "cover":
-        if args.characteristic is None and args.spec is None:
-            raise _fail("cover needs --spec FILE or --characteristic X")
         try:
             if args.characteristic is not None:
                 spec = cx.characteristic_cover_spec(T, args.characteristic)

@@ -43,7 +43,6 @@ import numpy as np
 from .minkowski import GeometryError, lift_klein
 from .simplex import (
     GeodesicSimplex,
-    dihedral_angle,
     is_degenerate,
     min_face_clearance,
     regular_ideal_simplex,
@@ -380,23 +379,19 @@ class ConstantsRow:
     a_n: float
     eps_n: float
     C_n: float
-    flags: dict
 
-    def lemma_constants(self):
-        return LemmaConstants(self.eps_n, self.eta_n, self.a_n,
-                              self.v_n.value, self.k_n)
+
+#: How each number of a row is computed, in the column order of the
+#: tables: only eps_n, and C_n through it, come from the search.
+FLAGS = {"v_n": EXACT, "alpha_n": EXACT, "k_n": EXACT, "delta_n": EXACT,
+         "eta_n": EXACT, "a_n": EXACT, "eps_n": EMPIRICAL, "C_n": EMPIRICAL}
 
 
 def regular_simplex_passes_lemmas(n: int, a: float, delta: float) -> bool:
     """The regular ideal simplex satisfies both lemma conclusions at eps = 0."""
     K = regular_ideal_simplex(n)
     lo, hi = angle_bracket(n, a)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            ang = dihedral_angle(K, i, j)
-            if not lo < ang < hi:
-                return False
-    return min_face_clearance(K) > 2.0 * delta
+    return _angle_violation(K, lo, hi, n) < 0 and min_face_clearance(K) > 2.0 * delta
 
 
 def constants_row(n: int, seed: int = 0, **search) -> tuple[ConstantsRow, SearchAudit]:
@@ -416,57 +411,45 @@ def constants_row(n: int, seed: int = 0, **search) -> tuple[ConstantsRow, Search
     if not regular_simplex_passes_lemmas(n, a, dlt):
         raise ArithmeticError("the regular ideal simplex failed its own lemma brackets")
     c = compute_Cn(eps, eta, a, v.value)
-    flags = {
-        "v_n": v.method,
-        "alpha_n": EXACT,
-        "k_n": EXACT,
-        "delta_n": EXACT,
-        "eta_n": EXACT,
-        "a_n": EXACT,
-        "eps_n": EMPIRICAL,
-        "C_n": EMPIRICAL,
-    }
-    return ConstantsRow(n, v, row.alpha, row.k, dlt, eta, a, eps, c, flags), audit
+    return ConstantsRow(n, v, row.alpha, row.k, dlt, eta, a, eps, c), audit
 
 
 def row_as_dict(row: ConstantsRow) -> dict:
     return {
         "n": row.n,
         "v_n": {"value": row.v_n.value, "std_error": row.v_n.std_error,
-                "samples": row.v_n.samples, "flag": row.flags["v_n"]},
-        "alpha_n": {"value": row.alpha_n, "flag": row.flags["alpha_n"]},
-        "k_n": {"value": row.k_n, "flag": row.flags["k_n"]},
-        "delta_n": {"value": row.delta_n, "flag": row.flags["delta_n"]},
-        "eta_n": {"value": row.eta_n, "flag": row.flags["eta_n"]},
-        "a_n": {"value": row.a_n, "flag": row.flags["a_n"]},
-        "eps_n": {"value": row.eps_n, "flag": row.flags["eps_n"]},
-        "C_n": {"value": row.C_n, "flag": row.flags["C_n"]},
+                "samples": row.v_n.samples, "flag": FLAGS["v_n"]},
+        "alpha_n": {"value": row.alpha_n, "flag": FLAGS["alpha_n"]},
+        "k_n": {"value": row.k_n, "flag": FLAGS["k_n"]},
+        "delta_n": {"value": row.delta_n, "flag": FLAGS["delta_n"]},
+        "eta_n": {"value": row.eta_n, "flag": FLAGS["eta_n"]},
+        "a_n": {"value": row.a_n, "flag": FLAGS["a_n"]},
+        "eps_n": {"value": row.eps_n, "flag": FLAGS["eps_n"]},
+        "C_n": {"value": row.C_n, "flag": FLAGS["C_n"]},
     }
-
-
-_CSV_FIELDS = ["n", "v_n", "v_n_std_error", "alpha_n", "k_n", "delta_n",
-               "eta_n", "a_n", "eps_n", "C_n"]
 
 
 def rows_to_csv(rows: list[ConstantsRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = []
-    for f in _CSV_FIELDS:
-        header += [f] if f in ("n", "v_n_std_error") else [f, f + "_flag"]
-    writer.writerow(header)
+    writer.writerow(["n"] + [col for f in FLAGS for col in (f, f + "_flag")])
     for r in rows:
         d = row_as_dict(r)
-        line = []
-        for f in _CSV_FIELDS:
-            if f == "n":
-                line.append(repr(r.n))
-            elif f == "v_n_std_error":
-                line.append(repr(r.v_n.std_error))
-            else:
-                line += [repr(d[f]["value"]), d[f]["flag"]]
-        writer.writerow(line)
+        writer.writerow([repr(r.n)] + [col for f in FLAGS
+                                       for col in (repr(d[f]["value"]), d[f]["flag"])])
     return buf.getvalue()
+
+
+def rows_to_text(rows: list[ConstantsRow]) -> str:
+    """The rows as an aligned table and a last line giving each column's flag."""
+    lines = [f"{'n':>2} {'v_n':>12} {'alpha_n':>10} {'k_n':>3} {'delta_n':>10} "
+             f"{'eta_n':>12} {'a_n':>10} {'eps_n':>12} {'C_n':>18}"]
+    for r in rows:
+        lines.append(f"{r.n:>2} {r.v_n.value:>12.8f} {r.alpha_n:>10.7f} {r.k_n:>3} "
+                     f"{r.delta_n:>10.7f} {r.eta_n:>12.5e} {r.a_n:>10.7f} "
+                     f"{r.eps_n:>12.5e} {r.C_n:>18.12f}")
+    lines.append("flags: " + " ".join(f"{name}:{flag}" for name, flag in FLAGS.items()))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,22 @@ the strata fall into blocks.
 
 v_n, the volume of the regular ideal n-simplex, is computed, not
 sampled: every ideal triangle has area pi, the regular ideal tetrahedron
-has volume 3 Lambda(pi/3) (Lambda the Lobachevsky function, an
-accelerated series good to ~1e-15), Gauss-Bonnet gives v_4, and
-Schlafli's differential formula along the family of regular simplices
-gives every n (Milnor, "The Schlafli differential equality", Collected
-Papers I): the regular n-simplex of edge length x has all dihedral
-angles theta_n(x) = arccos(cosh x / (1 + (n-1) cosh x)) and C(n+1, 2)
-codimension-2 faces, regular (n-2)-simplices of the same edge, so
+has volume 3 Lambda(pi/3) (Lambda the Lobachevsky function), Gauss-Bonnet
+gives v_4, and Schlafli's differential formula along the family of
+regular simplices gives every n (Milnor, "The Schlafli differential
+equality", Collected Papers I): the regular n-simplex of edge length x
+has all dihedral angles theta_n(x) = arccos(cosh x / (1 + (n-1) cosh x))
+and C(n+1, 2) codimension-2 faces, regular (n-2)-simplices of the same
+edge, so
 
     V_n(l) = C(n+1, 2)/(n-1) int_0^l V_{n-2}(x) (-theta_n'(x)) dx,
 
 with V_0 = 1 and V_1(x) = x, and v_n is the limit l -> infinity.
+
+Every one-dimensional integral here (the ball volume behind eta_n,
+Lambda and Schlafli's integral) uses one rule: `_NODES`-point
+Gauss-Legendre on panels of length at most 1.  Each integrand is
+analytic well beyond its panels, so the rule is exact to rounding.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .minkowski import GeometryError, lift_klein
 from .simplex import (
@@ -59,8 +63,8 @@ from .simplex import (
 )
 
 # Provenance flags carried by every emitted number.
-#: closed form or deterministic numerics (quadrature, a convergent
-#: series) with no sampling and no search
+#: closed form or deterministic numerics (quadrature) with no sampling
+#: and no search
 EXACT = "exact"
 #: a seeded Monte Carlo estimate with a standard error
 MONTE_CARLO = "monte-carlo"
@@ -91,37 +95,42 @@ class VolumeEstimate:
             raise GeometryError("only Monte Carlo estimates carry a standard error")
 
 
+#: Gauss-Legendre nodes per panel of every quadrature in this module.
+_NODES = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_NODES)
+
+
+def _gauss_legendre(f, a: float, b: float) -> float:
+    """int_a^b f with `_NODES` Gauss-Legendre nodes on each of
+    max(1, ceil(b - a)) equal panels; f maps an array of nodes to its values."""
+    panels = max(1, math.ceil(b - a))
+    h = (b - a) / panels
+    x = a + h * (np.arange(panels)[:, None] + (_GL_NODES + 1.0) / 2.0)
+    return 0.5 * h * float(np.sum(f(x) @ _GL_WEIGHTS))
+
+
 def lobachevsky(theta: float) -> float:
-    """Lobachevsky function Lambda(theta) = 1/2 sum_k sin(2 k theta)/k^2.
+    """Lobachevsky function Lambda(theta) = -int_0^theta log|2 sin t| dt.
 
-    Evaluated through the equivalent integral -int_0^theta log|2 sin t| dt
-    by splitting off the logarithmic singularity:
+    The function is odd and pi-periodic; arguments are reduced to
+    [0, pi/2] first.  The logarithmic singularity at 0 is split off,
 
-        Lambda(theta) = theta (1 - log(2 theta))
-                        + sum_{k>=1} zeta(2k)/(k (2k+1)) theta^{2k+1}/pi^{2k},
+        Lambda(t) = t (1 - log 2t) - int_0^t log(sin u / u) du,
 
-    which converges geometrically with ratio (theta/pi)^2.  The function
-    is odd and pi-periodic; arguments are reduced to [0, pi/2] first.
+    and the remaining integrand is analytic for |u| < pi.
     """
-    t = math.fmod(theta, math.pi)
-    if t < 0:
-        t += math.pi
-    sign = 1.0
+    t = math.fmod(abs(theta), math.pi)  # oddness first: adding pi would round a small t
+    sign = math.copysign(1.0, theta)
     if t > math.pi / 2:
         t = math.pi - t
-        sign = -1.0
+        sign = -sign
     if t == 0.0:
         return 0.0
-    acc = t * (1.0 - math.log(2.0 * t))
-    ratio = (t / math.pi) ** 2
-    power = t
-    for k in range(1, 300):
-        power *= ratio
-        term = special.zeta(2 * k) / (k * (2 * k + 1)) * power
-        acc += term
-        if abs(term) < 1e-17 * max(abs(acc), 1e-3):
-            break
-    return sign * acc
+    if math.isnan(t):  # no panel count for a nan interval
+        return t
+    # sin(u) / u as sinc, which is 1 at the nodes that round to 0 when t is subnormal
+    tail = _gauss_legendre(lambda u: np.log(np.sinc(u / math.pi)), 0.0, t)
+    return sign * (t * (1.0 - math.log(2.0 * t)) - tail)
 
 
 def sphere_area(n: int) -> float:
@@ -132,15 +141,23 @@ def sphere_area(n: int) -> float:
 def ball_volume(n: int, r: float) -> float:
     """Volume of a hyperbolic ball of radius r in H^n.
 
-    Vol(S^{n-1}) * int_0^r sinh^{n-1} t dt, by adaptive quadrature.
+    Vol(S^{n-1}) * int_0^r sinh^{n-1} t dt by the panel rule.  Raises
+    `GeometryError` for a negative or non-finite r and for a volume too
+    large for a float.
     """
-    if r < 0:
-        raise GeometryError("negative radius")
-    if r == 0.0:
-        return 0.0
-    integral, _ = integrate.quad(lambda t: math.sinh(t) ** (n - 1), 0.0, r,
-                                 epsabs=1e-14, epsrel=1e-12, limit=200)
-    return sphere_area(n) * integral
+    if not (math.isfinite(r) and r >= 0):
+        raise GeometryError(f"radius must be finite and >= 0, got {r}")
+    try:
+        # the largest integrand value, checked before ceil(r) panels are built
+        math.sinh(r) ** (n - 1)
+    except OverflowError:
+        value = math.inf
+    else:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            value = sphere_area(n) * _gauss_legendre(lambda t: np.sinh(t) ** (n - 1), 0.0, r)
+    if math.isinf(value):
+        raise GeometryError(f"the volume of the ball of radius {r} in H^{n} overflows a float")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -354,35 +371,34 @@ def simplex_volume(
     return VolumeEstimate(value, math.sqrt(var), spent, MONTE_CARLO)
 
 
-#: Unit panels of [0, _PANELS] and Gauss-Legendre nodes per panel of the
-#: Schlafli quadrature.  The integrand decays like exp(-x) for n >= 3,
-#: so the part beyond the last panel is below 1e-15 of v_n.
+#: Unit panels of [0, _PANELS] of the Schlafli quadrature.  The integrand
+#: decays like exp(-x) for n >= 3, so the part beyond the last panel is
+#: below 1e-15 of v_n.
 _PANELS = 40
-_NODES = 16
 
 
 def _schlafli_volume(n: int) -> float:
     """v_n by Schlafli's formula along the regular family (module docstring).
 
-    V_{n-2}, V_{n-4}, ... are tabulated at the nodes of every panel; a
-    panel's cumulative integral comes from the Legendre interpolant of
-    its node values (one matrix for all panels) plus the totals of the
-    panels before it.  -theta_m' is written with e = sech x as
+    V_{n-2}, V_{n-4}, ... are tabulated at the nodes of every panel of
+    `_gauss_legendre`'s rule on [0, _PANELS]; a panel's cumulative
+    integral comes from the Legendre interpolant of its node values (one
+    matrix for all panels) plus the totals of the panels before it.
+    -theta_m' is written with e = sech x as
     e tanh x / ((m-1 + e) sqrt((m-2 + e)(m + e))), the factored form of
     1 - cos^2 theta_m, which cancels at large x; the integer is added
     before e, because e + m - 2 rounds to 0 at m = 2 and large x.
     """
     leg = np.polynomial.legendre
-    t, wts = leg.leggauss(_NODES)
     # node values -> integral from -1 to each node of their interpolant
-    cumulative = (leg.legvander(t, _NODES) @ leg.legint(np.eye(_NODES), lbnd=-1)
-                  @ np.linalg.inv(leg.legvander(t, _NODES - 1)))
-    x = np.arange(_PANELS)[:, None] + (t + 1.0) / 2.0
+    cumulative = (leg.legvander(_GL_NODES, _NODES) @ leg.legint(np.eye(_NODES), lbnd=-1)
+                  @ np.linalg.inv(leg.legvander(_GL_NODES, _NODES - 1)))
+    x = np.arange(_PANELS)[:, None] + (_GL_NODES + 1.0) / 2.0
     e, tanh = 1.0 / np.cosh(x), np.tanh(x)
     vol = np.ones_like(x) if n % 2 == 0 else x
     for m in range(2 + n % 2, n + 1, 2):
         f = vol * e * tanh / (((m - 1) + e) * np.sqrt(((m - 2) + e) * (m + e)))
-        totals = 0.5 * f @ wts
+        totals = 0.5 * f @ _GL_WEIGHTS
         before = np.concatenate(([0.0], np.cumsum(totals)[:-1]))
         vol = math.comb(m + 1, 2) / (m - 1) * (before[:, None] + 0.5 * f @ cumulative.T)
     return math.comb(n + 1, 2) / (n - 1) * float(totals.sum())

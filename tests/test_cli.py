@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +234,14 @@ def test_samples_floor():
     pytest.param(["triangulation", "info", "torus", "--format", "csv"], None,
                  id="triangulation-csv"),
     pytest.param(["bounds", "seifert", "--format", "csv"], None, id="bounds-csv"),
+    # only cover reads --spec and --characteristic, and only one of them
+    pytest.param(["triangulation", "info", "torus", "--characteristic", "2"], None,
+                 id="info-characteristic"),
+    pytest.param(["triangulation", "dashboard", "fig8", "--spec", "missing.json"], None,
+                 id="dashboard-spec"),
+    pytest.param(["triangulation", "cover", "torus", "--characteristic", "2", "--spec"],
+                 {"degree": 2, "perms": {"0": [2, 1], "1": [1, 2], "2": [1, 2]}},
+                 id="cover-spec-and-characteristic"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     if spec is not None:
@@ -288,6 +298,15 @@ def test_bad_thread_count_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "HYPSTAB_THREADS" in err and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is the tests' quadrature oracle
+    code = ("import sys, hypstab.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypstab.constants import (
     regular_simplex_passes_lemmas,
     row_as_dict,
     rows_to_csv,
+    rows_to_text,
 )
 from hypstab.minkowski import GeometryError, random_isometry
 from hypstab.simplex import apply_isometry, min_face_clearance, regular_ideal_simplex
@@ -189,5 +190,9 @@ def test_row_serialization_round_trip():
     assert '"C_n"' in js and '"empirical-search"' in js
     csv_text = rows_to_csv([row])
     header, data = csv_text.strip().split("\n")
-    assert header.startswith("n,v_n,v_n_flag")
+    assert header.startswith("n,v_n,v_n_flag,alpha_n")  # no always-zero std error
     assert repr(row.C_n) in data
+    table, flags = rows_to_text([row]).rsplit("\n", 1)
+    assert "+-" not in table and "empirical" not in table
+    assert flags == ("flags: v_n:exact alpha_n:exact k_n:exact delta_n:exact eta_n:exact "
+                     "a_n:exact eps_n:empirical-search C_n:empirical-search")

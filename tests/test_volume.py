@@ -44,10 +44,15 @@ def test_lobachevsky_special_values():
     assert lobachevsky(0.0) == 0.0
     assert abs(lobachevsky(math.pi / 2)) < 1e-14
     assert abs(lobachevsky(math.pi)) < 1e-14
+    assert math.isnan(lobachevsky(math.nan))
+    assert 0.0 < lobachevsky(5e-324) < 1e-320  # every node of a subnormal range is 0
+    assert lobachevsky(-1e-20) == -lobachevsky(1e-20) < 0.0  # -1e-20 + pi rounds to pi
 
 
 def test_lobachevsky_vs_quadrature():
-    for theta in (math.pi / 6, math.pi / 3, 0.3, 1.2, 1.5):
+    # 1e-8 and pi/2 - 1e-9 sit next to the ends of the reduced range;
+    # 1.56 takes two panels
+    for theta in (math.pi / 6, math.pi / 3, 0.3, 1.2, 1.5, 1e-8, math.pi / 2 - 1e-9, 1.56):
         assert lobachevsky(theta) == pytest.approx(quad_lobachevsky(theta), abs=1e-11)
     assert 3.0 * lobachevsky(math.pi / 3) == pytest.approx(V3, abs=1e-13)
 
@@ -68,14 +73,40 @@ def test_lobachevsky_distribution_relation(theta):
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
+def quad_ball_volume(n, r):
+    val, _ = integrate.quad(lambda t: math.sinh(t) ** (n - 1), 0.0, r,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return sphere_area(n) * val
+
+
+#: radii inside one panel of the rule and across several
+RADII = (0.1, 0.7, 1.3, 2.0, 2.5, 6.0)
+
+
 def test_ball_volume_closed_forms():
     assert ball_volume(3, 0.0) == 0.0
-    for r in (0.1, 0.7, 1.3, 2.0):
-        assert ball_volume(2, r) == pytest.approx(2 * math.pi * (math.cosh(r) - 1),
-                                                  abs=1e-10)
+    for r in RADII:
+        c1 = 2 * math.sinh(r / 2) ** 2  # cosh r - 1 without cancellation
+        assert ball_volume(2, r) == pytest.approx(2 * math.pi * c1, rel=1e-12)
         assert ball_volume(3, r) == pytest.approx(math.pi * (math.sinh(2 * r) - 2 * r),
-                                                  abs=1e-10)
+                                                  rel=1e-12)
+        # 2 pi^2 (cosh^3 r / 3 - cosh r + 2/3), factored
+        assert ball_volume(4, r) == pytest.approx(
+            2 * math.pi ** 2 * c1 ** 2 * (math.cosh(r) + 2) / 3, rel=1e-12)
     assert sphere_area(3) == pytest.approx(4 * math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_ball_volume_vs_quadrature(n):
+    for r in RADII:
+        assert ball_volume(n, r) == pytest.approx(quad_ball_volume(n, r), rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -0.5, 800.0])
+def test_ball_volume_rejects_bad_radius(r):
+    # non-finite, negative, or a volume beyond the largest float
+    with pytest.raises(GeometryError):
+        ball_volume(4, r)
 
 
 def test_ball_volume_monotone():
