@@ -146,7 +146,8 @@ class BisectionStep:
     counterexample: bool
     best_violation: float
     best_deficit: float
-    evaluations: int
+    cheap_evals: int    # cheap deficits of the hill climbs
+    verify_evals: int   # verify deficits, one per stage run
 
 
 @dataclass
@@ -206,11 +207,16 @@ def _counterexample_search(n, eps, a, delta, v_ref, seed, step_idx, restarts,
 
     The hill climb maximizes the bracket/clearance violation penalized by
     the excess volume deficit over eps (deficits from the cheap
-    difference estimator); promising final candidates are re-measured at
-    verification budget before they count as counterexamples.  The
-    decision rule errs on the generous side (deficit <= eps + 2 sigma),
-    which can only shrink the reported eps_n.  Everything is seeded, so
-    identical arguments replay identically.
+    difference estimator).  A final candidate that violates a conclusion
+    goes to verification when its cheap deficit is at most eps + 3 sigma;
+    this gate errs on the generous side, which can only shrink the
+    reported eps_n.  Verification is sequential: deficits on
+    verify_budget >> 4, then verify_budget >> 2, then verify_budget
+    samples, stopping at the first stage more than 4 sigma from eps.  The
+    candidate is a counterexample when the last deficit is <= eps.  The
+    full stage draws from the substream [seed, step_idx, r, 0xACC] and the
+    early stages from that seed extended by 1 and by 2.  Everything is
+    seeded, so identical arguments replay identically.
     """
     lo, hi = angle_bracket(n, a)
     two_delta = 2.0 * delta
@@ -260,15 +266,19 @@ def _counterexample_search(n, eps, a, delta, v_ref, seed, step_idx, restarts,
         if viol > best_viol:
             best_viol, best_deficit = viol, deficit
         if viol > 0.0 and deficit <= eps + 3.0 * sigma:
-            acc_deficit, _ = volume_deficit_vs_regular(
-                K, budget=verify_budget, seed=[seed, step_idx, r, 0xACC],
-                levels=levels, v_ref=v_ref)
-            verify_evals += 1
+            # 1/16 and 1/4 of the budget first; a stage 4 sigma clear of eps decides
+            for shift, stage in ((4, [1]), (2, [2]), (0, [])):
+                acc_deficit, acc_sigma = volume_deficit_vs_regular(
+                    K, budget=verify_budget >> shift, seed=[seed, step_idx, r, 0xACC] + stage,
+                    levels=levels, v_ref=v_ref)
+                verify_evals += 1
+                if abs(acc_deficit - eps) > 4.0 * acc_sigma:
+                    break
             if acc_deficit <= eps:
                 found = True
                 best_viol, best_deficit = viol, acc_deficit
                 break
-    return found, best_viol, best_deficit, cheap_evals + verify_evals
+    return found, best_viol, best_deficit, cheap_evals, verify_evals
 
 
 def estimate_a_eps(
@@ -313,11 +323,11 @@ def estimate_a_eps(
                         cheap_budget, probe_levels, a, delta, v_n)
 
     def run(eps, step_idx):
-        found, bv, bd, evals = _counterexample_search(
+        step = BisectionStep(eps, *_counterexample_search(
             n, eps, a, delta, v_n, seed, step_idx, restarts, climb_iters,
-            cheap_budget, verify_budget, probe_levels)
-        audit.steps.append(BisectionStep(eps, found, bv, bd, evals))
-        return found
+            cheap_budget, verify_budget, probe_levels))
+        audit.steps.append(step)
+        return step.counterexample
 
     # geometric descent until a candidate is accepted, then bisection of the
     # bracket; bisection_depth is the total step budget for both phases

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,6 +293,30 @@ def _sample(rngs, requests, n: int, strata: list, ideal_idx: np.ndarray,
     return np.concatenate(values), np.concatenate(owners)
 
 
+def _substreams(prefix, count: int) -> list:
+    """The generators default_rng([*prefix, idx]) for idx < count.
+
+    numpy turns such a list into SeedSequence entropy words: each entry's
+    32-bit chunks, low first, with [0] for 0.  Those words are built here
+    once, so each generator starts from a ready uint32 row instead of
+    coercing the list again; the streams are the same.
+    """
+    words = []
+    for entry in prefix:
+        entry = operator.index(entry)
+        if entry < 0:
+            raise ValueError(f"seed entries must be non-negative, got {entry}")
+        while True:
+            words.append(entry & 0xFFFFFFFF)
+            entry >>= 32
+            if not entry:
+                break
+    rows = np.empty((count, len(words) + 1), dtype=np.uint32)
+    rows[:, :-1] = words
+    rows[:, -1] = np.arange(count)
+    return [np.random.default_rng(row) for row in rows]
+
+
 def _tail(n: int, mass: float, mean: float) -> float:
     """Geometric extrapolation of a corner beyond its last shell."""
     rho = 0.5 ** ((n - 1) / 2.0)
@@ -323,7 +348,7 @@ def simplex_volume(
     strata = _strata(n, ideal_idx, levels)
     k = len(strata)
     measure = [vol_t * mass for mass, _ in strata]
-    rngs = [np.random.default_rng([seed, idx]) for idx in range(k)]
+    rngs = _substreams([seed], k)
 
     def sample(counts):  # accepted draws, sum of f and sum of f^2 per stratum
         f, owner = _sample(rngs, list(enumerate(counts)), n, strata, ideal_idx, [(1.0, mmat)])
@@ -462,7 +487,7 @@ def volume_deficit_vs_regular(
     strata = _strata(n, ideal_idx, levels)
     k = len(strata)
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    rngs = [np.random.default_rng(seed_seq + [0xD1F, idx]) for idx in range(k)]
+    rngs = _substreams(seed_seq + [0xD1F], k)
     per = max(32, budget // k)
     g, owner = _sample(rngs, [(idx, per) for idx in range(k)], n, strata, ideal_idx,
                        [(volk, mk), (-volr, mr)])

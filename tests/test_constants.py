@@ -1,9 +1,11 @@
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
 
+from hypstab import constants
 from hypstab.constants import (
     BudgetReport,
     LemmaConstants,
@@ -22,7 +24,7 @@ from hypstab.constants import (
 )
 from hypstab.minkowski import GeometryError, random_isometry
 from hypstab.simplex import apply_isometry, min_face_clearance, regular_ideal_simplex
-from hypstab.volume import ideal_regular_volume
+from hypstab.volume import ideal_regular_volume, volume_deficit_vs_regular
 
 TWO_PI = 2 * math.pi
 
@@ -163,6 +165,89 @@ def test_estimate_a_eps_quick():
     assert [(s.eps, s.counterexample) for s in audit.steps] == \
            [(s.eps, s.counterexample) for s in audit2.steps]
     assert audit.as_dict()["n"] == 4
+
+
+@pytest.fixture(scope="module")
+def verify_log():
+    """A QUICK n = 5 search with every deficit call recorded.
+
+    Returns the audit's steps by step index and the calls: (seed,
+    keyword arguments, deficit, sigma).
+    """
+    calls, order = [], []
+    deficit, search = constants.volume_deficit_vs_regular, constants._counterexample_search
+
+    def recorded_deficit(K, **kwargs):
+        result = deficit(K, **kwargs)
+        calls.append((list(kwargs["seed"]), dict(kwargs, K=K), *result))
+        return result
+
+    def recorded_search(n, eps, a, delta, v_ref, seed, step_idx, *rest):
+        order.append(step_idx)
+        return search(n, eps, a, delta, v_ref, seed, step_idx, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constants, "volume_deficit_vs_regular", recorded_deficit)
+        mp.setattr(constants, "_counterexample_search", recorded_search)
+        _, _, audit = estimate_a_eps(5, seed=0, **QUICK, delta=delta_n(5),
+                                     v_n=ideal_regular_volume(5).value)
+    return dict(zip(order, audit.steps)), calls
+
+
+def _verify_groups(calls):
+    """The verify calls (seed[3] = 0xACC) of each candidate (step index, restart)."""
+    groups = defaultdict(list)
+    for call in calls:
+        seed = call[0]
+        if seed[3] == 0xACC:
+            groups[seed[1], seed[2]].append(call)
+    return groups
+
+
+VERIFY_STAGES = [(QUICK["verify_budget"] >> 4, [0xACC, 1]),
+                 (QUICK["verify_budget"] >> 2, [0xACC, 2]),
+                 (QUICK["verify_budget"], [0xACC])]
+
+
+def test_verify_cascade_stages(verify_log):
+    steps, calls = verify_log
+    stops = defaultdict(int)
+    for (step, r), group in _verify_groups(calls).items():
+        eps = steps[step].eps
+        # 1/16 of the budget first; the full stage keeps the seed [seed, step, r, 0xACC]
+        assert [(kw["budget"], seed) for seed, kw, _, _ in group] == \
+               [(budget, [0, step, r, *tag]) for budget, tag in VERIFY_STAGES[:len(group)]]
+        # the next stage runs exactly when a stage is within 4 sigma of eps
+        for _, _, d, sigma in group[:-1]:
+            assert abs(d - eps) <= 4.0 * sigma
+        _, _, d, sigma = group[-1]
+        assert len(group) == 3 or abs(d - eps) > 4.0 * sigma
+        stops[len(group)] += 1
+    # the run covers early stops at both stages and verifies at the full budget
+    assert min(stops[1], stops[2], stops[3]) > 0, dict(stops)
+    # the audit counts every cheap deficit and every verify stage of its step
+    for step, record in steps.items():
+        mine = [seed for seed, *_ in calls if seed[1] == step]
+        assert record.verify_evals == sum(seed[3] == 0xACC for seed in mine)
+        assert record.cheap_evals == len(mine) - record.verify_evals
+
+
+def test_verify_cascade_matches_full_budget(verify_log):
+    steps, calls = verify_log
+    found = defaultdict(bool)
+    for (step, r), group in _verify_groups(calls).items():
+        eps = steps[step].eps
+        _, kwargs, d, sigma = group[-1]
+        full = volume_deficit_vs_regular(**dict(kwargs, budget=QUICK["verify_budget"],
+                                                seed=[0, step, r, 0xACC]))
+        if len(group) == 3:
+            assert (d, sigma) == full  # bit for bit the single full-budget verify
+        else:
+            assert abs(d - eps) > 4.0 * sigma
+            assert (d <= eps) == (full[0] <= eps), (step, r, d, full)
+        found[step] |= d <= eps
+    for step, record in steps.items():
+        assert record.counterexample == found[step]
 
 
 def test_estimate_a_eps_rejects_low_dim():

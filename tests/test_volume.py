@@ -303,6 +303,23 @@ def test_regular_klein_form_cached_read_only():
         ideal_idx[0] = 1
 
 
+@pytest.mark.parametrize("prefix", [
+    [0], [7, 0xD1F], [0, 3, 5, 0xACC, 2, 0xD1F], [2**32 - 1, 2**32, 0xD1F],
+    [2**64 + 3, 12345678901234567890, 0xD1F], [np.int64(5), np.uint32(0)]])
+def test_substreams_match_list_seeding(prefix):
+    # the entropy words built once per call give the streams of numpy's list seeding
+    for idx, rng in enumerate(volume._substreams(prefix, 5)):
+        expected = np.random.default_rng(list(prefix) + [idx]).random(16)
+        assert np.array_equal(rng.random(16), expected), idx
+
+
+def test_substreams_reject_negative_entries():
+    with pytest.raises(ValueError):
+        np.random.default_rng([3, -1, 0])
+    with pytest.raises(ValueError):
+        volume._substreams([3, -1], 2)
+
+
 def test_maximality_probe_smoke():
     rep = maximality_probe(2, trials=60, seed=0, budget_per_trial=2000, levels=8)
     assert rep.violations == 0
