@@ -152,8 +152,11 @@ class BisectionStep:
 
 @dataclass
 class SearchAudit:
-    """Replayable record of the eps_n bisection; rerunning `estimate_a_eps`
-    with the same arguments reproduces it verbatim."""
+    """Replayable record of the eps_n bisection.
+
+    It holds every argument of `estimate_a_eps` (``depth`` is its
+    ``bisection_depth``), so rerunning the search with the recorded
+    settings reproduces it verbatim."""
 
     n: int
     seed: int
@@ -161,7 +164,9 @@ class SearchAudit:
     depth: int
     climb_iters: int
     cheap_budget: int
+    verify_budget: int
     probe_levels: int
+    eps_start: float
     a_n: float
     delta: float
     v_n: float
@@ -319,8 +324,8 @@ def estimate_a_eps(
         if count < 1:
             raise GeometryError(f"{name} must be at least 1, got {count}")
     a = margin_a(n)
-    audit = SearchAudit(n, seed, restarts, bisection_depth, climb_iters,
-                        cheap_budget, probe_levels, a, delta, v_n)
+    audit = SearchAudit(n, seed, restarts, bisection_depth, climb_iters, cheap_budget,
+                        verify_budget, probe_levels, eps_start, a, delta, v_n)
 
     def run(eps, step_idx):
         step = BisectionStep(eps, *_counterexample_search(

@@ -15,15 +15,21 @@ spacelike vector q_i in the Minkowski span of the simplex with
 * the incenter/inradius:  the interior point with <c, q_i> constant,
   normalized to the hyperboloid, with sinh r = -<inc, q_i>.
 
-Point-to-simplex distances are exact: the nearest point of a convex
-simplex lies in the relative interior of exactly one face, where it is
-the Minkowski-orthogonal foot on the face span.  An active-set search
-over the Gram matrix finds that face, descending to the boundary
-whenever a foot falls outside its face.
+Point-to-face distances are exact: the nearest point of a convex
+simplex to a finite point lies in the relative interior of exactly one
+face, where it is the Minkowski-orthogonal foot on the face span with
+nonnegative vertex coefficients (a feasible foot).  Conversely every
+feasible foot on a face is a point of the simplex.  So the distance is
+the least distance to a feasible foot over all faces, and one kernel
+(`_subface_feet`) computes every foot of a batch of points on every
+face, one stacked solve of Gram sub-matrices per face size.  The face
+clearance `min_face_clearance` and `nearest_point_on_simplex` both
+read their minima from it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -294,72 +300,94 @@ def barycentric_coords(K: GeodesicSimplex, p: ProjectivePoint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# point-to-simplex distance
+# point-to-face distance
 
 
-def _gram_nearest(gram: np.ndarray, dots: np.ndarray, subset: tuple,
-                  ideal: np.ndarray, tol: float):
-    """Nearest point of the face on `subset`, given <p, v_j> for all vertices.
+@functools.cache
+def _subsets(m: int, max_size: int) -> tuple:
+    """Vertex subsets of sizes 1..max_size of an m-vertex simplex.
 
-    Returns (distance, sub-face, coefficients): the nearest point is
-    sum_j c_j v_j over the sub-face vertices, on the hyperboloid.
-    Active-set recursion: the orthogonal foot on the face span either
-    lands inside the face (then it is the nearest point) or the nearest
-    point lies on the boundary.  Gram entries and the products <p, v_j>
-    are all it needs, never the ambient coordinates, which keeps the
-    clearance scan fast enough to sit inside optimization loops.
+    One read-only (count, size) index table per size, each in
+    lexicographic (`itertools.combinations`) order.
     """
-    best, best_face, best_coeffs = math.inf, None, None
-    seen = set()
+    tables = []
+    for size in range(1, max_size + 1):
+        t = np.array(list(itertools.combinations(range(m), size)), dtype=np.intp)
+        t.setflags(write=False)
+        tables.append(t)
+    return tuple(tables)
 
-    def visit(s: tuple):
-        nonlocal best, best_face, best_coeffs
-        if s in seen:
-            return
-        seen.add(s)
-        if len(s) == 1:
-            i = s[0]
-            if ideal[i]:
-                return
-            d = _arccosh_stable(-dots[i])
-            if d < best:
-                best, best_face, best_coeffs = d, s, np.ones(1)
-            return
-        idx = list(s)
-        g = gram[np.ix_(idx, idx)]
-        r = dots[idx]
-        try:
-            c = np.linalg.solve(g, r)
-        except np.linalg.LinAlgError:
-            return
-        nsq = float(c @ r)
-        feasible = nsq < -tol and float(np.min(c)) >= -1e-12 * max(1.0, float(np.max(np.abs(c))))
-        if feasible:
-            d = _arccosh_stable(math.sqrt(-nsq))
-            if d < best:
-                best, best_face, best_coeffs = d, s, c / math.sqrt(-nsq)
-            return
-        for drop in range(len(s)):
-            visit(s[:drop] + s[drop + 1:])
 
-    visit(tuple(subset))
-    if best_face is None:
-        raise SingularSystemError("no feasible foot found on any subface")
-    return best, best_face, best_coeffs
+def _members(table: np.ndarray, m: int) -> np.ndarray:
+    """(count, m) boolean membership matrix of the subsets in an index table."""
+    out = np.zeros((len(table), m), dtype=bool)
+    np.put_along_axis(out, table, True, axis=1)
+    return out
+
+
+def _subface_feet(gram: np.ndarray, dots: np.ndarray, ideal: np.ndarray,
+                  tables: tuple, tol: float):
+    """Orthogonal feet of finite points on every vertex subset of a simplex.
+
+    ``gram`` is the (m, m) vertex Gram matrix, ``dots`` the (m, p)
+    products <v_j, x> with p finite points x, and ``tables`` index tables
+    from `_subsets`.  The foot of x on the span of a subset S solves
+    G_S c = <v_S, x>, and cosh d(x, foot) = sqrt(-c . <v_S, x>); it is
+    feasible, a point of the face on S, when that square is timelike
+    beyond ``tol`` and no coefficient is negative.  A single vertex is its
+    own foot and counts only when it is finite.  All subsets of one size
+    share one stacked solve with the p points as right-hand sides.
+
+    Returns (cosh_d, coeffs) with a row per subset, in table order:
+    cosh_d[s, i] is cosh of the distance from point i to its foot on S
+    where that foot is feasible and inf elsewhere, and coeffs[s, :, i]
+    are the foot's coefficients over all m vertices, normalized to the
+    hyperboloid.
+    """
+    m, p = dots.shape
+    cosh_d, coeffs = [], []
+    for t in tables:
+        r = dots[t]  # (count, size, p)
+        if t.shape[1] == 1:
+            c = np.ones_like(r)
+            x = np.where(ideal[t], np.inf, -r[:, 0])
+        else:
+            try:
+                c = np.linalg.solve(gram[t[:, :, None], t[:, None, :]], r)
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateSimplexError(f"singular face Gram matrix: {exc}") from exc
+            nsq = np.einsum("skp,skp->sp", c, r)
+            scale = np.maximum(1.0, np.max(np.abs(c), axis=1))
+            feasible = (nsq < -tol) & (np.min(c, axis=1) >= -1e-12 * scale)
+            x = np.sqrt(np.where(feasible, -nsq, np.inf))
+            c = c / x[:, None, :]
+        full = np.zeros((len(t), m, p))
+        full[np.arange(len(t))[:, None], t] = c
+        cosh_d.append(x)
+        coeffs.append(full)
+    return np.concatenate(cosh_d), np.concatenate(coeffs)
 
 
 def nearest_point_on_simplex(p: ProjectivePoint, E: GeodesicSimplex,
                              tol: float = DEFAULT_TOL):
-    """(distance, nearest point) from a finite point to a geodesic simplex."""
+    """(distance, nearest point) from a finite point to a geodesic simplex.
+
+    The nearest point is the feasible orthogonal foot on some face of E
+    (see `_subface_feet`), and every such foot is a point of E, so it is
+    the closest feasible foot over all faces.
+    """
     if p.kind != FINITE:
         raise GeometryError("distance from an ideal point is not defined")
     if is_degenerate(E):
         raise DegenerateSimplexError("distance to a degenerate simplex")
-    dots = _mink_rows(E.rep_matrix, p.rep[None, :]).ravel()
-    d, face, coeffs = _gram_nearest(E.gram, dots, tuple(range(E.k + 1)),
-                                    E.ideal_flags(), tol)
-    foot = E.rep_matrix[list(face)].T @ coeffs
-    return d, ProjectivePoint(foot, FINITE)
+    m = E.k + 1
+    dots = _mink_rows(E.rep_matrix, p.rep[None, :])
+    cosh_d, coeffs = _subface_feet(E.gram, dots, E.ideal_flags(), _subsets(m, m), tol)
+    best = int(np.argmin(cosh_d[:, 0]))
+    if not np.isfinite(cosh_d[best, 0]):
+        raise SingularSystemError("no feasible foot found on any subface")
+    foot = E.rep_matrix.T @ coeffs[best, :, 0]
+    return _arccosh_stable(float(cosh_d[best, 0])), ProjectivePoint(foot, FINITE)
 
 
 def distance_point_to_simplex(p: ProjectivePoint, E: GeodesicSimplex) -> float:
@@ -376,19 +404,47 @@ def distance_point_to_simplex(p: ProjectivePoint, E: GeodesicSimplex) -> float:
 # d_i = sqrt((G_F^{-1})_{ii}).
 
 
-def _gram_incenter_coeffs(gram_face: np.ndarray) -> np.ndarray:
-    """Vertex coefficients of the face incenter, normalized to the hyperboloid."""
-    ginv = np.linalg.inv(gram_face)
-    diag = np.diag(ginv)
+def _gram_incenter_coeffs(grams: np.ndarray) -> np.ndarray:
+    """Vertex coefficients of the incenters of a stack of faces, normalized
+    to the hyperboloid, from their (faces, k, k) Gram matrices.
+
+    A face with a facet dual that is not spacelike (an edge with an ideal
+    endpoint) has no incenter; its row is nan.
+    """
+    ginv = np.linalg.inv(grams)
+    diag = np.diagonal(ginv, axis1=1, axis2=2)
     # duals of ideal facets of 1-simplices are lightlike; their inverse-Gram
     # diagonal is an exact zero polluted by rounding, hence the relative cut
-    if np.min(diag) <= 1e-8 * max(1.0, float(np.max(np.abs(ginv)))):
-        raise DualVectorError("a facet dual of this face is not spacelike")
-    d = np.sqrt(diag)
-    nx = d @ gram_face @ d
-    if nx >= 0:
+    scale = np.maximum(1.0, np.max(np.abs(ginv), axis=(1, 2)))
+    spacelike = np.min(diag, axis=1) > 1e-8 * scale
+    d = np.sqrt(np.where(spacelike[:, None], diag, np.nan))
+    nx = np.einsum("fi,fij,fj->f", d, grams, d)
+    if np.any(nx >= 0):
         raise SingularSystemError("incenter candidate is not timelike")
-    return d / math.sqrt(-nx)
+    return d / np.sqrt(-nx)[:, None]
+
+
+@functools.cache
+def _clearance_tables(n: int) -> tuple:
+    """Read-only index tables of `min_face_clearance` in dimension n.
+
+    Returns (faces, tables, apart, within, targets_apart): the (n-2)-faces
+    E as a (faces, n-1) index table; the `_subsets` tables of sizes 1..n;
+    apart[s, e], true where subset S does not contain E; within[s, t],
+    true where S lies in target T, over the faces of n-1 and of n
+    vertices; and targets_apart[e, t], true where T does not contain E.
+    """
+    m = n + 1
+    tables = _subsets(m, n)
+    sub = np.concatenate([_members(t, m) for t in tables])
+    face = _members(tables[n - 2], m)
+    target = np.concatenate([face, _members(tables[n - 1], m)])
+    apart = ~np.all(sub[:, None, :] >= face[None], axis=2)
+    within = np.all(sub[:, None, :] <= target[None], axis=2)
+    targets_apart = ~np.all(target[None] >= face[:, None, :], axis=2)
+    for a in (apart, within, targets_apart):
+        a.setflags(write=False)
+    return tables[n - 2], tables, apart, within, targets_apart
 
 
 def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
@@ -401,45 +457,48 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
     ambient incenter on the edge is used instead, which is isometry
     equivariant and agrees with the symmetric midpoint on the regular
     ideal simplex.
+
+    The minimum is taken over sub-faces instead of target faces, and is
+    exact: the nearest point of a target E' to a center is the feasible
+    orthogonal foot on one sub-face S of E' (see `_subface_feet`), and S
+    does not contain E because E' does not.  Conversely a feasible foot
+    on any vertex set S of at most n vertices that misses a vertex e of
+    E is a point of S, so of the facet opposite e, a target.  So the
+    clearance is the least distance from the center of E to a feasible
+    foot on such an S, over all E, found by one stacked solve per subset
+    size.  A target without any feasible foot on its sub-faces raises
+    `SingularSystemError`, as no nearest point was found on it.
     """
     n = K.ambient_dim
     if K.k != n or n < 3:
         raise GeometryError("clearance needs a full-dimensional simplex in dimension >= 3")
     if is_degenerate(K):
         raise DegenerateSimplexError("clearance of a degenerate simplex")
+    faces, tables, apart, within, targets_apart = _clearance_tables(n)
     gram = K.gram
-    ideal = K.ideal_flags()
-    ambient = np.zeros(n + 1)
-    ambient[:] = _gram_incenter_coeffs(gram)
-    codim2 = list(itertools.combinations(range(n + 1), n - 1))
-    facets = list(itertools.combinations(range(n + 1), n))
-    best = math.inf
-    for e_idx in codim2:
-        idx = list(e_idx)
-        g_face = gram[np.ix_(idx, idx)]
-        s = np.linalg.svd(g_face, compute_uv=False)
-        if s[-1] <= 1e-10 * max(s[0], 1.0):
-            raise DegenerateSimplexError(f"degenerate face {e_idx}")
-        coeffs = np.zeros(n + 1)
-        try:
-            coeffs[idx] = _gram_incenter_coeffs(g_face)
-        except DualVectorError:
+    g_faces = gram[faces[:, :, None], faces[:, None, :]]
+    s = np.linalg.svd(g_faces, compute_uv=False)
+    degenerate = s[:, -1] <= 1e-10 * np.maximum(s[:, 0], 1.0)
+    if np.any(degenerate):
+        raise DegenerateSimplexError(f"degenerate face {tuple(faces[np.argmax(degenerate)])}")
+    centers = _gram_incenter_coeffs(g_faces)
+    edges = np.flatnonzero(np.isnan(centers[:, 0]))
+    if len(edges):
+        ambient = _gram_incenter_coeffs(gram[None])[0]
+        for f in edges:
             # ideal edge: foot of the ambient incenter on its geodesic
-            rhs = gram[np.ix_(idx, range(n + 1))] @ ambient
-            c = np.linalg.solve(g_face, rhs)
+            rhs = gram[faces[f]] @ ambient
+            c = np.linalg.solve(g_faces[f], rhs)
             nsq = float(c @ rhs)
-            if nsq >= 0:
+            if not nsq < 0:
                 raise SingularSystemError("edge foot is not timelike")
-            coeffs[idx] = c / math.sqrt(-nsq)
-        dots = gram @ coeffs
-        e_set = set(e_idx)
-        for other in itertools.chain(codim2, facets):
-            if e_set <= set(other):
-                continue
-            d = _gram_nearest(gram, dots, other, ideal, tol)[0]
-            if d < best:
-                best = d
-    return best
+            centers[f] = c / math.sqrt(-nsq)
+    coeffs = np.zeros((n + 1, len(faces)))
+    coeffs[faces.T, np.arange(len(faces))] = centers.T
+    cosh_d, _ = _subface_feet(gram, gram @ coeffs, K.ideal_flags(), tables, tol)
+    if np.any(targets_apart & ~(np.isfinite(cosh_d).T @ within)):
+        raise SingularSystemError("no feasible foot found on any subface")
+    return _arccosh_stable(float(np.min(cosh_d, where=apart, initial=math.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,18 @@ def test_estimate_a_eps_quick():
     assert [(s.eps, s.counterexample) for s in audit.steps] == \
            [(s.eps, s.counterexample) for s in audit2.steps]
     assert audit.as_dict()["n"] == 4
+    # replay from the settings the audit records, and nothing else
+    d = audit.as_dict()
+    settings = dict(seed=d["seed"], restarts=d["restarts"], bisection_depth=d["depth"],
+                    climb_iters=d["climb_iters"], cheap_budget=d["cheap_budget"],
+                    verify_budget=d["verify_budget"], probe_levels=d["probe_levels"],
+                    eps_start=d["eps_start"], delta=d["delta"], v_n=d["v_n"])
+    assert (d["verify_budget"], d["eps_start"]) == (QUICK["verify_budget"], QUICK["eps_start"])
+    a3, eps3, audit3 = estimate_a_eps(d["n"], **settings)
+    assert (a3, eps3) == (a, eps)
+    assert [(s.eps, s.counterexample) for s in audit3.steps] == \
+           [(s.eps, s.counterexample) for s in audit.steps]
+    assert audit3.as_dict() == d
 
 
 @pytest.fixture(scope="module")

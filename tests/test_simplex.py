@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypstab.constants import _build, _jitter
 from hypstab.minkowski import (
+    DEFAULT_TOL,
     GeometryError,
     _arccosh_stable,
     _mink_rows,
@@ -20,6 +22,7 @@ from hypstab.simplex import (
     DegenerateSimplexError,
     DualVectorError,
     GeodesicSimplex,
+    SingularSystemError,
     all_facet_duals,
     apply_isometry,
     barycentric_coords,
@@ -439,6 +442,146 @@ def _distance_by_pgd(p, E, seed):
     return _arccosh_stable(best_f)
 
 
+def _gram_nearest(gram, dots, subset, ideal, tol):
+    """Reference: nearest point of the face on `subset`, given <p, v_j>
+    for all vertices, by active-set recursion.
+
+    Returns (distance, sub-face, coefficients): the nearest point is
+    sum_j c_j v_j over the sub-face vertices, on the hyperboloid.  The
+    orthogonal foot on the face span either lands inside the face (then
+    it is the nearest point) or the nearest point lies on the boundary,
+    and the recursion descends to every face of one vertex fewer.
+    """
+    best, best_face, best_coeffs = math.inf, None, None
+    seen = set()
+
+    def visit(s):
+        nonlocal best, best_face, best_coeffs
+        if s in seen:
+            return
+        seen.add(s)
+        if len(s) == 1:
+            i = s[0]
+            if ideal[i]:
+                return
+            d = _arccosh_stable(-dots[i])
+            if d < best:
+                best, best_face, best_coeffs = d, s, np.ones(1)
+            return
+        idx = list(s)
+        g = gram[np.ix_(idx, idx)]
+        r = dots[idx]
+        try:
+            c = np.linalg.solve(g, r)
+        except np.linalg.LinAlgError:
+            return
+        nsq = float(c @ r)
+        feasible = nsq < -tol and float(np.min(c)) >= -1e-12 * max(1.0, float(np.max(np.abs(c))))
+        if feasible:
+            d = _arccosh_stable(math.sqrt(-nsq))
+            if d < best:
+                best, best_face, best_coeffs = d, s, c / math.sqrt(-nsq)
+            return
+        for drop in range(len(s)):
+            visit(s[:drop] + s[drop + 1:])
+
+    visit(tuple(subset))
+    if best_face is None:
+        raise SingularSystemError("no feasible foot found on any subface")
+    return best, best_face, best_coeffs
+
+
+def _nearest_by_recursion(p, E):
+    """(distance, foot) from `_gram_nearest` on the whole of E."""
+    dots = _mink_rows(E.rep_matrix, p.rep[None, :]).ravel()
+    d, face, coeffs = _gram_nearest(E.gram, dots, tuple(range(E.k + 1)), E.ideal_flags(),
+                                    DEFAULT_TOL)
+    return d, finite_point(E.rep_matrix[list(face)].T @ coeffs)
+
+
+def _clearance_by_recursion(K):
+    """Reference clearance, pair by pair: `_gram_nearest` from the center
+    of each (n-2)-face E to each face of n-1 or n vertices not containing
+    E.  Centers come from `incenter_inradius`, and for an edge with an
+    ideal endpoint from the orthogonal foot of the ambient incenter on
+    the edge's geodesic."""
+    n = K.ambient_dim
+    ambient = incenter_inradius(K).incenter
+    faces = list(itertools.combinations(range(n + 1), n - 1))
+    targets = faces + list(itertools.combinations(range(n + 1), n))
+    best = math.inf
+    for e in faces:
+        F = K.face(e)
+        try:
+            center = incenter_inradius(F).incenter.rep
+        except DualVectorError:
+            rhs = _mink_rows(F.rep_matrix, ambient.rep[None, :]).ravel()
+            c = np.linalg.solve(F.gram, rhs)
+            center = F.rep_matrix.T @ c / math.sqrt(-float(c @ rhs))
+        dots = _mink_rows(K.rep_matrix, center[None, :]).ravel()
+        for t in targets:
+            if not set(e) <= set(t):
+                best = min(best, _gram_nearest(K.gram, dots, t, K.ideal_flags(), DEFAULT_TOL)[0])
+    return best
+
+
+def _reference_simplices():
+    """(n, simplex) pairs for the kernel-against-recursion tests: random
+    draws with finite, mixed and all-ideal vertices, and candidates of the
+    eps_n search (jittered regular simplices, all ideal or with one
+    finite vertex)."""
+    rng = np.random.default_rng(2024)
+    for n, count in ((3, 40), (4, 36), (5, 30)):
+        for i in range(count):
+            yield n, random_nondegenerate_simplex(n, rng, ideal_prob=(0.0, 0.5, 1.0)[i % 3])
+        base = regular_ideal_simplex(n).klein_vertices()
+        made = 0
+        while made < count:
+            scale = 10.0 ** rng.uniform(-2.5, -0.3)
+            ideal = [True] * (n + 1)
+            kv = _jitter(base, ideal, rng, scale)
+            if made % 2:
+                i = made % (n + 1)
+                ideal[i] = False
+                kv[i] *= 1.0 - abs(rng.normal(0.0, scale))
+            K = _build(kv, ideal, n)
+            if not is_degenerate(K, tol=1e-8):
+                made += 1
+                yield n, K
+
+
+def test_clearance_matches_recursion():
+    seen = {3: set(), 4: set(), 5: set()}
+    for n, K in _reference_simplices():
+        ref = _clearance_by_recursion(K)
+        # the absolute floor: an error of 1e-15 in cosh d moves a distance
+        # d by 1e-15 / sinh d, above 1e-10 relative for d below 3e-3
+        assert min_face_clearance(K) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        seen[n].add(int(np.sum(K.ideal_flags())))
+    for n, counts in seen.items():
+        # all finite, mixed and all ideal vertices occur in every dimension
+        assert {0, n + 1} <= counts and len(counts) >= 4
+
+
+def test_nearest_point_matches_recursion():
+    rng = np.random.default_rng(77)
+    for n in (3, 4, 5):
+        for k in range(1, n + 1):
+            for i in range(12):
+                E = random_nondegenerate_simplex(n, rng, ideal_prob=(0.0, 0.5, 1.0)[i % 3], k=k)
+                direction = rng.standard_normal(n)
+                p = lift_klein(rng.uniform(0.0, 0.95) * direction / np.linalg.norm(direction))
+                d_ref, foot_ref = _nearest_by_recursion(p, E)
+                d, foot = nearest_point_on_simplex(p, E)
+                if d_ref < 1e-4:
+                    # p in E: arccosh near 1 resolves only ~sqrt(eps)
+                    assert d < 1e-7
+                else:
+                    assert d == pytest.approx(d_ref, rel=1e-10)
+                assert distance(foot, foot_ref) < 1e-7
+                assert distance(p, foot) == pytest.approx(d, abs=1e-7)
+
+
 def test_distance_errors():
     p = finite_point([1.0, 0, 0])
     deg = GeodesicSimplex((lift_klein([1.0, 0.0], ideal=True),
@@ -453,9 +596,11 @@ def test_distance_errors():
 
 
 def test_clearance_positive_and_symmetric():
-    for n in (3, 4, 5):
+    pinned = {3: 0.7833996184862051, 4: 0.4554901397219446, 5: 0.3173927781509146}
+    for n, value in pinned.items():
         c = min_face_clearance(regular_ideal_simplex(n))
-        assert c > 0.05
+        assert c == pytest.approx(value, rel=1e-12)
+        assert c == pytest.approx(_clearance_by_recursion(regular_ideal_simplex(n)), rel=1e-12)
 
 
 def test_clearance_isometry_invariance():
