@@ -8,12 +8,17 @@ elementary.
 
 The central tool is the dual vector of a facet F_i: the unique unit
 spacelike vector q_i in the Minkowski span of the simplex with
-``<q_i, w> = 0`` on F_i and ``<q_i, w> <= 0`` on the simplex.  Duals give
+``<q_i, w> = 0`` on F_i and ``<q_i, w> <= 0`` on the simplex.  With V the
+matrix of vertex representatives and G = V J V^T their Gram matrix, all
+duals come in closed form from one inverse G^-1 (`_inverse_gram`):
 
-* dihedral angles:  cos(angle at F_i ∩ F_j) = -<q_i, q_j>,
-* hyperplane distances:  sinh d(w, H(F_i)) = -<w, q_i>,
-* the incenter/inradius:  the interior point with <c, q_i> constant,
-  normalized to the hyperboloid, with sinh r = -<inc, q_i>.
+* the duals:  q_i = -V^T G^-1 e_i / sqrt(G^-1_ii),
+* dihedral angles:  cos(angle at F_i ∩ F_j) = -<q_i, q_j>
+  = -G^-1_ij / sqrt(G^-1_ii G^-1_jj),
+* the incenter/inradius:  the interior point sum_i d_i v_i with
+  <c, q_i> constant has d_i = sqrt(G^-1_ii), and sinh r = 1/sqrt(-d^T G d).
+
+Duals also give hyperplane distances, sinh d(w, H(F_i)) = -<w, q_i>.
 
 Point-to-face distances are exact: the nearest point of a convex
 simplex to a finite point lies in the relative interior of exactly one
@@ -179,6 +184,30 @@ def orientation_sign(K: GeodesicSimplex, tol: float = 1e-10) -> int:
     return 1 if det > 0 else -1
 
 
+def _inverse_gram(grams: np.ndarray):
+    """(G^-1, its diagonal, spacelike mask) of a (..., k, k) stack of
+    vertex Gram matrices.
+
+    G^-1_ii is the squared Minkowski norm of the unnormalized dual of
+    facet i, so the dual is spacelike where it is positive.  The dual of
+    an ideal facet of a 1-simplex is lightlike: its diagonal entry is an
+    exact zero polluted by rounding, hence a cut relative to the largest
+    entry of each G^-1.
+    """
+    try:
+        ginv = np.linalg.inv(grams)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSimplexError(f"singular Gram matrix: {exc}") from exc
+    diag = np.diagonal(ginv, axis1=-2, axis2=-1)
+    scale = np.maximum(1.0, np.max(np.abs(ginv), axis=(-2, -1)))
+    return ginv, diag, diag > 1e-8 * scale[..., None]
+
+
+def _no_spacelike_dual(facet: str) -> DualVectorError:
+    return DualVectorError(f"{facet} has no spacelike dual; "
+                           "this happens for ideal facets of 1-simplices")
+
+
 @dataclass(frozen=True)
 class FacetDual:
     """Unit spacelike vector Minkowski-orthogonal to facet ``facet_index``."""
@@ -187,50 +216,44 @@ class FacetDual:
     facet_index: int
 
 
-def facet_dual(K: GeodesicSimplex, i: int, tol: float = DEFAULT_TOL) -> FacetDual:
-    """Dual vector of the facet opposite vertex i.
-
-    Solved as a linear system in the span of the vertex representatives;
-    the sign is fixed by <q, v_i> <= 0 for the opposite vertex.
-    """
-    kk = K.k
-    if not (0 <= i <= kk):
+def facet_dual(K: GeodesicSimplex, i: int) -> FacetDual:
+    """Dual vector q_i = -V^T G^-1 e_i / sqrt(G^-1_ii) of the facet opposite
+    vertex i: <q_i, v_m> = 0 for m != i and <q_i, v_i> < 0."""
+    if not (0 <= i <= K.k):
         raise GeometryError(f"facet index {i} out of range")
-    a = K.gram
-    rhs = np.zeros(kk + 1)
-    rhs[i] = 1.0
-    try:
-        c = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSimplexError(f"singular Gram matrix: {exc}") from exc
-    q = K.rep_matrix.T @ c
-    nq = mink(q, q)
-    if nq <= tol:
-        raise DualVectorError(
-            f"facet {i} has no spacelike dual (norm^2 = {nq}); "
-            "this happens for ideal facets of 1-simplices"
-        )
-    q = q / math.sqrt(nq)
-    if mink(q, K.vertices[i].rep) > 0:
-        q = -q
-    return FacetDual(q, i)
+    ginv, diag, spacelike = _inverse_gram(K.gram)
+    if not spacelike[i]:
+        raise _no_spacelike_dual(f"facet {i}")
+    return FacetDual(-(K.rep_matrix.T @ ginv[:, i]) / math.sqrt(diag[i]), i)
 
 
-def all_facet_duals(K: GeodesicSimplex, tol: float = DEFAULT_TOL):
-    return [facet_dual(K, i, tol) for i in range(K.k + 1)]
+def all_facet_duals(K: GeodesicSimplex):
+    return [facet_dual(K, i) for i in range(K.k + 1)]
+
+
+def dihedral_angles(K: GeodesicSimplex) -> np.ndarray:
+    """(k+1, k+1) matrix of the interior dihedral angles at F_i ∩ F_j, nan
+    on the diagonal.
+
+    cos(angle) = -<q_i, q_j> = -G^-1_ij / sqrt(G^-1_ii G^-1_jj), which
+    agrees with the angle of the polygon cut by a 2-plane meeting the
+    face orthogonally.
+    """
+    ginv, diag, spacelike = _inverse_gram(K.gram)
+    if not np.all(spacelike):
+        raise _no_spacelike_dual(f"facet {int(np.argmin(spacelike))}")
+    angles = np.arccos(np.clip(-ginv / np.sqrt(np.outer(diag, diag)), -1.0, 1.0))
+    np.fill_diagonal(angles, np.nan)
+    return angles
 
 
 def dihedral_angle(K: GeodesicSimplex, i: int, j: int) -> float:
-    """Interior dihedral angle at the codimension-2 face F_i ∩ F_j.
-
-    cos(angle) = -<q_i, q_j>, which agrees with the angle of the polygon
-    cut by a 2-plane meeting the face orthogonally.
-    """
+    """Interior dihedral angle at the codimension-2 face F_i ∩ F_j."""
+    if not (0 <= i <= K.k and 0 <= j <= K.k):
+        raise GeometryError(f"facet index pair ({i}, {j}) out of range")
     if i == j:
         raise GeometryError("need two distinct facets")
-    qi = facet_dual(K, i).q
-    qj = facet_dual(K, j).q
-    return math.acos(min(1.0, max(-1.0, -mink(qi, qj))))
+    return float(dihedral_angles(K)[i, j])
 
 
 @dataclass(frozen=True)
@@ -239,36 +262,35 @@ class IncenterResult:
     inradius: float
 
 
-def incenter_inradius(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> IncenterResult:
-    """Center and radius of the largest inscribed ball.
+def _gram_incenter_coeffs(grams: np.ndarray):
+    """Incenters of a stack of simplices from their (simplices, k, k) Gram
+    matrices: (coefficients, sinh of the inradii).
 
-    Solves <c, q_i> = -1 for all facet duals q_i within the span of the
-    simplex and normalizes c to the hyperboloid; the inscribed sphere is
-    tangent to every facet, with sinh r = -<inc, q_i>.
+    Writing the incenter as sum_i d_i v_i, the tangency system
+    <x, q_i> = -1 diagonalizes and gives d_i = sqrt(G^-1_ii), and
+    sinh r = 1 / sqrt(-d^T G d); the coefficients returned are d
+    normalized to the hyperboloid.  A simplex with a facet dual that is
+    not spacelike (an edge with an ideal endpoint) has no incenter; its
+    row and its sinh r are nan.
     """
+    _, diag, spacelike = _inverse_gram(grams)
+    d = np.sqrt(np.where(np.all(spacelike, axis=1)[:, None], diag, np.nan))
+    nx = np.einsum("fi,fij,fj->f", d, grams, d)
+    if np.any(nx >= 0):
+        raise SingularSystemError("incenter candidate is not timelike")
+    norm = np.sqrt(-nx)
+    return d / norm[:, None], 1.0 / norm
+
+
+def incenter_inradius(K: GeodesicSimplex) -> IncenterResult:
+    """Center and radius of the largest inscribed ball (see
+    `_gram_incenter_coeffs`)."""
     if is_degenerate(K):
         raise DegenerateSimplexError("incenter of a degenerate simplex")
-    duals = all_facet_duals(K, tol)
-    v = K.rep_matrix
-    qmat = np.array([d.q for d in duals])
-    b = _mink_rows(qmat, v)  # b[i, m] = <q_i, v_m>
-    try:
-        d = np.linalg.solve(b, -np.ones(K.k + 1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"incenter system is singular: {exc}") from exc
-    c = v.T @ d
-    nc = mink(c, c)
-    if nc >= -tol:
-        raise SingularSystemError(f"incenter candidate is not timelike (<c,c> = {nc})")
-    c = c / math.sqrt(-nc)
-    if c[0] < 0:
-        c = -c
-    p = ProjectivePoint(c, FINITE)
-    sinh_r = [-mink(c, dual.q) for dual in duals]
-    r = math.asinh(sinh_r[0])
-    if r <= 0 or max(sinh_r) - min(sinh_r) > 1e4 * tol * max(1.0, abs(sinh_r[0])):
-        raise SingularSystemError(f"inconsistent tangency values {sinh_r}")
-    return IncenterResult(p, r)
+    (d,), (sinh_r,) = _gram_incenter_coeffs(K.gram[None])
+    if math.isnan(sinh_r):
+        raise _no_spacelike_dual("a facet")
+    return IncenterResult(ProjectivePoint(K.rep_matrix.T @ d, FINITE), math.asinh(sinh_r))
 
 
 def barycentric_point(K: GeodesicSimplex, weights) -> ProjectivePoint:
@@ -397,31 +419,6 @@ def distance_point_to_simplex(p: ProjectivePoint, E: GeodesicSimplex) -> float:
 
 # ---------------------------------------------------------------------------
 # face clearances
-#
-# Face centers are computed from the Minkowski Gram matrix alone: writing
-# the incenter of a face F as sum_i d_i v_i over its vertices, the
-# tangency system <x, q_i> = -1 diagonalizes and gives the closed form
-# d_i = sqrt((G_F^{-1})_{ii}).
-
-
-def _gram_incenter_coeffs(grams: np.ndarray) -> np.ndarray:
-    """Vertex coefficients of the incenters of a stack of faces, normalized
-    to the hyperboloid, from their (faces, k, k) Gram matrices.
-
-    A face with a facet dual that is not spacelike (an edge with an ideal
-    endpoint) has no incenter; its row is nan.
-    """
-    ginv = np.linalg.inv(grams)
-    diag = np.diagonal(ginv, axis1=1, axis2=2)
-    # duals of ideal facets of 1-simplices are lightlike; their inverse-Gram
-    # diagonal is an exact zero polluted by rounding, hence the relative cut
-    scale = np.maximum(1.0, np.max(np.abs(ginv), axis=(1, 2)))
-    spacelike = np.min(diag, axis=1) > 1e-8 * scale
-    d = np.sqrt(np.where(spacelike[:, None], diag, np.nan))
-    nx = np.einsum("fi,fij,fj->f", d, grams, d)
-    if np.any(nx >= 0):
-        raise SingularSystemError("incenter candidate is not timelike")
-    return d / np.sqrt(-nx)[:, None]
 
 
 @functools.cache
@@ -481,10 +478,10 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
     degenerate = s[:, -1] <= 1e-10 * np.maximum(s[:, 0], 1.0)
     if np.any(degenerate):
         raise DegenerateSimplexError(f"degenerate face {tuple(faces[np.argmax(degenerate)])}")
-    centers = _gram_incenter_coeffs(g_faces)
+    centers, _ = _gram_incenter_coeffs(g_faces)
     edges = np.flatnonzero(np.isnan(centers[:, 0]))
     if len(edges):
-        ambient = _gram_incenter_coeffs(gram[None])[0]
+        (ambient,), _ = _gram_incenter_coeffs(gram[None])
         for f in edges:
             # ideal edge: foot of the ambient incenter on its geodesic
             rhs = gram[faces[f]] @ ambient

@@ -3,8 +3,10 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +309,19 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("script, args", [
+    ("maximality_probe.py", ["--n", "2", "--trials", "5"]),
+    ("cover_census.py", ["--fixture", "torus", "--count", "2", "--max-degree", "3"]),
+])
+def test_scripts_run(script, args):
+    # the scripts import the package API directly; a tiny run catches a break
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

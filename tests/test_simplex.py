@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypstab.constants import _build, _jitter
+from hypstab.constants import _angle_violation, _build, _jitter, angle_bracket, margin_a
 from hypstab.minkowski import (
     DEFAULT_TOL,
     GeometryError,
@@ -28,6 +28,7 @@ from hypstab.simplex import (
     barycentric_coords,
     barycentric_point,
     dihedral_angle,
+    dihedral_angles,
     distance_point_to_simplex,
     facet_dual,
     incenter_inradius,
@@ -86,16 +87,26 @@ def test_dihedral_regular_values():
 
 
 def test_dihedral_relabeling_invariance():
-    K = regular_ideal_simplex(3)
     rng = np.random.default_rng(0)
     Kp = random_nondegenerate_simplex(3, rng)
     a = dihedral_angle(Kp, 1, 2)
     # relabel vertices fixing {1, 2}
-    Kq = Kp.face((0, 1, 2, 3))
     Kswap = GeodesicSimplex((Kp.vertices[3], Kp.vertices[1], Kp.vertices[2],
                              Kp.vertices[0]), 3)
     assert dihedral_angle(Kswap, 1, 2) == pytest.approx(a, abs=1e-12)
-    del K, Kq
+
+
+def test_facet_index_checks():
+    # a lookup in the G^-1 matrix would wrap a negative index silently
+    K = regular_ideal_simplex(3)
+    with pytest.raises(GeometryError):
+        facet_dual(K, -1)
+    with pytest.raises(GeometryError):
+        facet_dual(K, K.k + 1)
+    with pytest.raises(GeometryError):
+        dihedral_angle(K, -1, 0)
+    with pytest.raises(GeometryError):
+        dihedral_angle(K, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +127,105 @@ def test_facet_dual_defining_conditions():
                         assert val < 1e-10
                     else:
                         assert abs(val) < 1e-10
+
+
+def _facet_dual_by_solve(K, i, tol=DEFAULT_TOL):
+    """Reference dual of facet i: one Gram solve G c = e_i in the span of
+    the vertex representatives, q = V^T c normalized, with the sign fixed
+    by <q, v_i> <= 0 for the opposite vertex."""
+    rhs = np.zeros(K.k + 1)
+    rhs[i] = 1.0
+    q = K.rep_matrix.T @ np.linalg.solve(K.gram, rhs)
+    nq = mink(q, q)
+    if nq <= tol:
+        raise DualVectorError(f"facet {i} has no spacelike dual (norm^2 = {nq})")
+    q = q / math.sqrt(nq)
+    return -q if mink(q, K.vertices[i].rep) > 0 else q
+
+
+def _incenter_by_solves(K, tol=DEFAULT_TOL):
+    """Reference (incenter representative, inradius): solve <c, q_i> = -1
+    for the per-facet duals q_i within the span of the simplex, normalize
+    c to the hyperboloid and check that every facet is tangent, with
+    sinh r = -<c, q_i>."""
+    duals = np.array([_facet_dual_by_solve(K, i, tol) for i in range(K.k + 1)])
+    v = K.rep_matrix
+    c = v.T @ np.linalg.solve(_mink_rows(duals, v), -np.ones(K.k + 1))
+    nc = mink(c, c)
+    assert nc < -tol
+    c = c / math.sqrt(-nc)
+    if c[0] < 0:
+        c = -c
+    sinh_r = -_mink_rows(duals, c[None, :]).ravel()
+    assert np.ptp(sinh_r) <= 1e4 * tol * max(1.0, abs(sinh_r[0]))
+    return c, math.asinh(sinh_r[0])
+
+
+def _kernel_reference_simplices():
+    """Random simplices for n = 2..5 and k = 2..n with all finite, mixed and
+    all ideal vertices (20 each), and the regular ideal simplices."""
+    rng = np.random.default_rng(1010)
+    for n in range(2, 6):
+        for k in range(2, n + 1):
+            yield regular_ideal_simplex(n, k)
+            for ideal_prob in (0.0, 0.5, 1.0):
+                for _ in range(20):
+                    yield random_nondegenerate_simplex(n, rng, ideal_prob=ideal_prob, k=k)
+
+
+def test_inverse_gram_matches_solves():
+    count = 0
+    for K in _kernel_reference_simplices():
+        ref = np.array([_facet_dual_by_solve(K, i) for i in range(K.k + 1)])
+        duals = np.array([d.q for d in all_facet_duals(K)])
+        assert np.max(np.abs(duals - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        # cosines, not angles: arccos is flat near 0 and pi; the ideal
+        # vertices' zero angles clip rounding above 1
+        cos_ref = np.clip(-_mink_rows(ref, ref), -1.0, 1.0)
+        iu = np.triu_indices(K.k + 1, 1)
+        assert np.max(np.abs(np.cos(dihedral_angles(K))[iu] - cos_ref[iu])) <= 1e-12
+        c_ref, r_ref = _incenter_by_solves(K)
+        res = incenter_inradius(K)
+        assert np.max(np.abs(res.incenter.rep - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+        assert res.inradius == pytest.approx(r_ref, rel=1e-12)
+        count += 1
+    assert count >= 600
+
+
+def test_angle_violation_regular_and_search_candidates():
+    # on the regular ideal simplex every angle is alpha_n
+    for n in range(4, 9):
+        lo, hi = angle_bracket(n, margin_a(n))
+        alpha = math.acos(1.0 / (n - 1))
+        assert _angle_violation(regular_ideal_simplex(n), lo, hi) == pytest.approx(
+            -min(alpha - lo, hi - alpha), abs=1e-12)
+    # candidates of the eps_n search against angles from the per-facet
+    # solves; near 0 and pi a cosine error of 1e-16 moves arccos by ~1e-8
+    rng = np.random.default_rng(31)
+    signs = set()
+    for n in (4, 5):
+        lo, hi = angle_bracket(n, margin_a(n))
+        base = regular_ideal_simplex(n).klein_vertices()
+        made = 0
+        while made < 50:
+            scale = 10.0 ** rng.uniform(-3.0, -0.3)
+            ideal = [True] * (n + 1)
+            kv = _jitter(base, ideal, rng, scale)
+            if made % 3 == 0:
+                i = made % (n + 1)
+                ideal[i] = False
+                kv[i] *= 1.0 - abs(rng.normal(0.0, scale))
+            K = _build(kv, ideal, n)
+            if is_degenerate(K, tol=1e-8):
+                continue
+            made += 1
+            q = np.array([_facet_dual_by_solve(K, j) for j in range(n + 1)])
+            cos = np.clip(-_mink_rows(q, q)[np.triu_indices(n + 1, 1)], -1.0, 1.0)
+            angles = np.arccos(cos)
+            expect = max(np.max(lo - angles), np.max(angles - hi))
+            assert _angle_violation(K, lo, hi) == pytest.approx(expect, abs=1e-7)
+            signs.add(expect > 0)
+    assert signs == {False, True}
 
 
 def test_facet_dual_regular_3():
@@ -657,6 +767,19 @@ def test_ideal_edge_has_no_incenter():
     edge = regular_ideal_simplex(3).face((0, 1))
     with pytest.raises(DualVectorError):
         incenter_inradius(edge)
+
+
+def test_segment_with_one_ideal_end_has_one_dual():
+    # the finite endpoint's facet keeps a spacelike dual, the ideal one's
+    # is lightlike
+    seg = GeodesicSimplex((lift_klein([1.0, 0.0, 0.0], ideal=True),
+                           lift_klein([0.0, 0.3, 0.0])), 3)
+    q = facet_dual(seg, 0).q
+    assert np.max(np.abs(q - _facet_dual_by_solve(seg, 0))) < 1e-12
+    with pytest.raises(DualVectorError):
+        facet_dual(seg, 1)
+    with pytest.raises(DualVectorError):
+        incenter_inradius(seg)
 
 
 def test_finite_segment_incenter_is_midpoint():
