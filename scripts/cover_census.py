@@ -13,6 +13,7 @@ import argparse
 
 import numpy as np
 
+from hypstab.cli import int_at_least
 from hypstab.complexes import (
     build_cover,
     cell_counts,
@@ -20,15 +21,15 @@ from hypstab.complexes import (
     random_cover_spec,
     verify_cycle,
 )
-from hypstab.fixtures import load_fixture
+from hypstab.fixtures import ALIASES, fixture_names, load_fixture
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fixture", default="torus")
-    ap.add_argument("--count", type=int, default=10)
-    ap.add_argument("--max-degree", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--fixture", default="torus", choices=sorted([*fixture_names(), *ALIASES]))
+    ap.add_argument("--count", type=int_at_least(1), default=10)
+    ap.add_argument("--max-degree", type=int_at_least(2), default=8)
+    ap.add_argument("--seed", type=int_at_least(0), default=0)
     args = ap.parse_args()
 
     T = load_fixture(args.fixture)

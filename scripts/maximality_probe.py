@@ -10,15 +10,16 @@ Example:
 
 import argparse
 
+from hypstab.cli import int_at_least
 from hypstab.volume import maximality_probe
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, nargs="+", default=[2, 3])
-    ap.add_argument("--trials", type=int, default=500)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--budget-per-trial", type=int, default=4096)
+    ap.add_argument("--n", type=int, nargs="+", default=[2, 3], choices=range(2, 6))
+    ap.add_argument("--trials", type=int_at_least(1), default=500)
+    ap.add_argument("--seed", type=int_at_least(0), default=0)
+    ap.add_argument("--budget-per-trial", type=int_at_least(1000), default=4096)
     args = ap.parse_args()
 
     for n in args.n:

@@ -374,27 +374,19 @@ def _sample_count(text: str) -> int:
     return count
 
 
-def _seed(text: str) -> int:
-    """Type of --seed: a non-negative integer, as numpy's generators require."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if seed < 0:
-        raise argparse.ArgumentTypeError("must be at least 0")
-    return seed
-
-
-def _positive_int(text: str) -> int:
-    """Type of the eps_n search counts: an integer >= 1 (a search with no
+def int_at_least(low: int):
+    """An argparse type: an integer >= low.  --seed takes 0, as numpy's
+    generators require; the eps_n search counts take 1 (a search with no
     restart, bisection step or climb step evaluates no simplex)."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return count
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -419,21 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="per-dimension constants table (4 <= n <= 8)")
-    c.add_argument("--seed", type=_seed, default=0,
+    c.add_argument("--seed", type=int_at_least(0), default=0,
                    help="seed of the eps search (default 0; identical seeds give identical output)")
     _add_output(c, ("text", "json", "csv"))
     c.add_argument("--n-min", type=int, default=4)
     c.add_argument("--n-max", type=int, default=5)
-    c.add_argument("--restarts", type=_positive_int, default=64,
+    c.add_argument("--restarts", type=int_at_least(1), default=64,
                    help="optimizer restarts in the eps search (at least 1)")
-    c.add_argument("--depth", type=_positive_int, default=20,
+    c.add_argument("--depth", type=int_at_least(1), default=20,
                    help="bisection step budget (at least 1)")
-    c.add_argument("--climb-iters", type=_positive_int, default=12,
+    c.add_argument("--climb-iters", type=int_at_least(1), default=12,
                    help="hill-climb steps per restart (at least 1)")
     c.set_defaults(func=cmd_constants)
 
     v = sub.add_parser("volume", help="volume of a geodesic simplex")
-    v.add_argument("--seed", type=_seed, default=None,
+    v.add_argument("--seed", type=int_at_least(0), default=None,
                    help="random seed of a simplex file's volume (default 0; "
                         "identical seeds give identical output)")
     v.add_argument("--samples", type=_sample_count, default=None,

@@ -570,10 +570,14 @@ def characteristic_cover_spec(T: Triangulation, x: int) -> CoverSpec:
 def random_cover_spec(T: Triangulation, degree: int, rng, max_tries: int = 64) -> CoverSpec:
     """A random admissible cover assignment.
 
-    Powers of one random d-cycle commute, so on complexes whose codim-2
-    walk words have zero signed exposure per pairing (oriented surface
-    complexes in particular) the assignment is automatically unbranched;
-    other complexes are retried until the holonomy check passes.
+    Each pairing gets a random power of one random permutation of the d
+    sheets.  Powers of one permutation commute, so on complexes whose
+    codim-2 walk words have zero signed exposure per pairing (oriented
+    surface complexes in particular) the assignment is automatically
+    unbranched; other complexes are retried until the holonomy check
+    passes.  The permutation is a d-cycle only with probability 1/d, and
+    the sheets of one of its cycles are never joined to another's, so
+    most of these covers are disconnected.
     """
     for _ in range(max_tries):
         base = tuple(rng.permutation(degree).tolist())

@@ -19,12 +19,16 @@ remaining sample budget; the deficit spends the same number of samples
 on every stratum.
 
 The sampler works a block at a time: it stacks the antithetic uniform
-draws of consecutive strata (splitting a large one) into one array of
-`_BLOCK_ROWS` rows, then takes the log, normalises, rejects, maps into
-the corners and evaluates the density once per block, with each row's
-corner and scale looked up from its stratum.  Per-stratum counts and
-sums come from `np.bincount`.  Each stratum's draws are the same however
-the strata fall into blocks.
+draws of consecutive strata, in index order and splitting a large one,
+into one array of `_BLOCK_ROWS` rows, then takes the log, normalises,
+maps into the corners and evaluates the density once per block, in
+whole-column steps.  The core's rows come first in every block, so the
+core test reads that prefix and the corner map the rest, with each
+row's corner and scale looked up from its stratum; rejection is a mask
+applied to the 1-D values after the density, and log u / sum log u
+needs no negation.  Per-stratum counts and sums come from
+`np.bincount`.  Each stratum's draws are the same however the strata
+fall into blocks.
 
 v_n, the volume of the regular ideal n-simplex, is computed, not
 sampled: every ideal triangle has area pi, the regular ideal tetrahedron
@@ -208,18 +212,19 @@ def _strata(n: int, ideal_idx: np.ndarray, levels: int) -> list:
 _BLOCK_ROWS = 1 << 12
 
 
-def _uniform_blocks(rngs, requests, width: int):
-    """The antithetic uniform rows of all requests, in order, in full blocks.
+def _uniform_blocks(rngs, counts, width: int):
+    """The antithetic uniform rows of all strata, in index order, in full blocks.
 
-    Request (idx, count) draws half = ceil(count / 2) rows u from
-    rngs[idx] in one call and stands for u followed by the first
-    count - half rows of 1 - u; a request may span blocks.  Yields
-    (rows, request index of each row) with _BLOCK_ROWS rows in every
-    block but the last; the rows array is reused.
+    Stratum idx draws half = ceil(counts[idx] / 2) rows u from rngs[idx] in
+    one call and stands for u followed by the first counts[idx] - half rows
+    of 1 - u; a stratum may span blocks.  The rows of u are floored at
+    1e-300 as they are copied, so that every row has a finite log (1 - u
+    is at least 2^-53).  Yields (rows, stratum index of each row) with
+    _BLOCK_ROWS rows in every block but the last; the rows array is reused.
     """
     buf = np.empty((_BLOCK_ROWS, width))
     ids, sizes, fill = [], [], 0
-    for r, (idx, count) in enumerate(requests):
+    for idx, count in enumerate(counts):
         half = (count + 1) // 2
         u = rngs[idx].random((half, width))
         lo = 0
@@ -227,9 +232,9 @@ def _uniform_blocks(rngs, requests, width: int):
             hi = min(count, lo + _BLOCK_ROWS - fill)
             part = buf[fill:fill + hi - lo]
             head = min(max(half - lo, 0), hi - lo)  # rows of u, then of 1 - u
-            part[:head] = u[lo:lo + head]
+            np.maximum(u[lo:lo + head], 1e-300, out=part[:head])
             np.subtract(1.0, u[lo + head - half:hi - half], out=part[head:])
-            ids.append(r)
+            ids.append(idx)
             sizes.append(hi - lo)
             fill += hi - lo
             lo = hi
@@ -252,43 +257,52 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sample(rngs, requests, n: int, strata: list, ideal_idx: np.ndarray,
+def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray,
             terms) -> tuple[np.ndarray, np.ndarray]:
-    """Integrand values at the accepted draws of each request, in request order.
+    """Integrand values at the accepted draws of each stratum, in stratum order.
 
-    Request (idx, count) turns `count` antithetic uniform rows from
-    rngs[idx] into Dirichlet(1, ..., 1) points of stratum idx: the core
-    rejects every point with a coordinate >= 1/2 at an ideal vertex, the
-    shell with corner (i, scale) rejects local coordinate >= 1/2 at i and
-    maps into the scaled corner.  The integrand at an accepted point
-    lambda is the sum of c * (lambda^T M lambda)^{-(n+1)/2} over the
-    (c, M) in `terms`.  Every step runs once per block of many strata,
-    with the corner and scale of each row looked up from its request.
-    Returns the values and the request index of each.
+    Stratum idx turns counts[idx] antithetic uniform rows from rngs[idx]
+    into Dirichlet(1, ..., 1) points: the core rejects every point with a
+    coordinate >= 1/2 at an ideal vertex, the shell with corner (i, scale)
+    rejects local coordinate >= 1/2 at i and maps into the scaled corner.
+    The integrand at a point lambda is the sum of
+    c * (lambda^T M lambda)^{-(n+1)/2} over the (c, M) in `terms`.
+
+    Every step runs once per block of many strata on whole columns.  The
+    strata come in index order, so the core rows are a prefix of every
+    block: the core test reads that prefix one ideal column at a time,
+    and the shell scale, the corner look-up and the corner map touch the
+    suffix only.  lambda is log u / sum log u, which rounds exactly as
+    E / sum E with E = -log u, so no negation is needed.  The integrand
+    is evaluated on every row and rejection is a mask applied to the 1-D
+    values and strata afterwards.  Returns the values and the stratum
+    index of each.
     """
     width = n + 1
     exponent = -width / 2.0
-    strat = np.array([idx for idx, _ in requests], dtype=np.intp)
-    corner = np.array([-1 if c is None else c[0] for _, c in strata])[strat]
-    scale = np.array([1.0 if c is None else c[1] for _, c in strata])[strat]
+    corner = np.array([-1 if c is None else c[0] for _, c in strata])
+    scale = np.array([1.0 if c is None else c[1] for _, c in strata])
     values, owners = [np.empty(0)], [np.empty(0, dtype=np.intp)]
-    for lam, owner in _uniform_blocks(rngs, requests, width):
-        np.clip(lam, 1e-300, 1.0, out=lam)
+    for lam, owner in _uniform_blocks(rngs, counts, width):
         np.log(lam, out=lam)
-        np.negative(lam, out=lam)
         lam /= _row_sums(lam)[:, None]
-        ci = corner[owner]
-        at = lam.ravel()[np.arange(ci.size) * width + ci]  # a core row (ci = -1) ignores it
-        keep = at < 0.5
-        core = np.flatnonzero(ci < 0)
-        keep[core] = np.all(lam[core[:, None], ideal_idx] < 0.5, axis=1)
-        lam, owner, ci, at = lam[keep], owner[keep], ci[keep], at[keep]
-        sc = scale[owner]
-        lam *= sc[:, None]
-        shell = np.flatnonzero(ci >= 0)
-        lam.ravel()[shell * width + ci[shell]] = 1.0 - sc[shell] * (1.0 - at[shell])
-        values.append(sum(c * np.maximum(_row_sums((lam @ mmat) * lam), 1e-300) ** exponent
-                          for c, mmat in terms))
+        if ideal_idx.size:
+            core = int(np.searchsorted(owner, 1))  # rows of stratum 0
+            keep = np.ones(owner.size, dtype=bool)
+            for i in ideal_idx:
+                keep[:core] &= lam[:core, i] < 0.5
+            shell, ci, sc = lam[core:], corner[owner[core:]], scale[owner[core:]]
+            flat = np.arange(ci.size) * width + ci
+            at = shell.ravel()[flat]
+            keep[core:] = at < 0.5
+            shell *= sc[:, None]
+            shell.ravel()[flat] = 1.0 - sc * (1.0 - at)
+        f = sum(c * np.maximum(_row_sums((lam @ mmat) * lam), 1e-300) ** exponent
+                for c, mmat in terms)
+        if ideal_idx.size:
+            rows = np.flatnonzero(keep)
+            f, owner = f[rows], owner[rows]
+        values.append(f)
         owners.append(owner)
     return np.concatenate(values), np.concatenate(owners)
 
@@ -351,7 +365,7 @@ def simplex_volume(
     rngs = _substreams([seed], k)
 
     def sample(counts):  # accepted draws, sum of f and sum of f^2 per stratum
-        f, owner = _sample(rngs, list(enumerate(counts)), n, strata, ideal_idx, [(1.0, mmat)])
+        f, owner = _sample(rngs, counts, n, strata, ideal_idx, [(1.0, mmat)])
         return np.array([np.bincount(owner, w, minlength=k) for w in (None, f, f * f)])
 
     def sem(idx):  # standard error of the stratum mean
@@ -489,7 +503,7 @@ def volume_deficit_vs_regular(
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rngs = _substreams(seed_seq + [0xD1F], k)
     per = max(32, budget // k)
-    g, owner = _sample(rngs, [(idx, per) for idx in range(k)], n, strata, ideal_idx,
+    g, owner = _sample(rngs, [per] * k, n, strata, ideal_idx,
                        [(volk, mk), (-volr, mr)])
     count = np.bincount(owner, minlength=k)
     if count.min() < 2:
@@ -540,10 +554,13 @@ def maximality_probe(
     Each trial draws vertices in the Klein ball (a mixture of finite and
     ideal ones), rejects degenerate draws without counting them, and
     checks vol < v_n within 3 standard errors.  The maximum observed
-    volume and its vertex Gram data are recorded.
+    volume and its vertex Gram data are recorded.  Raises `GeometryError`
+    for fewer than one trial, which would leave no maximum.
     """
     if not 2 <= n <= 5:
         raise GeometryError("probe supports dimensions 2..5")
+    if trials < 1:
+        raise GeometryError(f"the probe needs at least one trial, got {trials}")
     v_ref = ideal_regular_volume(n).value
     rng = np.random.default_rng([seed, 0xBEEF])
     best = (-math.inf, 0.0, None)

@@ -311,17 +311,37 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def run_script(script, args):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("script, args", [
     ("maximality_probe.py", ["--n", "2", "--trials", "5"]),
     ("cover_census.py", ["--fixture", "torus", "--count", "2", "--max-degree", "3"]),
 ])
 def test_scripts_run(script, args):
     # the scripts import the package API directly; a tiny run catches a break
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    done = run_script(script, args)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("script, args", [
+    ("maximality_probe.py", ["--n", "2", "--trials", "0"]),
+    ("maximality_probe.py", ["--n", "2", "--budget-per-trial", "999"]),
+    ("maximality_probe.py", ["--n", "6"]),
+    ("cover_census.py", ["--max-degree", "1"]),
+    ("cover_census.py", ["--count", "0"]),
+    ("cover_census.py", ["--seed", "-1"]),
+    ("cover_census.py", ["--fixture", "nope"]),
+])
+def test_scripts_bad_input_exits_2(script, args):
+    done = run_script(script, args)
+    assert done.returncode == 2, done.stderr
+    assert len([line for line in done.stderr.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in done.stderr and done.stdout == ""
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,12 @@ def test_maximality_probe_smoke():
     assert rep3.max_value < rep3.v_ref + 3 * rep3.max_std_error
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_maximality_probe_needs_a_trial(trials):
+    with pytest.raises(GeometryError, match="at least one trial"):
+        maximality_probe(2, trials=trials)
+
+
 def test_near_regular_volumes_increase():
     # shrinking the perturbation pushes the volume up towards v_3
     base = regular_ideal_simplex(3).klein_vertices()
@@ -492,3 +498,148 @@ def test_simplex_volume_kernel_matches_reference(n, kind):
             assert est.samples == samples, (levels, budget, seed)
             assert est.value == pytest.approx(value, rel=1e-12, abs=0.0), (levels, budget, seed)
             assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# bit identity: the kernel's output, pinned to the last bit
+
+#: float.hex of simplex_volume(K, budget, seed=3)'s value and std_error, its
+#: samples, and float.hex of volume_deficit_vs_regular(K, budget, [5, 8])'s
+#: deficit and sigma, for budget 40_000 (many blocks) and 4_097 (odd), as the
+#: kernel gave them before its blocks were reduced to whole-column steps.
+#: The reference tests above allow 1e-12 and cannot see a last-bit change;
+#: these pin the random stream and the rounding on one numpy/OpenBLAS build.
+#: The 4_097 row of (2, "ideal") has std_error inf: its core accepted one
+#: pilot draw, so its Neyman weight is 0 and it draws no more.
+KERNEL_PINS = {
+    (2, "finite"): [
+        ("0x1.86ed7dd7acf01p-2", "0x1.c78f14130364dp-11", 40000,
+         "0x1.61b50d362a5ddp+1", "0x1.4a80e7897f885p-6"),
+        ("0x1.8afa473943ab8p-2", "0x1.73fdc89cce1bep-9", 4097,
+         "0x1.5f6b73756dc47p+1", "0x1.acaa1d10eff6ep-6"),
+    ],
+    (2, "mixed"): [
+        ("0x1.0fff737eea035p-1", "0x1.33bb25399dca0p-10", 39985,
+         "0x1.4e77adca1496dp+1", "0x1.2c76faa1322cap-6"),
+        ("0x1.10802a4b52e69p-1", "0x1.05685f03867fcp-8", 4085,
+         "0x1.4caa0ed02116dp+1", "0x1.87401e5e9187ap-6"),
+    ],
+    (2, "ideal"): [
+        ("0x1.9027f19d64babp+1", "0x1.0f078cd6db7cap-6", 39963,
+         "0x1.0fc4da10d62bcp-10", "0x1.d0546bb58e532p-6"),
+        ("0x1.92d6edd1d3572p+1", "inf", 4069,
+         "-0x1.168ebdca68d9ep-9", "0x1.5b17aba548587p-4"),
+    ],
+    (3, "finite"): [
+        ("0x1.b728021576518p-7", "0x1.565dd890d2d95p-16", 40000,
+         "0x1.0129d96797882p+0", "0x1.7c3b6c08157a1p-9"),
+        ("0x1.b8096bcc4ff05p-7", "0x1.10e26be637b4ep-14", 4097,
+         "0x1.032aefad23802p+0", "0x1.2afd5effc6bfdp-7"),
+    ],
+    (3, "mixed"): [
+        ("0x1.dc0808c0ed143p-5", "0x1.0215b45e19508p-13", 39987,
+         "0x1.eb6cfb7b82c0fp-1", "0x1.6de00370fa57cp-9"),
+        ("0x1.d89d9d0b58962p-5", "0x1.b5dcf6554b768p-12", 4086,
+         "0x1.ef5597286a878p-1", "0x1.1f2eb46f799cdp-7"),
+    ],
+    (3, "ideal"): [
+        ("0x1.9df240071cfefp-2", "0x1.e6d41ca065710p-9", 39974,
+         "0x1.3a157d8114d89p-1", "0x1.129a1c1d2a9a2p-7"),
+        ("0x1.a1e582cc8a3e8p-2", "0x1.a9c6baee8c84ap-7", 4080,
+         "0x1.24b989fe10e5cp-1", "0x1.63e5cfbf0a9b2p-5"),
+    ],
+    (4, "finite"): [
+        ("0x1.cce07cea613a0p-11", "0x1.ec5b1378bb7e9p-19", 40000,
+         "0x1.11c01ed1b3dcdp-2", "0x1.30987ae7ecb22p-10"),
+        ("0x1.ce5ff1d71463fp-11", "0x1.897975f8bea41p-17", 4097,
+         "0x1.12ba9e6a2dca5p-2", "0x1.e1acd1ec7dd12p-9"),
+    ],
+    (4, "mixed"): [
+        ("0x1.7052252a14ebdp-6", "0x1.95d33ffcfc017p-14", 39992,
+         "0x1.f7c6c4d71542ap-3", "0x1.2af18250fd14ap-10"),
+        ("0x1.732ac7c6e20dbp-6", "0x1.65aa793c85337p-12", 4088,
+         "0x1.f8b17c738bcdap-3", "0x1.e6a2f0733acb2p-9"),
+    ],
+    (4, "ideal"): [
+        ("0x1.a45d120a18225p-3", "0x1.e688b322ad854p-10", 39977,
+         "0x1.0294b437cb0dap-4", "0x1.bd85e882dcf67p-8"),
+        ("0x1.93177288188f9p-3", "0x1.20b5c1e2ee682p-7", 4084,
+         "0x1.5225282022f9ep-4", "0x1.dfe67a193d144p-7"),
+    ],
+    (5, "finite"): [
+        ("0x1.545daed654423p-13", "0x1.f84ad56bd4e92p-23", 40000,
+         "0x1.d5c3d7aec7b40p-5", "0x1.74dc773384156p-12"),
+        ("0x1.556815779515ap-13", "0x1.89246f24dff85p-21", 4097,
+         "0x1.ca89e2509bc9dp-5", "0x1.fb058dc8ccb44p-11"),
+    ],
+    (5, "mixed"): [
+        ("0x1.b287fecbf554bp-7", "0x1.60449e1291407p-15", 39988,
+         "0x1.6c1b582fd4ddap-5", "0x1.643621961ca1dp-12"),
+        ("0x1.b32d45edf8fe3p-7", "0x1.5ea59562bc4edp-13", 4091,
+         "0x1.6589978b86c28p-5", "0x1.ef3dcc5a4bfb8p-11"),
+    ],
+    (5, "ideal"): [
+        ("0x1.103a1a2b2afbap-5", "0x1.1a4805ed67dd4p-13", 39979,
+         "0x1.8d3bb72f96743p-6", "0x1.74f83a3356467p-11"),
+        ("0x1.0dbbce62d2101p-5", "0x1.56f279569503dp-10", 4087,
+         "0x1.81a0bbb62f7c7p-6", "0x1.80d2ba3cd1803p-10"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, kind", KERNEL_CASES)
+def test_kernel_output_is_pinned(n, kind):
+    K = _kernel_case_simplex(n, kind, np.random.default_rng([n, len(kind), 2]))
+    for budget, pin in zip((40_000, 4_097), KERNEL_PINS[n, kind]):
+        est = simplex_volume(K, budget, seed=3)
+        deficit, sigma = volume_deficit_vs_regular(K, budget, [5, 8], v_ref=1.0)
+        got = (est.value.hex(), est.std_error.hex(), est.samples, deficit.hex(), sigma.hex())
+        assert got == pin, budget
+
+
+#: Per-stratum counts for `_sample` on an n = 3 simplex with ideal vertices
+#: 1 and 3 and 3 shell levels (7 strata), in 4096-row blocks.
+SAMPLE_COUNTS = [
+    # no core; zero counts between shells; the second block starts inside
+    # stratum 5
+    [0, 33, 0, 0, 17, 5000, 1],
+    # a core over three blocks; odd counts; the fourth block starts inside
+    # stratum 3
+    [2 * volume._BLOCK_ROWS + 101, 0, 7, 4095, 0, 3, 1],
+    # only the core, ending exactly at a block boundary
+    [volume._BLOCK_ROWS, 0, 0, 0, 0, 0, 0],
+]
+
+
+@pytest.mark.parametrize("counts", SAMPLE_COUNTS)
+def test_sample_matches_reference_per_stratum(counts):
+    n = 3
+    K = _kernel_case_simplex(n, "mixed", np.random.default_rng([n, 5, 3]))
+    mmat, _, ideal_idx = volume._klein_form(K)
+    mreg = volume._regular_klein_form(n)[0]
+    strata = volume._strata(n, ideal_idx, 3)
+    assert ideal_idx.tolist() == [1, 3] and len(strata) == len(counts)
+    f, owner = volume._sample(volume._substreams([4], len(strata)), counts, n, strata,
+                              ideal_idx, [(1.0, mmat), (0.5, mreg)])
+    assert np.all(np.diff(owner) >= 0)
+    exponent = -(n + 1) / 2.0
+    for idx, count in enumerate(counts):
+        lam = _ref_draw(np.random.default_rng([4, idx]), count, n, strata[idx][1], ideal_idx)
+        ref = _ref_density(lam, mmat, exponent) + 0.5 * _ref_density(lam, mreg, exponent)
+        got = f[owner == idx]
+        assert got.shape == ref.shape, idx
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_sample_without_ideal_vertices_keeps_every_row():
+    n = 4
+    K = _kernel_case_simplex(n, "finite", np.random.default_rng([n, 6, 3]))
+    mmat, _, ideal_idx = volume._klein_form(K)
+    strata = volume._strata(n, ideal_idx, 40)
+    assert len(strata) == 1
+    count = 2 * volume._BLOCK_ROWS + 3
+    f, owner = volume._sample(volume._substreams([9], 1), [count], n, strata, ideal_idx,
+                              [(1.0, mmat)])
+    lam = _ref_draw(np.random.default_rng([9, 0]), count, n, None, ideal_idx)
+    assert owner.tolist() == [0] * count
+    np.testing.assert_allclose(f, _ref_density(lam, mmat, -(n + 1) / 2.0), rtol=1e-12, atol=0.0)
