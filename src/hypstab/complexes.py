@@ -19,7 +19,8 @@ The module computes cell counts and Euler characteristics via union-find
 over the induced face identifications, orientations (a pairing must
 reverse the boundary orientations of the two facets), vertex links and
 edge valences in dimension 3, the alternated fundamental cycle with
-exact rational coefficients, and finite covers described by permutation
+exact rational coefficients, whose boundary is exact integer arithmetic
+over one common denominator, and finite covers described by permutation
 assignments.  A cover assignment is admissible when the ordered product
 of permutations around every codimension-2 cycle is the identity (the
 unbranched condition); branched assignments are rejected with the
@@ -68,27 +69,28 @@ class Triangulation:
     labels: dict | None = None
 
     @cached_property
-    def _slot_table(self) -> dict:
-        """(simplex, facet) -> (pairing index, side) with side in {'a','b'}."""
+    def _neighbors(self) -> dict:
+        """(simplex, facet) -> `neighbor`'s tuple, for every paired slot."""
         table = {}
         for idx, p in enumerate(self.pairings):
-            for slot, side in (((p.a, p.facet_a), "a"), ((p.b, p.facet_b), "b")):
+            fw = p.forward()
+            bw = {w: v for v, w in fw.items()}
+            for slot, entry in (((p.a, p.facet_a), (p.b, p.facet_b, fw, idx, +1)),
+                                ((p.b, p.facet_b), (p.a, p.facet_a, bw, idx, -1))):
                 if slot in table:
                     raise ComplexError(f"slot {slot} used by two pairings")
-                table[slot] = (idx, side)
+                table[slot] = entry
         return table
 
     def neighbor(self, s: int, f: int):
-        """(other simplex, other facet, vertex map dict) across the pairing,
-        or None on the boundary."""
-        entry = self._slot_table.get((s, f))
-        if entry is None:
-            return None
-        idx, side = entry
-        p = self.pairings[idx]
-        if side == "a":
-            return p.b, p.facet_b, p.forward(), idx, +1
-        return p.a, p.facet_a, p.backward(), idx, -1
+        """(other simplex, other facet, vertex map dict, pairing index,
+        direction) across the pairing at slot (s, f), or None on the
+        boundary; direction is +1 from side a to side b and -1 back.
+
+        The vertex map dicts are cached and shared by every caller: they
+        are read-only.
+        """
+        return self._neighbors.get((s, f))
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,18 @@ def validate(T: Triangulation) -> ValidationReport:
 
 
 class _UnionFind:
+    """Union-find with path compression over hashable keys."""
+
     def __init__(self):
         self.parent = {}
 
     def find(self, x):
+        parent = self.parent
         root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
+        while (up := parent.get(root, root)) != root:
+            root = up
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, x, y):
@@ -151,24 +156,28 @@ def cell_counts(T: Triangulation) -> CellCounts:
     """f-vector and Euler characteristic of the quotient cell structure.
 
     Cells of dimension d are orbits of (simplex, vertex subset of size
-    d+1) under the identifications generated by the facet pairings.
+    d+1) under the identifications generated by the facet pairings.  The
+    pair is the integer ``simplex << (n+1) | mask`` with bit v of the mask
+    set for vertex v.
     """
     n, t = T.dim, T.simplex_count
+    shift = n + 1
     uf = _UnionFind()
+    subsets = {}  # (facet, vertex map) -> (mask, image mask) per subset of the facet
     for p in T.pairings:
-        fw = p.forward()
-        verts = list(fw)
-        for size in range(1, n + 1):
-            for sub in itertools.combinations(verts, size):
-                img = frozenset(fw[v] for v in sub)
-                uf.union((p.a, frozenset(sub)), (p.b, img))
+        pairs = subsets.get((p.facet_a, p.vertex_map))
+        if pairs is None:
+            fw = p.forward()
+            pairs = subsets[p.facet_a, p.vertex_map] = [
+                (sum(1 << v for v in sub), sum(1 << fw[v] for v in sub))
+                for size in range(1, n + 1) for sub in itertools.combinations(fw, size)]
+        a, b = p.a << shift, p.b << shift
+        for mask, image in pairs:
+            uf.union(a | mask, b | image)
     f = []
     for d in range(n):
-        cells = set()
-        for s in range(t):
-            for sub in itertools.combinations(range(n + 1), d + 1):
-                cells.add(uf.find((s, frozenset(sub))))
-        f.append(len(cells))
+        masks = [sum(1 << v for v in sub) for sub in itertools.combinations(range(n + 1), d + 1)]
+        f.append(len({uf.find(s << shift | mask) for s in range(t) for mask in masks}))
     f.append(t)
     euler = sum((-1) ** d * fd for d, fd in enumerate(f))
     return CellCounts(tuple(f), euler)
@@ -203,6 +212,8 @@ class OrientabilityResult:
 def orientability(T: Triangulation) -> OrientabilityResult:
     """Search for simplex orientations making every pairing orientation-reversing."""
     n, t = T.dim, T.simplex_count
+    neighbors = T._neighbors
+    pairing_signs = [_pairing_sign(p, n) for p in T.pairings]
     sign = {}
     parent = {}
     for start in range(t):
@@ -213,12 +224,11 @@ def orientability(T: Triangulation) -> OrientabilityResult:
         while queue:
             s = queue.pop()
             for f in range(n + 1):
-                nb = T.neighbor(s, f)
+                nb = neighbors.get((s, f))
                 if nb is None:
                     continue
                 other, _, _, idx, _ = nb
-                p = T.pairings[idx]
-                required = sign[s] * _pairing_sign(p, n)
+                required = sign[s] * pairing_signs[idx]
                 if other not in sign:
                     sign[other] = required
                     parent[other] = (s, idx)
@@ -352,12 +362,29 @@ def fundamental_cycle(T: Triangulation) -> Chain:
     if not orient.orientable:
         raise ComplexError("fundamental cycle needs an oriented complex")
     fact = math.factorial(n + 1)
-    z = Chain()
-    for s in range(T.simplex_count):
-        eps = orient.assignment[s]
-        for tau in itertools.permutations(range(n + 1)):
-            z.add((s, tau), Fraction(eps * _perm_sign(tau), fact))
-    return z
+    coeff = {+1: Fraction(1, fact), -1: Fraction(-1, fact)}
+    orderings = [(tau, _perm_sign(tau)) for tau in itertools.permutations(range(n + 1))]
+    alt = {eps: [(tau, coeff[eps * sign]) for tau, sign in orderings] for eps in (+1, -1)}
+    terms = {}
+    for s, eps in enumerate(orient.assignment):
+        for tau, c in alt[eps]:
+            terms[s, tau] = c
+    return Chain(terms)
+
+
+def _facet_sides(T: Triangulation, s: int) -> tuple:
+    """Per facet of simplex s: the facet cell's key and the vertex map
+    into its canonical slot (None when s's own slot is canonical)."""
+    out = []
+    for f in range(T.dim + 1):
+        nb = T._neighbors.get((s, f))
+        if nb is None:
+            out.append((("bd", s, f), None))
+        elif nb[:2] < (s, f):
+            out.append((nb[:2], nb[2]))
+        else:
+            out.append(((s, f), None))
+    return tuple(out)
 
 
 def boundary(T: Triangulation, z: Chain) -> Chain:
@@ -365,25 +392,27 @@ def boundary(T: Triangulation, z: Chain) -> Chain:
 
     Each facet cell picks the lexicographically smaller of its two slots
     as canonical; boundary faces on the other side are transported
-    through the vertex map before coefficients are summed.
+    through the vertex map before coefficients are summed.  The sums are
+    exact integer arithmetic: every coefficient is scaled to an integer
+    over the lcm of the chain's denominators.
     """
-    out = Chain()
+    scale = math.lcm(*(c.denominator for c in z.terms.values()))
+    sides = {}
+    sums = {}
     for (s, tau), coeff in z.terms.items():
-        for k in range(len(tau)):
+        row = sides.get(s)
+        if row is None:
+            row = sides[s] = _facet_sides(T, s)
+        c = coeff.numerator * (scale // coeff.denominator)
+        for k, missing in enumerate(tau):
+            slot, vmap = row[missing]
             face = tau[:k] + tau[k + 1:]
-            missing = tau[k]
-            sign = (-1) ** k
-            nb = T.neighbor(s, missing)
-            if nb is None:
-                key = (("bd", s, missing), face)
-            else:
-                other, other_facet, vmap, _, _ = nb
-                if (other, other_facet) < (s, missing):
-                    key = ((other, other_facet), tuple(vmap[v] for v in face))
-                else:
-                    key = ((s, missing), face)
-            out.add(key, coeff * sign)
-    return out
+            if vmap is not None:
+                face = tuple(map(vmap.__getitem__, face))
+            key = (slot, face)
+            sums[key] = sums.get(key, 0) + c
+            c = -c  # face k carries the sign (-1)^k
+    return Chain({key: Fraction(c, scale) for key, c in sums.items() if c})
 
 
 def verify_cycle(T: Triangulation, z: Chain) -> bool:

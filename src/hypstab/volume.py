@@ -15,8 +15,9 @@ quickly.  Strata own independent random substreams derived from the
 seed and the stratum index ([seed, idx] for the volume, [seed..., 0xD1F,
 idx] for the deficit), so results do not depend on evaluation order.
 `simplex_volume` adds a pilot pass that feeds a Neyman allocation of the
-remaining sample budget; the deficit spends the same number of samples
-on every stratum.
+remaining sample budget, with a floor share for a stratum whose pilot
+accepted fewer than 2 draws; the deficit spends the same number of
+samples on every stratum.
 
 The sampler works a block at a time: it stacks the antithetic uniform
 draws of consecutive strata, in index order and splitting a large one,
@@ -380,14 +381,22 @@ def simplex_volume(
     spent = pilot * k
 
     # Neyman allocation of the rest of the budget; each stratum's
-    # generator carries on from its pilot draws.  The shares are formed
-    # first so that a single stratum gets exactly the remaining budget.
-    weights = np.array([measure[idx] * (sem(idx) * math.sqrt(n_acc[idx]))
-                        if n_acc[idx] >= 2 else 0.0 for idx in range(k)])
-    total_w = weights.sum()
+    # generator carries on from its pilot draws.  A stratum whose pilot
+    # accepted fewer than 2 draws has no spread to weigh, so it gets a
+    # floor share of 1/k of the remaining budget and the others share
+    # what is left.  The shares are formed first so that a single
+    # stratum gets exactly the remaining budget.
+    starved = n_acc < 2
     remaining = max(budget - spent, 0)
-    if total_w > 0 and remaining > 0:
-        alloc = np.floor(remaining * (weights / total_w)).astype(int)
+    alloc = np.where(starved, remaining // k, 0)
+    weights = np.array([0.0 if starved[idx]
+                        else measure[idx] * (sem(idx) * math.sqrt(n_acc[idx]))
+                        for idx in range(k)])
+    total_w = weights.sum()
+    rest = remaining - int(alloc.sum())
+    if total_w > 0 and rest > 0:
+        alloc = alloc + np.floor(rest * (weights / total_w)).astype(int)
+    if alloc.any():
         sums = sums + sample(alloc)
         n_acc, sum_f, sum_f2 = sums
         spent += int(alloc.sum())

@@ -99,6 +99,20 @@ def test_triangulation_cover_characteristic(capsys):
     assert "degree-4" in out and "8 simplices" in out
 
 
+def test_triangulation_cover_then_cycle(tmp_path, capsys):
+    out = tmp_path / "cover.json"
+    code, _, _ = run(capsys, "triangulation", "cover", "torus", "--characteristic", "12",
+                     "--format", "json", "--out", str(out))
+    assert code == 0
+    wire = tmp_path / "cover-wire.json"
+    wire.write_text(json.dumps(json.loads(out.read_text())["wire"]))
+    code, text, _ = run(capsys, "triangulation", "cycle", str(wire), "--format", "json")
+    payload = json.loads(text)
+    assert code == 0 and payload["cycle_verified"] is True
+    assert payload["simplices"] == 288
+    assert payload["l1"]["value"] == str(payload["simplices"])
+
+
 def test_triangulation_cover_branched_rejected(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"degree": 3, "perms": {"0": [2, 3, 1],

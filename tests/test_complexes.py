@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypstab import bounds
 from hypstab import lattices as lat
 from hypstab.complexes import (
+    CellCounts,
     Chain,
     ComplexError,
     CoverSpec,
@@ -31,6 +34,7 @@ from hypstab.complexes import (
     validate,
     verify_cycle,
 )
+from hypstab.complexes import _dual_spanning_tree
 from hypstab.fixtures import fixture_names, load_fixture
 
 
@@ -144,6 +148,165 @@ def test_chain_drops_zero_coefficients():
 
 
 # ---------------------------------------------------------------------------
+# integer boundary and bitmask cell counts against Fraction and frozenset
+# references
+
+
+def reference_neighbor(T, s, f):
+    """Across slot (s, f), read straight from the pairings."""
+    for idx, p in enumerate(T.pairings):
+        if (p.a, p.facet_a) == (s, f):
+            return p.b, p.facet_b, p.forward()
+        if (p.b, p.facet_b) == (s, f):
+            return p.a, p.facet_a, p.backward()
+    return None
+
+
+def reference_boundary(T, z):
+    """The boundary summed one Fraction at a time through Chain.add."""
+    slots = {}
+    out = Chain()
+    for (s, tau), coeff in z.terms.items():
+        for k in range(len(tau)):
+            face = tau[:k] + tau[k + 1:]
+            missing = tau[k]
+            if (s, missing) not in slots:
+                slots[s, missing] = reference_neighbor(T, s, missing)
+            nb = slots[s, missing]
+            if nb is None:
+                key = (("bd", s, missing), face)
+            else:
+                other, other_facet, vmap = nb
+                if (other, other_facet) < (s, missing):
+                    key = ((other, other_facet), tuple(vmap[v] for v in face))
+                else:
+                    key = ((s, missing), face)
+            out.add(key, coeff * (-1) ** k)
+    return out
+
+
+def reference_cell_counts(T):
+    """Cells as orbits of (simplex, frozenset of vertices) keys."""
+    n, t = T.dim, T.simplex_count
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for p in T.pairings:
+        fw = p.forward()
+        for size in range(1, n + 1):
+            for sub in itertools.combinations(fw, size):
+                ra = find((p.a, frozenset(sub)))
+                rb = find((p.b, frozenset(fw[v] for v in sub)))
+                if ra != rb:
+                    parent[ra] = rb
+    f = [len({find((s, frozenset(sub))) for s in range(t)
+              for sub in itertools.combinations(range(n + 1), d + 1)})
+         for d in range(n)] + [t]
+    return CellCounts(tuple(f), sum((-1) ** d * fd for d, fd in enumerate(f)))
+
+
+def reference_fundamental_cycle(T):
+    fact = math.factorial(T.dim + 1)
+    z = Chain()
+    for s, eps in enumerate(orientability(T).assignment):
+        for tau in itertools.permutations(range(T.dim + 1)):
+            inversions = sum(a > b for a, b in itertools.combinations(tau, 2))
+            z.add((s, tau), F(eps * (-1) ** inversions, fact))
+    return z
+
+
+def random_chain(T, rng, size):
+    """Random vertex orderings with mixed-denominator Fraction and int
+    coefficients."""
+    perms = list(itertools.permutations(range(T.dim + 1)))
+    terms = {}
+    for _ in range(size):
+        key = (int(rng.integers(T.simplex_count)), perms[int(rng.integers(len(perms)))])
+        num = int(rng.integers(-7, 8)) or 1
+        terms[key] = num if rng.random() < 0.3 else F(num, int(rng.integers(1, 13)))
+    return Chain(terms)
+
+
+def figure_eight_cyclic_spec(T, d, a, b):
+    """The cyclic cover with exponents (a, b, a, b) on pairings 0-3."""
+    return CoverSpec(d, {i: tuple((s + e) % d for s in range(d))
+                         for i, e in enumerate((a, b, a, b))})
+
+
+def assert_matches_references(T, rng, chains=2):
+    assert cell_counts(T) == reference_cell_counts(T)
+    zs = [random_chain(T, rng, int(rng.integers(1, 6 * T.simplex_count + 2)))
+          for _ in range(chains)]
+    if orientability(T).orientable:
+        z = fundamental_cycle(T)
+        ref = reference_fundamental_cycle(T)
+        assert list(z.terms) == list(ref.terms) and z.terms == ref.terms
+        # a cycle plus a perturbation cancels on most but not all faces
+        zs += [z, Chain({**z.terms, **zs[0].terms})]
+    for z in zs:
+        got = boundary(T, z)
+        assert got.terms == reference_boundary(T, z).terms
+        assert all(type(c) is F for c in got.terms.values())
+
+
+def test_references_on_fixtures_and_unpaired_facets():
+    rng = np.random.default_rng(20)
+    for name in fixture_names():
+        assert_matches_references(load_fixture(name), rng, chains=6)
+    unpaired = Triangulation(2, 2, (
+        Pairing(0, 0, 1, 0, (1, 2)),
+        Pairing(0, 1, 1, 1, (0, 2)),
+    ))
+    assert_matches_references(unpaired, rng, chains=6)
+    assert reference_boundary(unpaired, fundamental_cycle(unpaired)).terms
+
+
+def test_references_on_torus_characteristic_covers():
+    T = load_fixture("torus")
+    rng = np.random.default_rng(21)
+    for x in range(2, 7):
+        assert_matches_references(build_cover(T, characteristic_cover_spec(T, x)), rng)
+
+
+def test_references_on_figure_eight_cyclic_covers():
+    T = load_fixture("figure-eight")
+    rng = np.random.default_rng(22)
+    for d in range(1, 25):
+        a, b = (int(v) for v in rng.integers(0, d, size=2))
+        assert_matches_references(build_cover(T, figure_eight_cyclic_spec(T, d, a, b)), rng,
+                                  chains=1)
+
+
+def test_references_on_random_covers():
+    rng = np.random.default_rng(23)
+    disconnected = 0
+    for name in ("torus", "sphere", "boundary-4-simplex", "klein"):
+        T = load_fixture(name)
+        for d in (2, 3, 5):
+            cov = build_cover(T, random_cover_spec(T, d, rng))
+            try:
+                _dual_spanning_tree(cov)
+            except ComplexError:
+                disconnected += 1
+            assert_matches_references(cov, rng)
+    assert disconnected
+
+
+def test_boundary_scales_mixed_denominators():
+    T = Triangulation(2, 2, (Pairing(0, 0, 1, 0, (1, 2)),))
+    z = Chain({(0, (0, 1, 2)): F(1, 6), (1, (0, 2, 1)): 3, (0, (1, 0, 2)): F(-5, 4)})
+    got = boundary(T, z)
+    assert got.terms == reference_boundary(T, z).terms
+    # 1/6 + 5/4 meet on face (1, 2) of slot (0, 0); int 3 comes from simplex 1
+    assert got.terms[(0, 0), (1, 2)] == F(17, 12)
+    assert {c.denominator for c in got.terms.values()} == {1, 4, 6, 12}
+
+
+# ---------------------------------------------------------------------------
 # covers
 
 
@@ -166,7 +329,6 @@ def test_characteristic_covers():
         assert counts.euler == 0
         assert counts.f_vector == tuple(x * x * f for f in base.f_vector)
         # the cover is connected: one orbit of the translation action
-        from hypstab.complexes import _dual_spanning_tree
         _dual_spanning_tree(cov)  # raises if disconnected
 
 

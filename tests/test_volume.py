@@ -405,16 +405,20 @@ def reference_simplex_volume(K, budget, seed, levels):
     for idx in range(k):
         sample(idx, pilot)
     spent = pilot * k
+    remaining = max(budget - spent, 0)
+    # a stratum with fewer than 2 accepted pilot draws gets remaining // k
+    alloc = [remaining // k if n_acc[idx] < 2 else 0 for idx in range(k)]
     weights = np.array([measure[idx] * (sem(idx) * math.sqrt(n_acc[idx]))
                         if n_acc[idx] >= 2 else 0.0 for idx in range(k)])
     total_w = weights.sum()
-    remaining = max(budget - spent, 0)
-    if total_w > 0 and remaining > 0:
+    rest = remaining - sum(alloc)
+    if total_w > 0 and rest > 0:
         # shares formed first, as in simplex_volume: one stratum gets all
-        alloc = np.floor(remaining * (weights / total_w)).astype(int)
-        for idx, extra in enumerate(alloc):
-            sample(idx, int(extra))
-        spent += int(alloc.sum())
+        neyman = np.floor(rest * (weights / total_w)).astype(int)
+        alloc = [a + int(extra) for a, extra in zip(alloc, neyman)]
+    for idx, extra in enumerate(alloc):
+        sample(idx, extra)
+    spent += sum(alloc)
     value = var = 0.0
     tails = []
     for idx, (_, corner) in enumerate(strata):
@@ -509,8 +513,9 @@ def test_simplex_volume_kernel_matches_reference(n, kind):
 #: kernel gave them before its blocks were reduced to whole-column steps.
 #: The reference tests above allow 1e-12 and cannot see a last-bit change;
 #: these pin the random stream and the rounding on one numpy/OpenBLAS build.
-#: The 4_097 row of (2, "ideal") has std_error inf: its core accepted one
-#: pilot draw, so its Neyman weight is 0 and it draws no more.
+#: The 4_097 simplex_volume entries of (2, "ideal") are those of the floor
+#: share: its core accepts one of its 16 pilot draws, and before that share
+#: it drew no more and its std_error was inf.
 KERNEL_PINS = {
     (2, "finite"): [
         ("0x1.86ed7dd7acf01p-2", "0x1.c78f14130364dp-11", 40000,
@@ -527,7 +532,7 @@ KERNEL_PINS = {
     (2, "ideal"): [
         ("0x1.9027f19d64babp+1", "0x1.0f078cd6db7cap-6", 39963,
          "0x1.0fc4da10d62bcp-10", "0x1.d0546bb58e532p-6"),
-        ("0x1.92d6edd1d3572p+1", "inf", 4069,
+        ("0x1.9ed20b354cd5bp+1", "0x1.5d7a37f1c6038p-4", 4069,
          "-0x1.168ebdca68d9ep-9", "0x1.5b17aba548587p-4"),
     ],
     (3, "finite"): [
@@ -595,6 +600,16 @@ def test_kernel_output_is_pinned(n, kind):
         deficit, sigma = volume_deficit_vs_regular(K, budget, [5, 8], v_ref=1.0)
         got = (est.value.hex(), est.std_error.hex(), est.samples, deficit.hex(), sigma.hex())
         assert got == pin, budget
+
+
+def test_starved_stratum_draws_again():
+    # the pinned ideal triangle: its core accepts 1 of 16 pilot draws at
+    # budget 4_097, and the floor share gives it a variance estimate
+    K = _kernel_case_simplex(2, "ideal", np.random.default_rng([2, len("ideal"), 2]))
+    assert all(v.is_ideal for v in K.vertices)
+    est = simplex_volume(K, 4_097, seed=3)
+    assert math.isfinite(est.std_error) and est.std_error > 0
+    assert abs(est.value - math.pi) < 5 * est.std_error
 
 
 #: Per-stratum counts for `_sample` on an n = 3 simplex with ideal vertices
