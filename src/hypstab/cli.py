@@ -87,9 +87,13 @@ def _load_json(path: str):
 
 
 def _load_triangulation(target: str) -> cx.Triangulation:
+    """A built-in complex by name, or a wire-format file; the JSON output
+    of ``triangulation cover`` is read through its ``wire`` member."""
     if target in FIXTURE_WIRES or target in ALIASES:
         return load_fixture(target)
     data = _load_json(target)
+    if isinstance(data, dict) and "wire" in data:
+        data = data["wire"]
     try:
         return cx.from_wire(data, name=os.path.basename(target))
     except cx.ComplexError as exc:

@@ -19,9 +19,11 @@ The module computes cell counts and Euler characteristics via union-find
 over the induced face identifications, orientations (a pairing must
 reverse the boundary orientations of the two facets), vertex links and
 edge valences in dimension 3, the alternated fundamental cycle with
-exact rational coefficients, whose boundary is exact integer arithmetic
-over one common denominator, and finite covers described by permutation
-assignments.  A cover assignment is admissible when the ordered product
+exact rational coefficients, and finite covers described by permutation
+assignments.  The boundary of a chain is one numpy pass: a cached
+per-slot table gives every facet's cell and its vertex map into the
+cell's canonical slot, and the signed faces are summed exactly as
+integers over one common denominator.  A cover assignment is admissible when the ordered product
 of permutations around every codimension-2 cycle is the identity (the
 unbranched condition); branched assignments are rejected with the
 offending cycle.
@@ -34,6 +36,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
+
+import numpy as np
 
 
 class ComplexError(ValueError):
@@ -91,6 +96,53 @@ class Triangulation:
         are read-only.
         """
         return self._neighbors.get((s, f))
+
+    @cached_property
+    def _facet_table(self) -> tuple:
+        """(cell, vmap) arrays indexed by the slot id s*(n+1) + f.
+
+        ``cell[slot]`` is the id of the slot's facet cell: the smaller of
+        the two slot ids of a pairing, or ``t*(n+1) + slot`` for an
+        unpaired slot.  ``vmap[slot]`` sends the vertices of simplex s to
+        those of the cell's canonical slot: the identity on the canonical
+        side, the pairing's vertex map (extended by facet to facet) on the
+        other.
+        """
+        n, t = self.dim, self.simplex_count
+        n1 = n + 1
+        slots = t * n1
+        cell = np.arange(slots, 2 * slots, dtype=np.int64)
+        vmap = np.tile(np.arange(n1, dtype=np.int64), (slots, 1))
+        if not self.pairings:
+            return cell, vmap
+        if any(len(p.vertex_map) != n for p in self.pairings):
+            raise ComplexError(f"every vertex map needs {n} entries")
+        rec = np.array([(p.a, p.facet_a, p.b, p.facet_b, *p.vertex_map)
+                        for p in self.pairings], dtype=np.int64)
+        a, fa, b, fb, image = rec[:, 0], rec[:, 1], rec[:, 2], rec[:, 3], rec[:, 4:]
+        vertices = np.delete(rec, [0, 2], axis=1)  # facets and vertex map images
+        if min(a.min(), b.min(), vertices.min()) < 0 or max(a.max(), b.max()) >= t \
+                or vertices.max() > n:
+            raise ComplexError("pairing slot or vertex out of range")
+        slot_a, slot_b = a * n1 + fa, b * n1 + fb
+        both = np.concatenate((slot_a, slot_b))
+        uses = np.bincount(both, minlength=slots)
+        if uses.max() > 1:
+            s, f = divmod(int(np.argmax(uses)), n1)
+            raise ComplexError(f"slot {(s, f)} used by two pairings")
+        row = np.arange(len(rec))
+        facet = np.array([facet_vertices(n, f) for f in range(n1)], dtype=np.int64)[fa]
+        forward = np.empty((len(rec), n1), dtype=np.int64)
+        forward[row[:, None], facet] = image
+        forward[row, fa] = fb
+        backward = np.empty_like(forward)
+        backward[row[:, None], image] = facet
+        backward[row, fb] = fa
+        cell[both] = np.tile(np.minimum(slot_a, slot_b), 2)
+        a_first = slot_a < slot_b
+        vmap[slot_b[a_first]] = backward[a_first]
+        vmap[slot_a[~a_first]] = forward[~a_first]
+        return cell, vmap
 
 
 @dataclass(frozen=True)
@@ -347,7 +399,9 @@ class Chain:
             self.terms[key] = new
 
     def l1(self) -> Fraction:
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
+        """Sum of |coefficients|, added as integers over one common denominator."""
+        nums, scale = _scaled_numerators(self.terms.values())
+        return Fraction(sum(map(abs, nums)), scale)
 
 
 def fundamental_cycle(T: Triangulation) -> Chain:
@@ -372,19 +426,11 @@ def fundamental_cycle(T: Triangulation) -> Chain:
     return Chain(terms)
 
 
-def _facet_sides(T: Triangulation, s: int) -> tuple:
-    """Per facet of simplex s: the facet cell's key and the vertex map
-    into its canonical slot (None when s's own slot is canonical)."""
-    out = []
-    for f in range(T.dim + 1):
-        nb = T._neighbors.get((s, f))
-        if nb is None:
-            out.append((("bd", s, f), None))
-        elif nb[:2] < (s, f):
-            out.append((nb[:2], nb[2]))
-        else:
-            out.append(((s, f), None))
-    return tuple(out)
+def _scaled_numerators(coeffs) -> tuple:
+    """(integer numerators, scale): every coefficient as an integer over
+    the lcm of the denominators (an int counts as denominator 1)."""
+    scale = math.lcm(*{c.denominator for c in coeffs})
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
 
 def boundary(T: Triangulation, z: Chain) -> Chain:
@@ -394,25 +440,62 @@ def boundary(T: Triangulation, z: Chain) -> Chain:
     as canonical; boundary faces on the other side are transported
     through the vertex map before coefficients are summed.  The sums are
     exact integer arithmetic: every coefficient is scaled to an integer
-    over the lcm of the chain's denominators.
+    over the lcm of the chain's denominators, and the (term, face)
+    pairs are summed per facet cell and face in one numpy pass over
+    `Triangulation._facet_table`: in the smallest signed integer type
+    that holds every partial sum, and in Python ints beyond int64.
     """
-    scale = math.lcm(*(c.denominator for c in z.terms.values()))
-    sides = {}
-    sums = {}
-    for (s, tau), coeff in z.terms.items():
-        row = sides.get(s)
-        if row is None:
-            row = sides[s] = _facet_sides(T, s)
-        c = coeff.numerator * (scale // coeff.denominator)
-        for k, missing in enumerate(tau):
-            slot, vmap = row[missing]
-            face = tau[:k] + tau[k + 1:]
-            if vmap is not None:
-                face = tuple(map(vmap.__getitem__, face))
-            key = (slot, face)
-            sums[key] = sums.get(key, 0) + c
-            c = -c  # face k carries the sign (-1)^k
-    return Chain({key: Fraction(c, scale) for key, c in sums.items() if c})
+    if not z.terms:
+        return Chain()
+    n1 = T.dim + 1
+    cell, vmap = T._facet_table
+    slots = T.simplex_count * n1
+    face_codes = n1 ** (n1 - 1)  # a face is n digits in base n1
+    if 2 * slots * face_codes >= 2 ** 63:
+        raise ComplexError("too many (facet cell, face) pairs for 64-bit codes")
+    m = len(z.terms)
+    try:
+        if set(map(len, map(itemgetter(1), z.terms))) != {n1}:
+            raise ValueError
+        simplex = np.fromiter(map(itemgetter(0), z.terms), np.int64, m)
+        # the code bound above keeps n1 below 16, so vertices fit in int8
+        tau = np.fromiter(itertools.chain.from_iterable(map(itemgetter(1), z.terms)),
+                          np.int8, m * n1).reshape(m, n1)
+    except (TypeError, ValueError, OverflowError):
+        raise ComplexError(f"chain terms must be (simplex, ordering of {n1} vertices)") from None
+    if min(simplex.min(), tau.min()) < 0 or simplex.max() * n1 >= slots or tau.max() >= n1:
+        raise ComplexError("chain term simplex or vertex out of range")
+    nums, scale = _scaled_numerators(z.terms.values())
+    # no partial sum exceeds the sum of |values| over all (term, face) pairs;
+    # values take the smallest signed type that holds it, or Python ints
+    bound = n1 * sum(map(abs, nums))
+    values = np.empty((n1, m), dtype=np.min_scalar_type(-bound - 1) if bound < 2 ** 63 else object)
+    values[0::2] = nums
+    values[1::2] = -values[0]  # face k carries the sign (-1)^k
+    # (facet cell, face) as the code cell * n1^n + face, one face index at a time
+    codes = np.empty((n1, m), dtype=np.min_scalar_type(2 * slots * face_codes))
+    for k in range(n1):
+        slot = simplex * n1 + tau[:, k]
+        code = cell[slot]
+        for j in range(n1):
+            if j != k:
+                code = code * n1 + vmap[slot, tau[:, j]]
+        codes[k] = code
+    del simplex, tau, slot, code
+    order = np.argsort(codes, axis=None)
+    codes = codes.ravel()[order]
+    values = values.ravel()[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(values, starts)
+    live = np.flatnonzero(sums)
+    cells, faces = np.divmod(codes[starts[live]], face_codes)
+    digits = faces[:, None] // n1 ** np.arange(n1 - 2, -1, -1, dtype=np.int64) % n1
+    terms = {}
+    for c, face, total in zip(cells.tolist(), digits.tolist(), sums[live].tolist()):
+        key = divmod(c, n1) if c < slots else ("bd", *divmod(c - slots, n1))
+        terms[key, tuple(face)] = Fraction(total, scale)
+    return Chain(terms)
 
 
 def verify_cycle(T: Triangulation, z: Chain) -> bool:

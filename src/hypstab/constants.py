@@ -240,18 +240,23 @@ def _counterexample_search(n, eps, a, delta, v_ref, seed, step_idx, restarts,
             i = ideal.index(False)
             kv[i] *= 1.0 - abs(rng.normal(0.0, scale))
 
-        def evaluate(kvc, it):
+        def evaluate(kvc, it, bar=None):
+            """The candidate's state, or None when it is degenerate or its
+            score cannot beat ``bar``: the deficit penalty is never
+            negative, so a violation not above ``bar`` needs no deficit."""
             nonlocal cheap_evals
             K = _build(kvc, ideal, n)
             if is_degenerate(K, tol=1e-8):
                 return None
             av = _angle_violation(K, lo, hi)
             cv = two_delta - min_face_clearance(K) if it % 4 == 0 else -math.inf
+            viol = max(av, cv)
+            if bar is not None and not viol > bar:
+                return None
             deficit, sigma = volume_deficit_vs_regular(
                 K, budget=cheap_budget, seed=[seed, step_idx, r, it],
                 levels=levels, v_ref=v_ref)
             cheap_evals += 1
-            viol = max(av, cv)
             return K, viol, deficit, sigma, viol - 50.0 * max(0.0, deficit - eps)
 
         state = evaluate(kv, 0)
@@ -259,7 +264,7 @@ def _counterexample_search(n, eps, a, delta, v_ref, seed, step_idx, restarts,
             continue
         for it in range(1, iters):
             step = scale * 0.8 ** (it / 3.0)
-            cand = evaluate(_jitter(kv, ideal, rng, step), it)
+            cand = evaluate(_jitter(kv, ideal, rng, step), it, state[4])
             if cand is not None and cand[4] > state[4]:
                 state = cand
                 kv = state[0].klein_vertices()

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypstab.cli import main
-from hypstab.complexes import characteristic_cover_spec, cover_spec_to_wire, to_wire
+from hypstab.complexes import (build_cover, characteristic_cover_spec, cover_spec_to_wire,
+                               to_wire)
 from hypstab.fixtures import load_fixture
 
 
@@ -106,11 +107,13 @@ def test_triangulation_cover_then_cycle(tmp_path, capsys):
     assert code == 0
     wire = tmp_path / "cover-wire.json"
     wire.write_text(json.dumps(json.loads(out.read_text())["wire"]))
-    code, text, _ = run(capsys, "triangulation", "cycle", str(wire), "--format", "json")
-    payload = json.loads(text)
-    assert code == 0 and payload["cycle_verified"] is True
-    assert payload["simplices"] == 288
-    assert payload["l1"]["value"] == str(payload["simplices"])
+    # the cover's own output reads back through its wire member
+    for path in (wire, out):
+        code, text, _ = run(capsys, "triangulation", "cycle", str(path), "--format", "json")
+        payload = json.loads(text)
+        assert code == 0 and payload["cycle_verified"] is True
+        assert payload["simplices"] == 288
+        assert payload["l1"]["value"] == str(payload["simplices"])
 
 
 def test_triangulation_cover_branched_rejected(tmp_path, capsys):
@@ -382,6 +385,9 @@ FUZZ_DOCUMENTS = [
       for name in ("torus", "figure-eight") for action in ("info", "cycle", "dashboard")],
     pytest.param(to_wire(load_fixture("torus")),
                  ["triangulation", "cover", "FILE", "--characteristic", "2"], id="wire-cover"),
+    pytest.param({"degree": 4, "wire": to_wire(build_cover(
+                      load_fixture("torus"), characteristic_cover_spec(load_fixture("torus"), 2)))},
+                 ["triangulation", "cycle", "FILE"], id="cover-output-cycle"),
     pytest.param(cover_spec_to_wire(characteristic_cover_spec(load_fixture("torus"), 2)),
                  ["triangulation", "cover", "torus", "--spec", "FILE"], id="cover-spec"),
     pytest.param(SIMPLEX_DOC, ["volume", "FILE", "--samples", "1e3"], id="simplex"),

@@ -34,7 +34,7 @@ from hypstab.complexes import (
     validate,
     verify_cycle,
 )
-from hypstab.complexes import _dual_spanning_tree
+from hypstab.complexes import _dual_spanning_tree, _scaled_numerators
 from hypstab.fixtures import fixture_names, load_fixture
 
 
@@ -130,10 +130,7 @@ def test_cycles_on_fixtures():
 
 
 def test_unpaired_facet_breaks_cycle():
-    T = Triangulation(2, 2, (
-        Pairing(0, 0, 1, 0, (1, 2)),
-        Pairing(0, 1, 1, 1, (0, 2)),
-    ))
+    T = unpaired_complex()
     z = fundamental_cycle(T)
     assert not verify_cycle(T, z)
     bd = boundary(T, z)
@@ -257,10 +254,7 @@ def test_references_on_fixtures_and_unpaired_facets():
     rng = np.random.default_rng(20)
     for name in fixture_names():
         assert_matches_references(load_fixture(name), rng, chains=6)
-    unpaired = Triangulation(2, 2, (
-        Pairing(0, 0, 1, 0, (1, 2)),
-        Pairing(0, 1, 1, 1, (0, 2)),
-    ))
+    unpaired = unpaired_complex()
     assert_matches_references(unpaired, rng, chains=6)
     assert reference_boundary(unpaired, fundamental_cycle(unpaired)).terms
 
@@ -304,6 +298,97 @@ def test_boundary_scales_mixed_denominators():
     # 1/6 + 5/4 meet on face (1, 2) of slot (0, 0); int 3 comes from simplex 1
     assert got.terms[(0, 0), (1, 2)] == F(17, 12)
     assert {c.denominator for c in got.terms.values()} == {1, 4, 6, 12}
+
+
+#: large primes; products of two make denominators whose lcm is far beyond int64
+BIG_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1, 1_000_000_007, 998_244_353, 1_000_000_009)
+
+
+def big_chain(T, rng, size):
+    """Random vertex orderings with coefficients over products of two large
+    primes; two terms over coprime products put the lcm beyond 2^150."""
+    perms = list(itertools.permutations(range(T.dim + 1)))
+    terms = {}
+    for _ in range(size):
+        key = (int(rng.integers(T.simplex_count)), perms[int(rng.integers(len(perms)))])
+        p, q = rng.choice(len(BIG_PRIMES), size=2, replace=False)
+        terms[key] = F(int(rng.integers(-7, 8)) or 1, BIG_PRIMES[p] * BIG_PRIMES[q])
+    terms[0, perms[0]] = F(1, BIG_PRIMES[0] * BIG_PRIMES[1])
+    terms[0, perms[1]] = F(-3, BIG_PRIMES[2] * BIG_PRIMES[3])
+    return Chain(terms)
+
+
+def unpaired_complex():
+    return Triangulation(2, 2, (Pairing(0, 0, 1, 0, (1, 2)), Pairing(0, 1, 1, 1, (0, 2))))
+
+
+def test_boundary_beyond_int64():
+    rng = np.random.default_rng(24)
+    T = load_fixture("torus")
+    complexes = [load_fixture("klein"), unpaired_complex(), T,
+                 build_cover(T, characteristic_cover_spec(T, 3))]
+    for X in complexes:
+        for _ in range(3):
+            z = big_chain(X, rng, int(rng.integers(1, 6 * X.simplex_count + 2)))
+            nums, scale = _scaled_numerators(z.terms.values())
+            assert (X.dim + 1) * sum(map(abs, nums)) >= 2 ** 63  # Python-int sums
+            got = boundary(X, z)
+            assert got.terms == reference_boundary(X, z).terms
+            assert all(type(c) is F for c in got.terms.values())
+    # a cycle times a huge rational is still a cycle; perturbing one term breaks it
+    cover = complexes[-1]
+    huge = F(2 ** 80 + 1, BIG_PRIMES[0] * BIG_PRIMES[2])
+    z = Chain({key: c * huge for key, c in fundamental_cycle(cover).terms.items()})
+    assert verify_cycle(cover, z)
+    key = next(iter(z.terms))
+    z.terms[key] += F(1, BIG_PRIMES[1])
+    assert not verify_cycle(cover, z)
+    assert boundary(cover, z).terms == reference_boundary(cover, z).terms
+
+
+def test_boundary_of_empty_chain():
+    for T in (load_fixture("klein"), unpaired_complex(), load_fixture("figure-eight")):
+        assert boundary(T, Chain()).terms == {}
+        assert verify_cycle(T, Chain())
+    assert Chain().l1() == 0
+
+
+def test_boundary_on_figure_eight_cyclic_covers_to_degree_256():
+    T = load_fixture("figure-eight")
+    rng = np.random.default_rng(25)
+    for d in (32, 64, 128, 256):
+        a, b = (int(v) for v in rng.integers(1, d, size=2))
+        cover = build_cover(T, figure_eight_cyclic_spec(T, d, a, b))
+        z = fundamental_cycle(cover)
+        assert verify_cycle(cover, z)
+        broken = Chain(dict(z.terms))
+        broken.terms.pop(next(iter(broken.terms)))
+        perturbed = Chain({**z.terms, **random_chain(cover, rng, 3 * d).terms})
+        for chain in (broken, perturbed):
+            got = boundary(cover, chain)
+            assert got.terms and got.terms == reference_boundary(cover, chain).terms
+        assert not verify_cycle(cover, broken)
+
+
+def test_boundary_rejects_bad_terms_and_slots():
+    T = load_fixture("torus")
+    for key in ((T.simplex_count, (0, 1, 2)), (-1, (0, 1, 2)), (0, (0, 1, 3)), (0, (0, 1))):
+        with pytest.raises(ComplexError):
+            boundary(T, Chain({key: F(1)}))
+    doubled = Triangulation(2, 2, (Pairing(0, 0, 1, 0, (1, 2)), Pairing(0, 0, 1, 1, (0, 2))))
+    with pytest.raises(ComplexError, match="used by two pairings"):
+        boundary(doubled, Chain({(0, (0, 1, 2)): F(1)}))
+
+
+def test_l1_matches_per_term_sum():
+    rng = np.random.default_rng(26)
+    T = build_cover(load_fixture("torus"), characteristic_cover_spec(load_fixture("torus"), 2))
+    for make in (random_chain, big_chain):
+        for _ in range(5):
+            z = make(T, rng, int(rng.integers(1, 40)))
+            got = z.l1()
+            assert type(got) is F
+            assert got == sum((abs(F(c)) for c in z.terms.values()), F(0))
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,35 @@ def test_estimate_a_eps_quick():
     assert audit3.as_dict() == d
 
 
+#: The n = 4 QUICK search's steps when every hill-climb candidate drew a
+#: cheap deficit: (eps, counterexample, best violation, best deficit) as
+#: float.hex, and the number of cheap deficits.
+QUICK_STEPS_N4 = [
+    ('0x1.0624dd2f1a9fcp-9', True, '0x1.18ed83b8850a0p-5', '0x1.130baca79de74p-10', 12),
+    ('0x1.0624dd2f1a9fcp-10', True, '0x1.a5eb624a12c00p-9', '0x1.9a43c50234f93p-13', 6),
+    ('0x1.0624dd2f1a9fcp-11', False, '0x1.aa7ee6b911cc0p-5', '0x1.5d51411a3a7c9p-9', 48),
+    ('0x1.89374bc6a7efap-11', True, '0x1.0f91dc55014c0p-6', '0x1.66235803c5ecfp-12', 18),
+    ('0x1.47ae147ae147bp-11', False, '0x1.1298c6b983270p-3', '0x1.b89f5765bb57bp-6', 48),
+    ('0x1.6872b020c49bap-11', True, '0x1.8de834947f900p-7', '0x1.c780d15af33d9p-12', 12),
+    ('0x1.5810624dd2f1ap-11', False, '0x1.815baa8e51b70p-4', '-0x1.5f9f57c0b8c21p-12', 48),
+    ('0x1.604189374bc6ap-11', False, '0x1.27854c6001960p-4', '0x1.2cf396caac3fbp-9', 48),
+    ('0x1.604189374bc6ap-12', False, '0x1.39071e3163300p-4', '0x1.4aecb92a8ff09p-6', 48),
+    ('0x1.604189374bc6ap-13', True, '0x1.7832d165b6000p-11', '-0x1.1afaa9eb9617cp-17', 18),
+]
+
+
+def test_search_skips_deficits_that_cannot_matter():
+    # a candidate whose violation cannot beat the current score gets no
+    # deficit; the audit is unchanged bit for bit and the climbs draw fewer
+    _, _, audit = estimate_a_eps(4, seed=0, **QUICK, delta=delta_n(4),
+                                 v_n=ideal_regular_volume(4).value)
+    assert [(s.eps.hex(), s.counterexample, s.best_violation.hex(), s.best_deficit.hex())
+            for s in audit.steps] == [step[:4] for step in QUICK_STEPS_N4]
+    cheap = [s.cheap_evals for s in audit.steps]
+    assert all(now <= then[4] for now, then in zip(cheap, QUICK_STEPS_N4))
+    assert sum(cheap) < sum(step[4] for step in QUICK_STEPS_N4)
+
+
 @pytest.fixture(scope="module")
 def verify_log():
     """A QUICK n = 5 search with every deficit call recorded.
