@@ -23,10 +23,10 @@ exact rational coefficients, and finite covers described by permutation
 assignments.  The boundary of a chain is one numpy pass: a cached
 per-slot table gives every facet's cell and its vertex map into the
 cell's canonical slot, and the signed faces are summed exactly as
-integers over one common denominator.  A cover assignment is admissible when the ordered product
-of permutations around every codimension-2 cycle is the identity (the
-unbranched condition); branched assignments are rejected with the
-offending cycle.
+integers over one common denominator.  A cover assignment is admissible
+when the ordered product of permutations around every codimension-2
+cycle is the identity (the unbranched condition); branched assignments
+are rejected with the offending cycle.
 """
 
 from __future__ import annotations
@@ -472,7 +472,8 @@ def boundary(T: Triangulation, z: Chain) -> Chain:
     values = np.empty((n1, m), dtype=np.min_scalar_type(-bound - 1) if bound < 2 ** 63 else object)
     values[0::2] = nums
     values[1::2] = -values[0]  # face k carries the sign (-1)^k
-    # (facet cell, face) as the code cell * n1^n + face, one face index at a time
+    # (facet cell, face) as the code cell * n1^n + face in the smallest
+    # unsigned type that holds it, one face index at a time
     codes = np.empty((n1, m), dtype=np.min_scalar_type(2 * slots * face_codes))
     for k in range(n1):
         slot = simplex * n1 + tau[:, k]
@@ -481,7 +482,7 @@ def boundary(T: Triangulation, z: Chain) -> Chain:
             if j != k:
                 code = code * n1 + vmap[slot, tau[:, j]]
         codes[k] = code
-    del simplex, tau, slot, code
+    del simplex, tau, slot, code  # freed before the sort's copies: peak memory
     order = np.argsort(codes, axis=None)
     codes = codes.ravel()[order]
     values = values.ravel()[order]
