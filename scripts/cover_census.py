@@ -2,8 +2,9 @@
 """Random-cover census over the built-in complexes.
 
 Builds random admissible covers, checks exact multiplicativity of the
-f-vector and Euler characteristic, and verifies the alternated
-fundamental cycle on every cover.
+f-vector and Euler characteristic, says whether the cover is connected
+(most random covers are not), and verifies the alternated fundamental
+cycle on every cover.
 
 Example:
     python scripts/cover_census.py --fixture torus --count 10 --max-degree 8
@@ -15,6 +16,8 @@ import numpy as np
 
 from hypstab.cli import int_at_least
 from hypstab.complexes import (
+    ComplexError,
+    _dual_spanning_tree,
     build_cover,
     cell_counts,
     fundamental_cycle,
@@ -41,9 +44,14 @@ def main():
         cov = build_cover(T, random_cover_spec(T, d, rng))
         counts = cell_counts(cov)
         mult = counts.f_vector == tuple(d * f for f in base.f_vector)
+        try:
+            _dual_spanning_tree(cov)
+            connected = True
+        except ComplexError:  # a built cover is well formed: it is disconnected
+            connected = False
         z = fundamental_cycle(cov)
         print(f"  degree {d}: t~={cov.simplex_count} (t~/d = {cov.simplex_count // d}), "
-              f"f={counts.f_vector} multiplicative={mult}, "
+              f"f={counts.f_vector} multiplicative={mult} connected={connected}, "
               f"cycle={'ok' if verify_cycle(cov, z) else 'FAIL'}, L1={z.l1()}")
 
 

@@ -20,13 +20,13 @@ over the induced face identifications, orientations (a pairing must
 reverse the boundary orientations of the two facets), vertex links and
 edge valences in dimension 3, the alternated fundamental cycle with
 exact rational coefficients, and finite covers described by permutation
-assignments.  The boundary of a chain is one numpy pass: a cached
-per-slot table gives every facet's cell and its vertex map into the
-cell's canonical slot, and the signed faces are summed exactly as
-integers over one common denominator.  A cover assignment is admissible
-when the ordered product of permutations around every codimension-2
-cycle is the identity (the unbranched condition); branched assignments
-are rejected with the offending cycle.
+assignments.  Every routine reads one cached per-slot gluing table,
+`Triangulation._gluing`, which rejects malformed gluing data; the
+boundary of a chain is one numpy pass over it that sums the signed
+faces exactly as integers over one common denominator.  A cover
+assignment is admissible when the ordered product of permutations
+around every codimension-2 cycle is the identity (the unbranched
+condition); branched assignments are rejected with the offending cycle.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ class Pairing:
     facet_b: int
     vertex_map: tuple  # images of facet_a's vertices, increasing preimage order
 
-    def forward(self) -> dict:
-        return dict(zip(facet_vertices(len(self.vertex_map), self.facet_a),
-                        self.vertex_map))
-
-    def backward(self) -> dict:
-        return {w: v for v, w in self.forward().items()}
-
 
 @dataclass(frozen=True)
 class Triangulation:
@@ -74,75 +67,75 @@ class Triangulation:
     labels: dict | None = None
 
     @cached_property
-    def _neighbors(self) -> dict:
-        """(simplex, facet) -> `neighbor`'s tuple, for every paired slot."""
-        table = {}
-        for idx, p in enumerate(self.pairings):
-            fw = p.forward()
-            bw = {w: v for v, w in fw.items()}
-            for slot, entry in (((p.a, p.facet_a), (p.b, p.facet_b, fw, idx, +1)),
-                                ((p.b, p.facet_b), (p.a, p.facet_a, bw, idx, -1))):
-                if slot in table:
-                    raise ComplexError(f"slot {slot} used by two pairings")
-                table[slot] = entry
-        return table
+    def _gluing(self) -> tuple:
+        """(partner, across, pairing): read-only arrays over slot ids s*(n+1) + f.
 
-    def neighbor(self, s: int, f: int):
-        """(other simplex, other facet, vertex map dict, pairing index,
-        direction) across the pairing at slot (s, f), or None on the
-        boundary; direction is +1 from side a to side b and -1 back.
-
-        The vertex map dicts are cached and shared by every caller: they
-        are read-only.
-        """
-        return self._neighbors.get((s, f))
-
-    @cached_property
-    def _facet_table(self) -> tuple:
-        """(cell, vmap) arrays indexed by the slot id s*(n+1) + f.
-
-        ``cell[slot]`` is the id of the slot's facet cell: the smaller of
-        the two slot ids of a pairing, or ``t*(n+1) + slot`` for an
-        unpaired slot.  ``vmap[slot]`` sends the vertices of simplex s to
-        those of the cell's canonical slot: the identity on the canonical
-        side, the pairing's vertex map (extended by facet to facet) on the
-        other.
+        ``partner[slot]`` is the glued slot, or -1 on the boundary.
+        ``across[slot]`` sends the vertices of simplex s to those of the
+        partner's simplex: the pairing's vertex map (or its inverse from
+        side b) extended by facet to facet, and the identity on the
+        boundary.  ``pairing[slot]`` is the pairing index, or -1.  Raises
+        `ComplexError` on a slot out of range, a slot used twice, a facet
+        glued to itself or a vertex map that is not a bijection onto facet
+        b; `validate` reports every such error at once.
         """
         n, t = self.dim, self.simplex_count
         n1 = n + 1
         slots = t * n1
-        cell = np.arange(slots, 2 * slots, dtype=np.int64)
-        vmap = np.tile(np.arange(n1, dtype=np.int64), (slots, 1))
-        if not self.pairings:
-            return cell, vmap
-        if any(len(p.vertex_map) != n for p in self.pairings):
-            raise ComplexError(f"every vertex map needs {n} entries")
-        rec = np.array([(p.a, p.facet_a, p.b, p.facet_b, *p.vertex_map)
-                        for p in self.pairings], dtype=np.int64)
-        a, fa, b, fb, image = rec[:, 0], rec[:, 1], rec[:, 2], rec[:, 3], rec[:, 4:]
-        vertices = np.delete(rec, [0, 2], axis=1)  # facets and vertex map images
-        if min(a.min(), b.min(), vertices.min()) < 0 or max(a.max(), b.max()) >= t \
-                or vertices.max() > n:
-            raise ComplexError("pairing slot or vertex out of range")
-        slot_a, slot_b = a * n1 + fa, b * n1 + fb
-        both = np.concatenate((slot_a, slot_b))
-        uses = np.bincount(both, minlength=slots)
-        if uses.max() > 1:
-            s, f = divmod(int(np.argmax(uses)), n1)
-            raise ComplexError(f"slot {(s, f)} used by two pairings")
-        row = np.arange(len(rec))
-        facet = np.array([facet_vertices(n, f) for f in range(n1)], dtype=np.int64)[fa]
-        forward = np.empty((len(rec), n1), dtype=np.int64)
-        forward[row[:, None], facet] = image
-        forward[row, fa] = fb
-        backward = np.empty_like(forward)
-        backward[row[:, None], image] = facet
-        backward[row, fb] = fa
-        cell[both] = np.tile(np.minimum(slot_a, slot_b), 2)
-        a_first = slot_a < slot_b
-        vmap[slot_b[a_first]] = backward[a_first]
-        vmap[slot_a[~a_first]] = forward[~a_first]
-        return cell, vmap
+        partner = np.full(slots, -1, dtype=np.int64)
+        across = np.tile(np.arange(n1, dtype=np.int64), (slots, 1))
+        pairing = np.full(slots, -1, dtype=np.int64)
+        if self.pairings:
+            if any(len(p.vertex_map) != n for p in self.pairings):
+                raise ComplexError(f"every vertex map needs {n} entries")
+            rec = np.array([(p.a, p.facet_a, p.b, p.facet_b, *p.vertex_map)
+                            for p in self.pairings], dtype=np.int64)
+            a, fa, b, fb, image = rec[:, 0], rec[:, 1], rec[:, 2], rec[:, 3], rec[:, 4:]
+            if min(a.min(), b.min(), fa.min(), fb.min()) < 0 \
+                    or max(a.max(), b.max()) >= t or max(fa.max(), fb.max()) > n:
+                raise ComplexError("pairing slot out of range")
+            slot_a, slot_b = a * n1 + fa, b * n1 + fb
+            both = np.concatenate((slot_a, slot_b))
+            uses = np.bincount(both, minlength=slots)
+            if uses.max() > 1:
+                s, f = divmod(int(np.argmax(uses)), n1)
+                raise ComplexError(f"slot {(s, f)} used by two pairings or glued to itself")
+            facets = np.array([facet_vertices(n, f) for f in range(n1)], dtype=np.int64)
+            bad = (np.sort(image, axis=1) != facets[fb]).any(axis=1)
+            if bad.any():
+                raise ComplexError(f"pairing {int(np.argmax(bad))}: vertex map is not "
+                                   "a bijection onto facet b")
+            partner[slot_a], partner[slot_b] = slot_b, slot_a
+            across[slot_a[:, None], facets[fa]] = image
+            across[slot_a, fa] = fb
+            across[slot_b[:, None], image] = facets[fa]
+            across[slot_b, fb] = fa
+            pairing[both] = np.tile(np.arange(len(rec)), 2)
+        for table in (partner, across, pairing):
+            table.flags.writeable = False
+        return partner, across, pairing
+
+    def neighbor(self, s: int, f: int):
+        """(other simplex, other facet, vertex map row, pairing index,
+        direction) across the pairing at slot (s, f), or None on the
+        boundary; direction is +1 from side a to side b and -1 back.
+        Raises `ComplexError` on a slot out of range.
+
+        The vertex map row is the read-only `_gluing` ``across`` row: it
+        sends every vertex of simplex s, f included, into the other one.
+        """
+        n1 = self.dim + 1
+        partner, across, pairing = self._gluing
+        if not (0 <= s < self.simplex_count and 0 <= f < n1):
+            raise ComplexError(f"slot {(s, f)} out of range")
+        slot = s * n1 + f
+        other = int(partner[slot])
+        if other < 0:
+            return None
+        idx = int(pairing[slot])
+        p = self.pairings[idx]
+        direction = 1 if (p.a, p.facet_a) == (s, f) else -1
+        return (*divmod(other, n1), across[slot], idx, direction)
 
 
 @dataclass(frozen=True)
@@ -214,15 +207,17 @@ def cell_counts(T: Triangulation) -> CellCounts:
     """
     n, t = T.dim, T.simplex_count
     shift = n + 1
+    across = T._gluing[1]
     uf = _UnionFind()
     subsets = {}  # (facet, vertex map) -> (mask, image mask) per subset of the facet
     for p in T.pairings:
         pairs = subsets.get((p.facet_a, p.vertex_map))
         if pairs is None:
-            fw = p.forward()
+            fw = across[p.a * shift + p.facet_a].tolist()
             pairs = subsets[p.facet_a, p.vertex_map] = [
                 (sum(1 << v for v in sub), sum(1 << fw[v] for v in sub))
-                for size in range(1, n + 1) for sub in itertools.combinations(fw, size)]
+                for size in range(1, n + 1)
+                for sub in itertools.combinations(facet_vertices(n, p.facet_a), size)]
         a, b = p.a << shift, p.b << shift
         for mask, image in pairs:
             uf.union(a | mask, b | image)
@@ -235,23 +230,12 @@ def cell_counts(T: Triangulation) -> CellCounts:
     return CellCounts(tuple(f), euler)
 
 
-def _perm_sign(seq) -> int:
-    inv = 0
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def _pairing_sign(p: Pairing, n: int) -> int:
-    """Relative sign of the two boundary facets under the gluing.
-
-    The gluing cancels boundaries iff eps_b = -eps_a (-1)^{i+j} sgn(pi)
-    where pi sorts the image tuple of facet a's ascending vertex list.
-    """
-    return -1 * (-1) ** (p.facet_a + p.facet_b) * _perm_sign(p.vertex_map)
+def _parity(perms) -> np.ndarray:
+    """+1 or -1 per row of an integer array: the sign of the row as a
+    permutation, from its inversions over the upper triangle of pairs."""
+    perms = np.asarray(perms)
+    i, j = np.triu_indices(perms.shape[-1], 1)
+    return 1 - 2 * (np.count_nonzero(perms[..., i] > perms[..., j], axis=-1) % 2)
 
 
 @dataclass(frozen=True)
@@ -262,10 +246,15 @@ class OrientabilityResult:
 
 
 def orientability(T: Triangulation) -> OrientabilityResult:
-    """Search for simplex orientations making every pairing orientation-reversing."""
-    n, t = T.dim, T.simplex_count
-    neighbors = T._neighbors
-    pairing_signs = [_pairing_sign(p, n) for p in T.pairings]
+    """Search for simplex orientations making every pairing orientation-reversing.
+
+    The pairing at a slot reverses orientation exactly when the other
+    simplex's sign is -sign[s] * sgn(across[slot]), from either side.
+    """
+    n1, t = T.dim + 1, T.simplex_count
+    partner, across, pairing = T._gluing
+    flips = (-_parity(across)).tolist()
+    partner, pairing = partner.tolist(), pairing.tolist()
     sign = {}
     parent = {}
     for start in range(t):
@@ -275,12 +264,11 @@ def orientability(T: Triangulation) -> OrientabilityResult:
         queue = [start]
         while queue:
             s = queue.pop()
-            for f in range(n + 1):
-                nb = neighbors.get((s, f))
-                if nb is None:
+            for slot in range(s * n1, s * n1 + n1):
+                if partner[slot] < 0:
                     continue
-                other, _, _, idx, _ = nb
-                required = sign[s] * pairing_signs[idx]
+                other, idx = partner[slot] // n1, pairing[slot]
+                required = sign[s] * flips[slot]
                 if other not in sign:
                     sign[other] = required
                     parent[other] = (s, idx)
@@ -337,17 +325,19 @@ def links(T: Triangulation) -> LinksReport:
     if not rep.closed:
         raise ComplexError(f"links need a closed complex; boundary at {rep.boundary_slots}")
     t = T.simplex_count
+    across = T._gluing[1]
 
     verts = _UnionFind()
     sides = _UnionFind()
     corners = _UnionFind()
     edges = _UnionFind()
     for p in T.pairings:
-        fw = p.forward()
-        for v in fw:
+        fw = across[p.a * 4 + p.facet_a].tolist()
+        facet = facet_vertices(3, p.facet_a)
+        for v in facet:
             verts.union((p.a, v), (p.b, fw[v]))
             sides.union((p.a, v, p.facet_a), (p.b, fw[v], p.facet_b))
-        for v, w in itertools.permutations(fw, 2):
+        for v, w in itertools.permutations(facet, 2):
             corners.union((p.a, v, w), (p.b, fw[v], fw[w]))
             edges.union((p.a, frozenset((v, w))), (p.b, frozenset((fw[v], fw[w]))))
 
@@ -417,7 +407,8 @@ def fundamental_cycle(T: Triangulation) -> Chain:
         raise ComplexError("fundamental cycle needs an oriented complex")
     fact = math.factorial(n + 1)
     coeff = {+1: Fraction(1, fact), -1: Fraction(-1, fact)}
-    orderings = [(tau, _perm_sign(tau)) for tau in itertools.permutations(range(n + 1))]
+    taus = list(itertools.permutations(range(n + 1)))
+    orderings = list(zip(taus, _parity(taus).tolist()))
     alt = {eps: [(tau, coeff[eps * sign]) for tau, sign in orderings] for eps in (+1, -1)}
     terms = {}
     for s, eps in enumerate(orient.assignment):
@@ -442,14 +433,20 @@ def boundary(T: Triangulation, z: Chain) -> Chain:
     exact integer arithmetic: every coefficient is scaled to an integer
     over the lcm of the chain's denominators, and the (term, face)
     pairs are summed per facet cell and face in one numpy pass over
-    `Triangulation._facet_table`: in the smallest signed integer type
-    that holds every partial sum, and in Python ints beyond int64.
+    `Triangulation._gluing`: in the smallest signed integer type that
+    holds every partial sum, and in Python ints beyond int64.
     """
     if not z.terms:
         return Chain()
     n1 = T.dim + 1
-    cell, vmap = T._facet_table
+    partner, across, _ = T._gluing
     slots = T.simplex_count * n1
+    # a facet cell's id is its smaller slot id, or slots + slot for an
+    # unpaired slot; the canonical side maps by the identity, the other
+    # side by `across` (which is the identity on the boundary too)
+    ids = np.arange(slots)
+    cell = np.where(partner < 0, slots + ids, np.minimum(ids, partner))
+    vmap = np.where((partner < ids)[:, None], across, np.arange(n1))
     face_codes = n1 ** (n1 - 1)  # a face is n digits in base n1
     if 2 * slots * face_codes >= 2 ** 63:
         raise ComplexError("too many (facet cell, face) pairs for 64-bit codes")
@@ -541,36 +538,37 @@ class Codim2Cycle:
 
 
 def codim2_cycles(T: Triangulation) -> list:
-    """All closed walks around codimension-2 cells of a closed complex."""
-    n = T.dim
+    """All closed walks around codimension-2 cells of a closed complex.
+
+    A walk's state is (simplex, exit facet, kept vertex): the cell is the
+    face without those two vertices, and the vertex map of the exit
+    facet's pairing carries the kept vertex to the next exit facet.
+    """
     seen = set()
     cycles = []
     for s in range(T.simplex_count):
-        for pair in itertools.combinations(range(n + 1), 2):
-            face = frozenset(v for v in range(n + 1) if v not in pair)
-            for exit_facet in pair:
-                state0 = (s, face, exit_facet)
+        for pair in itertools.combinations(range(T.dim + 1), 2):
+            for exit_facet, kept in (pair, pair[::-1]):
+                state0 = (s, exit_facet, kept)
                 if state0 in seen:
                     continue
                 steps = []
                 state = state0
                 closed_walk = True
                 while True:
-                    cs, cface, cexit = state
+                    cs, cexit, ckept = state
                     seen.add(state)
                     nb = T.neighbor(cs, cexit)
                     if nb is None:
                         closed_walk = False
                         break
                     other, entry, vmap, idx, direction = nb
-                    new_face = frozenset(vmap[v] for v in cface)
-                    missing = [v for v in range(n + 1) if v not in new_face]
-                    nxt = missing[0] if missing[1] == entry else missing[1]
+                    nxt = int(vmap[ckept])
                     steps.append((cs, cexit, idx, direction))
                     # mark the opposite-direction state so each geometric
                     # cell yields one walk, not a forward/backward pair
-                    seen.add((other, new_face, entry))
-                    state = (other, new_face, nxt)
+                    seen.add((other, entry, nxt))
+                    state = (other, nxt, entry)
                     if state == state0:
                         break
                     if state in seen:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -343,6 +344,10 @@ def test_scripts_run(script, args):
     # the scripts import the package API directly; a tiny run catches a break
     done = run_script(script, args)
     assert done.returncode == 0, done.stderr
+    if script == "cover_census.py":
+        covers = done.stdout.splitlines()[1:]
+        assert len(covers) == 2
+        assert all(re.search(r" connected=(True|False),", line) for line in covers)
 
 
 @pytest.mark.parametrize("script, args", [

@@ -14,6 +14,7 @@ from hypstab.complexes import (
     ComplexError,
     CoverSpec,
     Pairing,
+    facet_vertices,
     Triangulation,
     boundary,
     build_cover,
@@ -34,7 +35,7 @@ from hypstab.complexes import (
     validate,
     verify_cycle,
 )
-from hypstab.complexes import _dual_spanning_tree, _scaled_numerators
+from hypstab.complexes import _dual_spanning_tree, _parity, _scaled_numerators
 from hypstab.fixtures import fixture_names, load_fixture
 
 
@@ -76,6 +77,33 @@ def test_validate_reports_self_gluing_and_bad_map():
     assert any("glued to itself" in e for e in rep.errors)
     rep = validate(Triangulation(2, 2, (Pairing(0, 0, 1, 0, (0, 2)),)))
     assert any("not a bijection" in e for e in rep.errors)
+
+
+#: a slot used by two pairings, a facet glued to itself, and a vertex map
+#: onto the wrong facet (pairing 0 sends facet 0 of simplex 0 onto {0, 2},
+#: which is facet 1 of simplex 1, not facet 0)
+MALFORMED = {
+    "doubled": Triangulation(2, 2, (Pairing(0, 0, 1, 0, (1, 2)), Pairing(0, 0, 1, 1, (0, 2)))),
+    "self-glued": Triangulation(2, 1, (Pairing(0, 0, 0, 0, (1, 2)),)),
+    "not a bijection": Triangulation(2, 2, (Pairing(0, 0, 1, 0, (0, 2)),
+                                            Pairing(0, 1, 1, 1, (0, 2)),
+                                            Pairing(0, 2, 1, 2, (0, 1)))),
+}
+
+
+@pytest.mark.parametrize("routine", [
+    cell_counts,
+    orientability,
+    lambda T: boundary(T, Chain({(0, (0, 1, 2)): F(1)})),
+    codim2_cycles,
+    _dual_spanning_tree,
+], ids=["cell_counts", "orientability", "boundary", "codim2_cycles", "dual_spanning_tree"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_every_routine_rejects_malformed_gluing(routine, kind):
+    T = MALFORMED[kind]
+    assert not validate(T).valid
+    with pytest.raises(ComplexError):
+        routine(T)
 
 
 def test_boundary_slots_reported():
@@ -149,13 +177,20 @@ def test_chain_drops_zero_coefficients():
 # references
 
 
+def reference_vertex_map(T, p):
+    """Pairing p's vertex map as a dict on facet a's vertices."""
+    return dict(zip(facet_vertices(T.dim, p.facet_a), p.vertex_map))
+
+
 def reference_neighbor(T, s, f):
-    """Across slot (s, f), read straight from the pairings."""
+    """Across slot (s, f), read straight from the pairings: (other simplex,
+    other facet, vertex map dict on the facet, pairing index, direction)."""
     for idx, p in enumerate(T.pairings):
+        fw = reference_vertex_map(T, p)
         if (p.a, p.facet_a) == (s, f):
-            return p.b, p.facet_b, p.forward()
+            return p.b, p.facet_b, fw, idx, +1
         if (p.b, p.facet_b) == (s, f):
-            return p.a, p.facet_a, p.backward()
+            return p.a, p.facet_a, {w: v for v, w in fw.items()}, idx, -1
     return None
 
 
@@ -173,7 +208,7 @@ def reference_boundary(T, z):
             if nb is None:
                 key = (("bd", s, missing), face)
             else:
-                other, other_facet, vmap = nb
+                other, other_facet, vmap, _, _ = nb
                 if (other, other_facet) < (s, missing):
                     key = ((other, other_facet), tuple(vmap[v] for v in face))
                 else:
@@ -193,7 +228,7 @@ def reference_cell_counts(T):
         return x
 
     for p in T.pairings:
-        fw = p.forward()
+        fw = reference_vertex_map(T, p)
         for size in range(1, n + 1):
             for sub in itertools.combinations(fw, size):
                 ra = find((p.a, frozenset(sub)))
@@ -288,6 +323,72 @@ def test_references_on_random_covers():
                 disconnected += 1
             assert_matches_references(cov, rng)
     assert disconnected
+
+
+def slot_test_complexes():
+    """The fixtures, the unpaired complex, and torus and figure-eight covers."""
+    torus, fig8 = load_fixture("torus"), load_fixture("figure-eight")
+    return ([load_fixture(name) for name in fixture_names()] + [unpaired_complex()]
+            + [build_cover(torus, characteristic_cover_spec(torus, x)) for x in (2, 3)]
+            + [build_cover(fig8, figure_eight_cyclic_spec(fig8, d, a, b))
+               for d, a, b in ((2, 1, 0), (5, 2, 3), (7, 1, 4))])
+
+
+def test_neighbor_table_slot_by_slot():
+    for T in slot_test_complexes():
+        for s in range(T.simplex_count):
+            for f in range(T.dim + 1):
+                ref = reference_neighbor(T, s, f)
+                got = T.neighbor(s, f)
+                if ref is None:
+                    assert got is None
+                    continue
+                other, other_facet, vmap, idx, direction = ref
+                assert got[0] == other and got[1] == other_facet
+                assert got[2].tolist() == [other_facet if v == f else vmap[v]
+                                           for v in range(T.dim + 1)]
+                assert (got[3], got[4]) == (idx, direction)
+        for s, f in ((-1, 0), (0, -1), (T.simplex_count, 0), (0, T.dim + 1)):
+            with pytest.raises(ComplexError, match="out of range"):
+                T.neighbor(s, f)
+
+
+def reference_pairing_sign(p):
+    """The relative orientation a pairing needs: the gluing cancels the two
+    boundary facets iff sign[b] = -sign[a] (-1)^(fa + fb) sgn(vertex map)."""
+    inversions = sum(u > v for u, v in itertools.combinations(p.vertex_map, 2))
+    return -(-1) ** (p.facet_a + p.facet_b + inversions)
+
+
+def test_orientability_against_reference_signs():
+    rng = np.random.default_rng(27)
+    klein = load_fixture("klein")
+    # the orientation double cover: a pairing swaps the sheets iff it
+    # needs the two simplices oppositely signed
+    double = CoverSpec(2, {i: (0, 1) if reference_pairing_sign(p) > 0 else (1, 0)
+                           for i, p in enumerate(klein.pairings)})
+    covers = [build_cover(klein, random_cover_spec(klein, d, rng)) for d in (2, 3, 4, 5, 6)]
+    torus = build_cover(klein, double)
+    covers += [torus, build_cover(torus, random_cover_spec(torus, 3, rng))]
+    seen = []
+    for T in slot_test_complexes() + covers:
+        result = orientability(T)
+        seen.append(result.orientable)
+        if result.orientable:
+            sign = result.assignment
+            assert all(sign[p.b] == sign[p.a] * reference_pairing_sign(p) for p in T.pairings)
+        else:
+            assert math.prod(reference_pairing_sign(T.pairings[i])
+                             for i in result.violating_cycle) == -1
+    assert seen[-2:] == [True, True] and not all(seen[-7:-2])
+
+
+def test_parity_matches_inversion_count():
+    for k in range(1, 7):
+        perms = list(itertools.permutations(range(k)))
+        expected = [(-1) ** sum(u > v for u, v in itertools.combinations(tau, 2))
+                    for tau in perms]
+        assert _parity(perms).tolist() == expected
 
 
 def test_boundary_scales_mixed_denominators():
