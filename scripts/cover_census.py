@@ -16,8 +16,7 @@ import numpy as np
 
 from hypstab.cli import int_at_least
 from hypstab.complexes import (
-    ComplexError,
-    _dual_spanning_tree,
+    _components,
     build_cover,
     cell_counts,
     fundamental_cycle,
@@ -44,11 +43,11 @@ def main():
         cov = build_cover(T, random_cover_spec(T, d, rng))
         counts = cell_counts(cov)
         mult = counts.f_vector == tuple(d * f for f in base.f_vector)
-        try:
-            _dual_spanning_tree(cov)
-            connected = True
-        except ComplexError:  # a built cover is well formed: it is disconnected
-            connected = False
+        partner = cov._gluing[0]
+        slot = np.flatnonzero(partner >= 0)
+        n1 = cov.dim + 1
+        # every simplex labelled by the least simplex of its dual component
+        connected = not _components(slot // n1, partner[slot] // n1, cov.simplex_count).any()
         z = fundamental_cycle(cov)
         print(f"  degree {d}: t~={cov.simplex_count} (t~/d = {cov.simplex_count // d}), "
               f"f={counts.f_vector} multiplicative={mult} connected={connected}, "

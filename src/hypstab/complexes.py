@@ -15,18 +15,20 @@ Wire format (JSON)::
 where ``map`` lists the images of facet a's vertices taken in increasing
 order of preimage.
 
-The module computes cell counts and Euler characteristics via union-find
-over the induced face identifications, orientations (a pairing must
-reverse the boundary orientations of the two facets), vertex links and
-edge valences in dimension 3, the alternated fundamental cycle with
+The module computes cell counts and Euler characteristics as connected
+components of the induced face identifications, orientations (a pairing
+must reverse the boundary orientations of the two facets), vertex links
+and edge valences in dimension 3, the alternated fundamental cycle with
 exact rational coefficients, and finite covers described by permutation
 assignments.  Every routine reads one cached per-slot gluing table,
-`Triangulation._gluing`, which rejects malformed gluing data; the
-boundary of a chain is one numpy pass over it that sums the signed
-faces exactly as integers over one common denominator.  A cover
-assignment is admissible when the ordered product of permutations
-around every codimension-2 cycle is the identity (the unbranched
-condition); branched assignments are rejected with the offending cycle.
+`Triangulation._gluing`, which rejects malformed gluing data.  The cell
+counts and the links are one numpy component labelling, `_components`,
+over edges gathered from that table; the boundary of a chain is one
+numpy pass over it that sums the signed faces exactly as integers over
+one common denominator.  A cover assignment is admissible when the
+ordered product of permutations around every codimension-2 cycle is the
+identity (the unbranched condition); branched assignments are rejected
+with the offending cycle.
 """
 
 from __future__ import annotations
@@ -170,25 +172,26 @@ def validate(T: Triangulation) -> ValidationReport:
     return ValidationReport(not errors, not boundary and not errors, tuple(errors), boundary)
 
 
-class _UnionFind:
-    """Union-find with path compression over hashable keys."""
+def _components(u, v, size: int) -> np.ndarray:
+    """The least node of each node's component in the graph on nodes
+    0..size-1 with an edge u[i] -- v[i] for every index i of the two
+    integer arrays, which have one shape.
 
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while (up := parent.get(root, root)) != root:
-            root = up
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+    Min-label propagation along the edges both ways, then pointer
+    jumping until every label is its own label, repeated until the two
+    ends of every edge carry one label.  A label never exceeds its node
+    and always lies in the node's component, so the fixed point labels
+    each component by its least node.
+    """
+    lab = np.arange(size)
+    while True:
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
+        lu, lv = lab[u], lab[v]
+        if np.array_equal(lu, lv):
+            return lab
+        np.minimum.at(lab, lu, lv)
+        np.minimum.at(lab, lv, lu)
 
 
 @dataclass(frozen=True)
@@ -202,32 +205,28 @@ def cell_counts(T: Triangulation) -> CellCounts:
 
     Cells of dimension d are orbits of (simplex, vertex subset of size
     d+1) under the identifications generated by the facet pairings.  The
-    pair is the integer ``simplex << (n+1) | mask`` with bit v of the mask
-    set for vertex v.
+    pair is the node ``simplex << (n+1) | mask`` with bit v of the mask
+    set for vertex v; each pairing joins every subset of its facet to
+    the subset's image under the `_gluing` ``across`` row, and the cells
+    are the components of those edges.
     """
-    n, t = T.dim, T.simplex_count
-    shift = n + 1
-    across = T._gluing[1]
-    uf = _UnionFind()
-    subsets = {}  # (facet, vertex map) -> (mask, image mask) per subset of the facet
-    for p in T.pairings:
-        pairs = subsets.get((p.facet_a, p.vertex_map))
-        if pairs is None:
-            fw = across[p.a * shift + p.facet_a].tolist()
-            pairs = subsets[p.facet_a, p.vertex_map] = [
-                (sum(1 << v for v in sub), sum(1 << fw[v] for v in sub))
-                for size in range(1, n + 1)
-                for sub in itertools.combinations(facet_vertices(n, p.facet_a), size)]
-        a, b = p.a << shift, p.b << shift
-        for mask, image in pairs:
-            uf.union(a | mask, b | image)
-    f = []
-    for d in range(n):
-        masks = [sum(1 << v for v in sub) for sub in itertools.combinations(range(n + 1), d + 1)]
-        f.append(len({uf.find(s << shift | mask) for s in range(t) for mask in masks}))
-    f.append(t)
-    euler = sum((-1) ** d * fd for d, fd in enumerate(f))
-    return CellCounts(tuple(f), euler)
+    n1, t = T.dim + 1, T.simplex_count
+    partner, across, _ = T._gluing
+    slot = np.flatnonzero(partner > np.arange(t * n1))  # one side per pairing
+    # member[m, v] is bit v of mask m; subsets[f] the nonempty subsets of facet f
+    member = np.arange(1 << n1)[:, None] >> np.arange(n1) & 1
+    subsets = np.array([[m for m in range(1, 1 << n1) if not m >> f & 1] for f in range(n1)],
+                       dtype=np.int64)
+    sub = subsets[slot % n1]
+    image = (member[sub] << across[slot][:, None, :]).sum(axis=2)
+    size = t << n1
+    lab = _components(slot[:, None] // n1 << n1 | sub,
+                      partner[slot][:, None] // n1 << n1 | image, size)
+    # each node labelled by itself stands for one cell, of dimension
+    # popcount(mask) - 1; the full masks are the t top cells
+    masks = np.flatnonzero(lab == np.arange(size)) & (1 << n1) - 1
+    f = tuple(np.bincount(member.sum(axis=1)[masks], minlength=n1 + 1)[1:].tolist())
+    return CellCounts(f, sum((-1) ** d * fd for d, fd in enumerate(f)))
 
 
 def _parity(perms) -> np.ndarray:
@@ -316,6 +315,12 @@ def links(T: Triangulation) -> LinksReport:
     triangle whose sides lie on the three facets through v; sides are
     glued according to the facet pairings.  Requires a closed complex:
     an unpaired facet leaves link sides unmatched.
+
+    One `_components` call labels four orbit families: the vertices
+    (s, v), the link sides (s, v, f) and link corners (s, v, w), each an
+    ordered pair of distinct vertices, and the edges (s, {v, w}).  Vertex
+    and edge node ids increase with (s, v) and (s, sorted pair), so an
+    orbit's label is its least member.
     """
     if T.dim != 3:
         raise ComplexError("links are implemented for 3-dimensional complexes")
@@ -325,46 +330,63 @@ def links(T: Triangulation) -> LinksReport:
     if not rep.closed:
         raise ComplexError(f"links need a closed complex; boundary at {rep.boundary_slots}")
     t = T.simplex_count
-    across = T._gluing[1]
+    partner, across, _ = T._gluing
+    slot = np.flatnonzero(partner > np.arange(4 * t))  # one side per pairing
+    a, fa = np.divmod(slot, 4)
+    b, fw = partner[slot] // 4, across[slot]
+    # the 12 ordered pairs (v, w) of distinct vertices and their images
+    # across each pairing: a pair with v on the facet glues a link side
+    # when w is the facet's opposite vertex, and a link corner and the
+    # edge vw when w is on the facet too
+    v, w = np.array([(v, w) for v in range(4) for w in range(4) if v != w]).T
+    bv, bw = fw[:, v], fw[:, w]
+    on_facet = v != fa[:, None]
+    side = on_facet & (w == fa[:, None])
+    corner = on_facet & ~side
+    ordered = np.zeros((4, 4), dtype=np.int64)
+    ordered[v, w] = np.arange(12)
+    pairs = list(itertools.combinations(range(4), 2))
+    unordered = np.zeros((4, 4), dtype=np.int64)
+    for k, (p, q) in enumerate(pairs):
+        unordered[p, q] = unordered[q, p] = k
+    # (nodes per simplex, node in simplex a, node in simplex b, glued)
+    families = ((4, v, bv, side), (12, ordered[v, w], ordered[bv, bw], side),
+                (12, ordered[v, w], ordered[bv, bw], corner),
+                (6, unordered[v, w], unordered[bv, bw], corner))
+    ends_a, ends_b, offsets = [], [], [0]
+    for width, node_a, node_b, glued in families:
+        ends_a.append((offsets[-1] + a[:, None] * width + node_a)[glued])
+        ends_b.append((offsets[-1] + b[:, None] * width + node_b)[glued])
+        offsets.append(offsets[-1] + width * t)
+    lab = _components(np.concatenate(ends_a), np.concatenate(ends_b), offsets[-1])
+    verts, sides, corners, edges = (lab[lo:hi] - lo for lo, hi in zip(offsets, offsets[1:]))
 
-    verts = _UnionFind()
-    sides = _UnionFind()
-    corners = _UnionFind()
-    edges = _UnionFind()
-    for p in T.pairings:
-        fw = across[p.a * 4 + p.facet_a].tolist()
-        facet = facet_vertices(3, p.facet_a)
-        for v in facet:
-            verts.union((p.a, v), (p.b, fw[v]))
-            sides.union((p.a, v, p.facet_a), (p.b, fw[v], p.facet_b))
-        for v, w in itertools.permutations(facet, 2):
-            corners.union((p.a, v, w), (p.b, fw[v], fw[w]))
-            edges.union((p.a, frozenset((v, w))), (p.b, frozenset((fw[v], fw[w]))))
+    def roots(labels):
+        return np.flatnonzero(labels == np.arange(len(labels)))
 
-    by_vertex = {}
-    for s in range(t):
-        for v in range(4):
-            by_vertex.setdefault(verts.find((s, v)), []).append((s, v))
-    links_out = []
-    for root, cells in sorted(by_vertex.items(), key=lambda kv: min(kv[1])):
-        face_count = len(cells)
-        side_orbits = {sides.find((s, v, f)) for s, v in cells for f in range(4) if f != v}
-        corner_orbits = {corners.find((s, v, w)) for s, v in cells for w in range(4) if w != v}
-        v_count, e_count = len(corner_orbits), len(side_orbits)
-        if 3 * face_count != 2 * e_count:
-            raise ComplexError("non-manifold link structure: link sides unmatched")
-        links_out.append(VertexLinkInfo(tuple(sorted(cells)), face_count, e_count,
-                                        v_count, v_count - e_count + face_count))
+    def per_vertex(labels):
+        # orbits of ordered pairs per vertex orbit, through each root's v
+        s, k = np.divmod(roots(labels), 12)
+        return np.bincount(verts[s * 4 + v[k]], minlength=4 * t)
 
-    by_edge = {}
-    for s in range(t):
-        for pair in itertools.combinations(range(4), 2):
-            key = edges.find((s, frozenset(pair)))
-            by_edge.setdefault(key, []).append((s, frozenset(pair)))
-    edge_infos = [EdgeInfo(min(slots, key=lambda x: (x[0], tuple(sorted(x[1])))), len(slots))
-                  for slots in by_edge.values()]
-    edge_infos.sort(key=lambda e: (e.representative[0], tuple(sorted(e.representative[1]))))
-    return LinksReport(tuple(links_out), tuple(edge_infos))
+    vertex_roots = roots(verts)
+    faces = np.bincount(verts, minlength=4 * t)[vertex_roots]
+    e_count = per_vertex(sides)[vertex_roots]
+    v_count = per_vertex(corners)[vertex_roots]
+    if (3 * faces != 2 * e_count).any():
+        raise ComplexError("non-manifold link structure: link sides unmatched")
+    # the vertex orbits in order of their least cells, cells in increasing order
+    members = np.stack(np.divmod(np.argsort(verts, kind="stable"), 4), axis=1)
+    links_out = tuple(
+        VertexLinkInfo(tuple(map(tuple, cells.tolist())), f, e, c, c - e + f)
+        for cells, f, e, c in zip(np.split(members, np.cumsum(faces)[:-1]), faces.tolist(),
+                                  e_count.tolist(), v_count.tolist()))
+    edge_roots = roots(edges)
+    valence = np.bincount(edges, minlength=6 * t)[edge_roots]
+    s, k = np.divmod(edge_roots, 6)
+    edge_infos = tuple(EdgeInfo((s, frozenset(pairs[k])), val)
+                       for s, k, val in zip(s.tolist(), k.tolist(), valence.tolist()))
+    return LinksReport(links_out, edge_infos)
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +743,24 @@ def to_wire(T: Triangulation) -> dict:
     }
 
 
+def _wire_int(value) -> int:
+    """A wire-format integer: a JSON float or bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def from_wire(data: dict, name: str | None = None) -> Triangulation:
     try:
-        dim = int(data["dim"])
-        count = int(data["simplices"])
+        dim = _wire_int(data["dim"])
+        count = _wire_int(data["simplices"])
         pairings = tuple(
-            Pairing(int(rec["a"][0]), int(rec["a"][1]),
-                    int(rec["b"][0]), int(rec["b"][1]),
-                    tuple(int(v) for v in rec["map"]))
+            Pairing(_wire_int(rec["a"][0]), _wire_int(rec["a"][1]),
+                    _wire_int(rec["b"][0]), _wire_int(rec["b"][1]),
+                    tuple(map(_wire_int, rec["map"])))
             for rec in data["pairings"]
         )
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise ComplexError(f"malformed triangulation data: {exc}") from exc
     labels = {"name": name} if name else None
     T = Triangulation(dim, count, pairings, labels)
@@ -749,10 +778,10 @@ def cover_spec_to_wire(spec: CoverSpec) -> dict:
 def cover_spec_from_wire(data: dict) -> CoverSpec:
     """Parse {"degree": d, "perms": {pairing-id: one-line permutation of 1..d}}."""
     try:
-        d = int(data["degree"])
-        perms = {int(k): tuple(int(v) - 1 for v in perm)
+        d = _wire_int(data["degree"])
+        perms = {int(k): tuple(_wire_int(v) - 1 for v in perm)
                  for k, perm in data["perms"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ComplexError(f"malformed cover spec: {exc}") from exc
     return CoverSpec(d, perms)
 

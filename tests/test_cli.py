@@ -211,6 +211,19 @@ def test_samples_floor():
     pytest.param(["triangulation", "info"],
                  {"dim": 1, "simplices": 1, "pairings": [{"a": [0, 0], "b": [0, 1], "map": ["q"]}]},
                  id="wire-map-not-integer"),
+    # floats and bools are not integers: int() would truncate 0.9 and 1.7
+    pytest.param(["triangulation", "info"],
+                 {"dim": 2, "simplices": 2,
+                  "pairings": [{"a": [0.9, 0], "b": [1, 0], "map": [1.7, 2]}]},
+                 id="wire-slot-float"),
+    pytest.param(["triangulation", "info"], {"dim": True, "simplices": 1, "pairings": []},
+                 id="wire-dim-bool"),
+    pytest.param(["triangulation", "cover", "torus", "--spec"],
+                 {"degree": 2, "perms": {"0": [2, 1.0], "1": [1, 2], "2": [1, 2]}},
+                 id="spec-perm-float"),
+    pytest.param(["triangulation", "cover", "torus", "--spec"],
+                 {"degree": 2.0, "perms": {"0": [2, 1], "1": [1, 2], "2": [1, 2]}},
+                 id="spec-degree-float"),
     pytest.param(["volume", "--regular-ideal", "3", "--samples", "inf"], None, id="samples-inf"),
     pytest.param(["volume", "--samples", "1e4"],
                  {"dim": 2, "vertices": [{"x": [math.nan, 0]}, {"x": [1, 0], "ideal": True},

@@ -13,6 +13,8 @@ from hypstab.complexes import (
     Chain,
     ComplexError,
     CoverSpec,
+    EdgeInfo,
+    LinksReport,
     Pairing,
     facet_vertices,
     Triangulation,
@@ -34,8 +36,9 @@ from hypstab.complexes import (
     trivial_cover_spec,
     validate,
     verify_cycle,
+    VertexLinkInfo,
 )
-from hypstab.complexes import _dual_spanning_tree, _parity, _scaled_numerators
+from hypstab.complexes import _components, _dual_spanning_tree, _parity, _scaled_numerators
 from hypstab.fixtures import fixture_names, load_fixture
 
 
@@ -130,6 +133,64 @@ def test_s3_links():
     rep = links(load_fixture("s3"))
     assert [v.euler for v in rep.vertex_links] == [2] * 5
     assert all(e.valence == 3 for e in rep.edges)
+
+
+def reference_links(T):
+    """Vertex links and edge valences from a dict union-find over tuple
+    keys, one pairing at a time."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for p in T.pairings:
+        fw = reference_vertex_map(T, p)
+        for v in fw:
+            union(("vertex", p.a, v), ("vertex", p.b, fw[v]))
+            union(("side", p.a, v, p.facet_a), ("side", p.b, fw[v], p.facet_b))
+        for v, w in itertools.permutations(fw, 2):
+            union(("corner", p.a, v, w), ("corner", p.b, fw[v], fw[w]))
+            union(("edge", p.a, frozenset((v, w))), ("edge", p.b, frozenset((fw[v], fw[w]))))
+    by_vertex = {}
+    for s in range(T.simplex_count):
+        for v in range(4):
+            by_vertex.setdefault(find(("vertex", s, v)), []).append((s, v))
+    vertex_links = []
+    for cells in sorted(by_vertex.values(), key=min):
+        sides = {find(("side", s, v, f)) for s, v in cells for f in range(4) if f != v}
+        corners = {find(("corner", s, v, w)) for s, v in cells for w in range(4) if w != v}
+        vertex_links.append(VertexLinkInfo(tuple(sorted(cells)), len(cells), len(sides),
+                                           len(corners), len(corners) - len(sides) + len(cells)))
+    by_edge = {}
+    for s in range(T.simplex_count):
+        for pair in itertools.combinations(range(4), 2):
+            by_edge.setdefault(find(("edge", s, frozenset(pair))), []).append((s, pair))
+    edges = sorted((min(slots), len(slots)) for slots in by_edge.values())
+    return LinksReport(tuple(vertex_links),
+                       tuple(EdgeInfo((s, frozenset(pair)), valence)
+                             for (s, pair), valence in edges))
+
+
+def test_links_match_union_find_reference():
+    fig8, s3 = load_fixture("figure-eight"), load_fixture("s3")
+    rng = np.random.default_rng(24)
+    complexes = [fig8, s3] + [build_cover(s3, random_cover_spec(s3, d, rng)) for d in (2, 3)]
+    for d in range(1, 25):
+        a, b = (int(v) for v in rng.integers(0, d, size=2))
+        complexes.append(build_cover(fig8, figure_eight_cyclic_spec(fig8, d, a, b)))
+    several = 0
+    for T in complexes:
+        rep = links(T)
+        assert rep == reference_links(T)
+        several += len(rep.vertex_links) > 1
+    assert several  # some complexes have more than one vertex orbit
 
 
 def test_links_reject_bad_input():
@@ -317,12 +378,81 @@ def test_references_on_random_covers():
         T = load_fixture(name)
         for d in (2, 3, 5):
             cov = build_cover(T, random_cover_spec(T, d, rng))
-            try:
-                _dual_spanning_tree(cov)
-            except ComplexError:
-                disconnected += 1
+            disconnected += dual_components(cov) > 1
             assert_matches_references(cov, rng)
     assert disconnected
+
+
+def dual_components(T):
+    """The number of connected components of T's dual graph."""
+    partner = T._gluing[0]
+    slot = np.flatnonzero(partner >= 0)
+    n1 = T.dim + 1
+    return len(np.unique(_components(slot // n1, partner[slot] // n1, T.simplex_count)))
+
+
+def reference_components(u, v, size):
+    """The least node of each node's component, by depth-first search."""
+    adjacent = [[] for _ in range(size)]
+    for x, y in zip(u, v):
+        adjacent[x].append(y)
+        adjacent[y].append(x)
+    lab = [-1] * size
+    for start in range(size):
+        if lab[start] < 0:
+            lab[start] = start
+            stack = [start]
+            while stack:
+                for y in adjacent[stack.pop()]:
+                    if lab[y] < 0:
+                        lab[y] = start
+                        stack.append(y)
+    return lab
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 40), data=st.data())
+def test_components_match_search(size, data):
+    nodes = st.integers(0, size - 1)
+    edges = data.draw(st.lists(st.tuples(nodes, nodes), max_size=3 * size))
+    u = np.array([x for x, _ in edges], dtype=np.int64)
+    v = np.array([y for _, y in edges], dtype=np.int64)
+    assert _components(u, v, size).tolist() == reference_components(u, v, size)
+
+
+def test_components_on_a_long_path():
+    # a path visiting the nodes in a scrambled order
+    order = np.random.default_rng(25).permutation(2000)
+    lab = _components(order[:-1], order[1:], 2000)
+    assert not lab.any()
+
+
+def test_cell_counts_on_large_and_degenerate_complexes():
+    torus, fig8 = load_fixture("torus"), load_fixture("figure-eight")
+    covers = [build_cover(torus, characteristic_cover_spec(torus, x)) for x in (8, 16)]
+    # the (163, 255) cover of degree 256 has gcd(255 - 163, 256) = 4 components
+    covers += [build_cover(fig8, figure_eight_cyclic_spec(fig8, d, a, b))
+               for d, a, b in ((64, 20, 7), (128, 38, 41), (256, 163, 255))]
+    for T in covers:
+        assert cell_counts(T) == reference_cell_counts(T)
+    unglued = Triangulation(2, 3, ())
+    assert cell_counts(unglued) == reference_cell_counts(unglued) == CellCounts((9, 9, 3), 3)
+    # two 4-simplices glued by the identity on every facet: S^4
+    double = Triangulation(4, 2, tuple(Pairing(0, f, 1, f, facet_vertices(4, f))
+                                       for f in range(5)))
+    assert cell_counts(double) == reference_cell_counts(double) \
+        == CellCounts((5, 10, 10, 5, 2), 2)
+
+
+@pytest.mark.parametrize("d, a, b", [(1, 0, 0), (12, 3, 3), (7, 2, 5), (64, 29, 1),
+                                     (64, 61, 7), (128, 87, 47), (256, 163, 255),
+                                     (256, 184, 117)])
+def test_figure_eight_cyclic_cover_components(d, a, b):
+    # every pairing joins simplex 0 to simplex 1, so sheet s of simplex 0
+    # reaches exactly the sheets s + k (b - a) of simplex 0
+    fig8 = load_fixture("figure-eight")
+    cov = build_cover(fig8, figure_eight_cyclic_spec(fig8, d, a, b))
+    assert dual_components(cov) == math.gcd(b - a, d)
 
 
 def slot_test_complexes():
@@ -515,7 +645,7 @@ def test_characteristic_covers():
         assert counts.euler == 0
         assert counts.f_vector == tuple(x * x * f for f in base.f_vector)
         # the cover is connected: one orbit of the translation action
-        _dual_spanning_tree(cov)  # raises if disconnected
+        assert dual_components(cov) == 1
 
 
 def test_random_covers_multiplicative():
