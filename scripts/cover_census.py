@@ -4,7 +4,7 @@
 Builds random admissible covers, checks exact multiplicativity of the
 f-vector and Euler characteristic, says whether the cover is connected
 (most random covers are not), and verifies the alternated fundamental
-cycle on every cover.
+cycle on every orientable cover; a nonorientable one has none.
 
 Example:
     python scripts/cover_census.py --fixture torus --count 10 --max-degree 8
@@ -20,6 +20,7 @@ from hypstab.complexes import (
     build_cover,
     cell_counts,
     fundamental_cycle,
+    orientability,
     random_cover_spec,
     verify_cycle,
 )
@@ -48,10 +49,13 @@ def main():
         n1 = cov.dim + 1
         # every simplex labelled by the least simplex of its dual component
         connected = not _components(slot // n1, partner[slot] // n1, cov.simplex_count).any()
-        z = fundamental_cycle(cov)
+        if orientability(cov).orientable:
+            z = fundamental_cycle(cov)
+            cycle = f"cycle={'ok' if verify_cycle(cov, z) else 'FAIL'}, L1={z.l1()}"
+        else:
+            cycle = "cycle=n/a (nonorientable)"
         print(f"  degree {d}: t~={cov.simplex_count} (t~/d = {cov.simplex_count // d}), "
-              f"f={counts.f_vector} multiplicative={mult} connected={connected}, "
-              f"cycle={'ok' if verify_cycle(cov, z) else 'FAIL'}, L1={z.l1()}")
+              f"f={counts.f_vector} multiplicative={mult} connected={connected}, {cycle}")
 
 
 if __name__ == "__main__":

@@ -368,13 +368,16 @@ def cmd_bounds(args) -> int:
 
 
 def _sample_count(text: str) -> int:
-    """Type of --samples: a count written as an integer or a float, at least 1e3."""
+    """Type of --samples: a count written as an integer or a float, at least
+    1e3 and at most 2**63 - 1, the largest the sampler's int64 counts hold."""
     try:
         count = int(float(text))
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"not a sample count: {text!r}")
     if count < 1000:
         raise argparse.ArgumentTypeError("must be at least 1000")
+    if count > np.iinfo(np.int64).max:
+        raise argparse.ArgumentTypeError("must be at most 2**63 - 1")
     return count
 
 

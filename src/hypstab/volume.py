@@ -27,9 +27,14 @@ whole-column steps.  The core's rows come first in every block, so the
 core test reads that prefix and the corner map the rest, with each
 row's corner and scale looked up from its stratum; rejection is a mask
 applied to the 1-D values after the density, and log u / sum log u
-needs no negation.  Per-stratum counts and sums come from
-`np.bincount`.  Each stratum's draws are the same however the strata
-fall into blocks.
+needs no negation.  Blocks are streamed: a stratum of more than
+`_DRAW_ROWS` rows of u draws them into the block as it goes and replays
+them for its 1 - u rows from a twin generator, and `simplex_volume`
+adds each block's counts and sums into per-stratum totals with
+`np.add.at`, in row order, so its memory does not depend on the budget.
+The deficit joins the blocks, because its two-pass variance reads every
+value.  Each stratum's draws are the same however the strata fall into
+blocks and whether or not they are streamed.
 
 v_n, the volume of the regular ideal n-simplex, is computed, not
 sampled: every ideal triangle has area pi, the regular ideal tetrahedron
@@ -213,28 +218,56 @@ def _strata(n: int, ideal_idx: np.ndarray, levels: int) -> list:
 _BLOCK_ROWS = 1 << 12
 
 
+#: Rows of u above which a stratum is drawn a block at a time instead of
+#: in one call, so that memory does not grow with the budget.  Smaller
+#: strata keep the one call: streaming draws every row twice and in small
+#: pieces, and with a threshold of one block it made the 1M-sample verify
+#: deficits (14k to 16k rows per stratum at n = 4, 5) 6 to 11% slower.
+_DRAW_ROWS = 1 << 16
+
+
 def _uniform_blocks(rngs, counts, width: int):
     """The antithetic uniform rows of all strata, in index order, in full blocks.
 
-    Stratum idx draws half = ceil(counts[idx] / 2) rows u from rngs[idx] in
-    one call and stands for u followed by the first counts[idx] - half rows
-    of 1 - u; a stratum may span blocks.  The rows of u are floored at
-    1e-300 as they are copied, so that every row has a finite log (1 - u
-    is at least 2^-53).  Yields (rows, stratum index of each row) with
-    _BLOCK_ROWS rows in every block but the last; the rows array is reused.
+    Stratum idx stands for half = ceil(counts[idx] / 2) rows u from
+    rngs[idx] followed by the first counts[idx] - half rows of 1 - u; a
+    stratum may span blocks.  A stratum of at most `_DRAW_ROWS` rows of u
+    draws them in one call.  A larger one draws its u straight into the
+    block, and replays them for its 1 - u rows from a twin generator set
+    to the stratum generator's state at its start (float64 draws in
+    pieces equal one large draw), so that it never holds more than a
+    block.  Either way rngs[idx] ends after half rows.  The rows of u
+    are floored at 1e-300 in the block, so that every row has a finite
+    log (1 - u is at least 2^-53).  Yields (rows, stratum index of each
+    row) with _BLOCK_ROWS rows in every block but the last; the rows
+    array is reused.
     """
     buf = np.empty((_BLOCK_ROWS, width))
+    twin = None
     ids, sizes, fill = [], [], 0
     for idx, count in enumerate(counts):
+        rng = rngs[idx]
         half = (count + 1) // 2
-        u = rngs[idx].random((half, width))
+        if half <= _DRAW_ROWS:
+            u = rng.random((half, width))
+        else:
+            u = None
+            if twin is None:
+                twin = np.random.Generator(type(rng.bit_generator)(0))
+            twin.bit_generator.state = rng.bit_generator.state
         lo = 0
         while lo < count:
             hi = min(count, lo + _BLOCK_ROWS - fill)
             part = buf[fill:fill + hi - lo]
             head = min(max(half - lo, 0), hi - lo)  # rows of u, then of 1 - u
-            np.maximum(u[lo:lo + head], 1e-300, out=part[:head])
-            np.subtract(1.0, u[lo + head - half:hi - half], out=part[head:])
+            if u is None:
+                rng.random(out=part[:head])
+                np.maximum(part[:head], 1e-300, out=part[:head])
+                twin.random(out=part[head:])
+                np.subtract(1.0, part[head:], out=part[head:])
+            else:
+                np.maximum(u[lo:lo + head], 1e-300, out=part[:head])
+                np.subtract(1.0, u[lo + head - half:hi - half], out=part[head:])
             ids.append(idx)
             sizes.append(hi - lo)
             fill += hi - lo
@@ -258,9 +291,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray,
-            terms) -> tuple[np.ndarray, np.ndarray]:
-    """Integrand values at the accepted draws of each stratum, in stratum order.
+def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray, terms):
+    """Integrand values at the accepted draws of each stratum, a block at a time.
 
     Stratum idx turns counts[idx] antithetic uniform rows from rngs[idx]
     into Dirichlet(1, ..., 1) points: the core rejects every point with a
@@ -276,14 +308,15 @@ def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray,
     suffix only.  lambda is log u / sum log u, which rounds exactly as
     E / sum E with E = -log u, so no negation is needed.  The integrand
     is evaluated on every row and rejection is a mask applied to the 1-D
-    values and strata afterwards.  Returns the values and the stratum
-    index of each.
+    values and strata afterwards.  Yields, for each block of
+    `_uniform_blocks`, the values and the stratum index of each, in
+    stratum order; a caller that keeps running sums holds one block at a
+    time.
     """
     width = n + 1
     exponent = -width / 2.0
     corner = np.array([-1 if c is None else c[0] for _, c in strata])
     scale = np.array([1.0 if c is None else c[1] for _, c in strata])
-    values, owners = [np.empty(0)], [np.empty(0, dtype=np.intp)]
     for lam, owner in _uniform_blocks(rngs, counts, width):
         np.log(lam, out=lam)
         lam /= _row_sums(lam)[:, None]
@@ -303,9 +336,7 @@ def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray,
         if ideal_idx.size:
             rows = np.flatnonzero(keep)
             f, owner = f[rows], owner[rows]
-        values.append(f)
-        owners.append(owner)
-    return np.concatenate(values), np.concatenate(owners)
+        yield f, owner
 
 
 def _substreams(prefix, count: int) -> list:
@@ -366,8 +397,13 @@ def simplex_volume(
     rngs = _substreams([seed], k)
 
     def sample(counts):  # accepted draws, sum of f and sum of f^2 per stratum
-        f, owner = _sample(rngs, counts, n, strata, ideal_idx, [(1.0, mmat)])
-        return np.array([np.bincount(owner, w, minlength=k) for w in (None, f, f * f)])
+        # np.add.at adds in row order, as np.bincount over all the rows would
+        sums = np.zeros((3, k))
+        for f, owner in _sample(rngs, counts, n, strata, ideal_idx, [(1.0, mmat)]):
+            np.add.at(sums[0], owner, 1.0)
+            np.add.at(sums[1], owner, f)
+            np.add.at(sums[2], owner, f * f)
+        return sums
 
     def sem(idx):  # standard error of the stratum mean
         if n_acc[idx] < 2:
@@ -512,8 +548,9 @@ def volume_deficit_vs_regular(
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rngs = _substreams(seed_seq + [0xD1F], k)
     per = max(32, budget // k)
-    g, owner = _sample(rngs, [per] * k, n, strata, ideal_idx,
-                       [(volk, mk), (-volr, mr)])
+    # the two-pass variance below reads every value, so the blocks are joined
+    g, owner = map(np.concatenate, zip(*_sample(rngs, [per] * k, n, strata, ideal_idx,
+                                                [(volk, mk), (-volr, mr)])))
     count = np.bincount(owner, minlength=k)
     if count.min() < 2:
         raise GeometryError("stratum starved; raise the deficit budget")

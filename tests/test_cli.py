@@ -225,6 +225,11 @@ def test_samples_floor():
                  {"degree": 2.0, "perms": {"0": [2, 1], "1": [1, 2], "2": [1, 2]}},
                  id="spec-degree-float"),
     pytest.param(["volume", "--regular-ideal", "3", "--samples", "inf"], None, id="samples-inf"),
+    # numpy could not size a stratum this large; the sampler counts in int64
+    pytest.param(["volume", "--samples", "1e30"],
+                 {"dim": 2, "vertices": [{"x": [1, 0], "ideal": True}, {"x": [-1, 0], "ideal": True},
+                                         {"x": [0, 1], "ideal": True}]},
+                 id="samples-above-int64"),
     pytest.param(["volume", "--samples", "1e4"],
                  {"dim": 2, "vertices": [{"x": [math.nan, 0]}, {"x": [1, 0], "ideal": True},
                                          {"x": [0, 1], "ideal": True}]},
@@ -352,6 +357,7 @@ def run_script(script, args):
 @pytest.mark.parametrize("script, args", [
     ("maximality_probe.py", ["--n", "2", "--trials", "5"]),
     ("cover_census.py", ["--fixture", "torus", "--count", "2", "--max-degree", "3"]),
+    ("cover_census.py", ["--fixture", "klein", "--count", "3", "--seed", "2"]),
 ])
 def test_scripts_run(script, args):
     # the scripts import the package API directly; a tiny run catches a break
@@ -359,8 +365,11 @@ def test_scripts_run(script, args):
     assert done.returncode == 0, done.stderr
     if script == "cover_census.py":
         covers = done.stdout.splitlines()[1:]
-        assert len(covers) == 2
+        assert len(covers) == int(args[args.index("--count") + 1])
         assert all(re.search(r" connected=(True|False),", line) for line in covers)
+        # a nonorientable cover has no fundamental cycle to verify
+        assert all(re.search(r" cycle=(ok, L1=\S+|n/a \(nonorientable\))$", line)
+                   for line in covers)
 
 
 @pytest.mark.parametrize("script, args", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -592,14 +593,72 @@ KERNEL_PINS = {
 }
 
 
-@pytest.mark.parametrize("n, kind", KERNEL_CASES)
-def test_kernel_output_is_pinned(n, kind):
+def _check_kernel_pins(n, kind):
     K = _kernel_case_simplex(n, kind, np.random.default_rng([n, len(kind), 2]))
     for budget, pin in zip((40_000, 4_097), KERNEL_PINS[n, kind]):
         est = simplex_volume(K, budget, seed=3)
         deficit, sigma = volume_deficit_vs_regular(K, budget, [5, 8], v_ref=1.0)
         got = (est.value.hex(), est.std_error.hex(), est.samples, deficit.hex(), sigma.hex())
         assert got == pin, budget
+
+
+@pytest.mark.parametrize("n, kind", KERNEL_CASES)
+def test_kernel_output_is_pinned(n, kind):
+    _check_kernel_pins(n, kind)
+
+
+@pytest.mark.parametrize("n, kind", KERNEL_CASES)
+def test_kernel_output_is_pinned_when_every_stratum_streams(monkeypatch, n, kind):
+    # every stratum of more than one row of u draws it a block at a time
+    # and replays 1 - u from the twin generator
+    monkeypatch.setattr(volume, "_DRAW_ROWS", 1)
+    _check_kernel_pins(n, kind)
+
+
+def test_streamed_stratum_output_is_pinned():
+    # float.hex of the value and std_error as the one-call draws gave them;
+    # the finite 5-simplex has one stratum, whose 333_334 Neyman draws
+    # (166_667 rows of u) are above the default streaming threshold
+    K = _kernel_case_simplex(5, "finite", np.random.default_rng([5, len("finite"), 4]))
+    assert (400_000 - 400_000 // 6 + 1) // 2 > volume._DRAW_ROWS
+    est = simplex_volume(K, 400_000, seed=3)
+    got = (est.value.hex(), est.std_error.hex(), est.samples)
+    assert got == ("0x1.a8c1fd87b35b3p-9", "0x1.074ffbcb873b6p-19", 400_000)
+
+
+@pytest.mark.parametrize("draw_rows", [3, None])
+def test_streamed_draws_match_one_call(monkeypatch, draw_rows):
+    # the same rows, in the same blocks, as one random((half, width)) call
+    # per stratum, and each stratum generator ends where that call leaves it
+    width = 4
+    counts = [0, 1, 7, 8, 5000, 2 * volume._DRAW_ROWS + 3, 9001]
+    if draw_rows is not None:
+        monkeypatch.setattr(volume, "_DRAW_ROWS", draw_rows)
+    rngs = volume._substreams([6], len(counts))
+    got = [(rows.copy(), owner) for rows, owner in volume._uniform_blocks(rngs, counts, width)]
+    assert sum(owner.size for _, owner in got) == sum(counts)
+    rows, owner = map(np.concatenate, zip(*got))
+    for idx, count in enumerate(counts):
+        ref_rng = np.random.default_rng([6, idx])
+        half = (count + 1) // 2
+        u = ref_rng.random((half, width))
+        ref = np.vstack([np.maximum(u, 1e-300), 1.0 - u])[:count]
+        assert np.array_equal(rows[owner == idx], ref), idx
+        assert rngs[idx].bit_generator.state == ref_rng.bit_generator.state, idx
+
+
+@pytest.mark.parametrize("kind", ["finite", "ideal"])
+def test_simplex_volume_memory_does_not_grow_with_the_budget(kind):
+    # one default-budget call held every uniform of a stratum and every
+    # accepted value before its draws were streamed: 46-64 MiB at n = 5
+    K = _kernel_case_simplex(5, kind, np.random.default_rng([5, len(kind), 5]))
+    tracemalloc.start()
+    try:
+        simplex_volume(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_starved_stratum_draws_again():
@@ -626,6 +685,11 @@ SAMPLE_COUNTS = [
 ]
 
 
+def _joined_sample(*args):
+    """The values and owners of all blocks `volume._sample` yields, joined."""
+    return map(np.concatenate, zip(*volume._sample(*args)))
+
+
 @pytest.mark.parametrize("counts", SAMPLE_COUNTS)
 def test_sample_matches_reference_per_stratum(counts):
     n = 3
@@ -634,7 +698,7 @@ def test_sample_matches_reference_per_stratum(counts):
     mreg = volume._regular_klein_form(n)[0]
     strata = volume._strata(n, ideal_idx, 3)
     assert ideal_idx.tolist() == [1, 3] and len(strata) == len(counts)
-    f, owner = volume._sample(volume._substreams([4], len(strata)), counts, n, strata,
+    f, owner = _joined_sample(volume._substreams([4], len(strata)), counts, n, strata,
                               ideal_idx, [(1.0, mmat), (0.5, mreg)])
     assert np.all(np.diff(owner) >= 0)
     exponent = -(n + 1) / 2.0
@@ -653,7 +717,7 @@ def test_sample_without_ideal_vertices_keeps_every_row():
     strata = volume._strata(n, ideal_idx, 40)
     assert len(strata) == 1
     count = 2 * volume._BLOCK_ROWS + 3
-    f, owner = volume._sample(volume._substreams([9], 1), [count], n, strata, ideal_idx,
+    f, owner = _joined_sample(volume._substreams([9], 1), [count], n, strata, ideal_idx,
                               [(1.0, mmat)])
     lam = _ref_draw(np.random.default_rng([9, 0]), count, n, None, ideal_idx)
     assert owner.tolist() == [0] * count
