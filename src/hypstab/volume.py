@@ -221,8 +221,9 @@ _BLOCK_ROWS = 1 << 12
 #: Rows of u above which a stratum is drawn a block at a time instead of
 #: in one call, so that memory does not grow with the budget.  Smaller
 #: strata keep the one call: streaming draws every row twice and in small
-#: pieces, and with a threshold of one block it made the 1M-sample verify
-#: deficits (14k to 16k rows per stratum at n = 4, 5) 6 to 11% slower.
+#: pieces, and streaming every stratum made the benchmark's constants
+#: workload, thousands of deficits with 24 to 7.4k rows of u per stratum,
+#: 11% slower end to end (median of 12 pairs of 20 s runs, 2-CPU VM).
 _DRAW_ROWS = 1 << 16
 
 
