@@ -32,9 +32,10 @@ needs no negation.  Blocks are streamed: a stratum of more than
 them for its 1 - u rows from a twin generator, and `simplex_volume`
 adds each block's counts and sums into per-stratum totals with
 `np.add.at`, in row order, so its memory does not depend on the budget.
-The deficit joins the blocks, because its two-pass variance reads every
-value.  Each stratum's draws are the same however the strata fall into
-blocks and whether or not they are streamed.
+The deficit keeps the values of a stratum until all of them are in, runs
+its two-pass variance on them and drops them, so its memory does not
+depend on the budget either.  Each stratum's draws are the same however
+the strata fall into blocks and whether or not they are streamed.
 
 v_n, the volume of the regular ideal n-simplex, is computed, not
 sampled: every ideal triangle has area pi, the regular ideal tetrahedron
@@ -311,8 +312,8 @@ def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray, terms):
     is evaluated on every row and rejection is a mask applied to the 1-D
     values and strata afterwards.  Yields, for each block of
     `_uniform_blocks`, the values and the stratum index of each, in
-    stratum order; a caller that keeps running sums holds one block at a
-    time.
+    stratum order, so that a caller can drop a block once it has its sums
+    or once every stratum in it is complete.
     """
     width = n + 1
     exponent = -width / 2.0
@@ -535,7 +536,12 @@ def volume_deficit_vs_regular(
     what makes volume comparisons resolvable at the 1e-4 level inside
     search loops where a plain estimate would drown in noise.  The
     samples follow the strata of the regular simplex, all of whose
-    corners are ideal; `v_ref` is the caller's value of v_n.
+    corners are ideal; `v_ref` is the caller's value of v_n.  Every
+    stratum spends max(32, budget // strata) draws.  A stratum's mean and
+    standard error come from two passes over its values, taken once they
+    are all in, so the function holds at most one block plus the stratum
+    it is filling.  Raises `GeometryError` when a stratum accepted fewer
+    than 2 draws ("stratum starved; raise the deficit budget").
     """
     n = K.ambient_dim
     if K.k != n:
@@ -549,15 +555,34 @@ def volume_deficit_vs_regular(
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rngs = _substreams(seed_seq + [0xD1F], k)
     per = max(32, budget // k)
-    # the two-pass variance below reads every value, so the blocks are joined
-    g, owner = map(np.concatenate, zip(*_sample(rngs, [per] * k, n, strata, ideal_idx,
-                                                [(volk, mk), (-volr, mr)])))
-    count = np.bincount(owner, minlength=k)
-    if count.min() < 2:
-        raise GeometryError("stratum starved; raise the deficit budget")
-    mean = np.bincount(owner, g, minlength=k) / count
-    dev = g - mean[owner]
-    sem = np.sqrt(np.bincount(owner, dev * dev, minlength=k) / (count - 1)) / np.sqrt(count)
+    # each stratum's count, mean and sum of squared deviations, taken in
+    # two passes over its values once they are all in; held keeps the
+    # values of the strata from `done` on
+    count = np.zeros(k, dtype=np.intp)
+    mean, ssd = np.zeros(k), np.zeros(k)
+    held, done = [], 0
+
+    def settle(stop):  # the statistics of strata done .. stop - 1
+        nonlocal held, done
+        g, owner = map(np.concatenate, zip(*held))
+        cut = int(np.searchsorted(owner, stop))
+        g_in, o = g[:cut], owner[:cut] - done
+        c = np.bincount(o, minlength=stop - done)
+        if c.min() < 2:
+            raise GeometryError("stratum starved; raise the deficit budget")
+        m = np.bincount(o, g_in, minlength=stop - done) / c
+        dev = g_in - m[o]
+        count[done:stop], mean[done:stop] = c, m
+        ssd[done:stop] = np.bincount(o, dev * dev, minlength=stop - done)
+        held, done = [(g[cut:], owner[cut:])], stop
+
+    for g, owner in _sample(rngs, [per] * k, n, strata, ideal_idx, [(volk, mk), (-volr, mr)]):
+        held.append((g, owner))
+        # strata come in index order, so those below the block's last are complete
+        if owner.size and owner[-1] > done:
+            settle(int(owner[-1]))
+    settle(k)
+    sem = np.sqrt(ssd / (count - 1)) / np.sqrt(count)
     total = 0.0
     var = 0.0
     tails = []
