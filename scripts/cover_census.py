@@ -16,7 +16,7 @@ import numpy as np
 
 from hypstab.cli import int_at_least
 from hypstab.complexes import (
-    _components,
+    _dual_forest,
     build_cover,
     cell_counts,
     fundamental_cycle,
@@ -44,11 +44,8 @@ def main():
         cov = build_cover(T, random_cover_spec(T, d, rng))
         counts = cell_counts(cov)
         mult = counts.f_vector == tuple(d * f for f in base.f_vector)
-        partner = cov._gluing[0]
-        slot = np.flatnonzero(partner >= 0)
-        n1 = cov.dim + 1
-        # every simplex labelled by the least simplex of its dual component
-        connected = not _components(slot // n1, partner[slot] // n1, cov.simplex_count).any()
+        # the dual forest has one root per component
+        connected = _dual_forest(cov)[0].count(-1) == 1
         if orientability(cov).orientable:
             z = fundamental_cycle(cov)
             cycle = f"cycle={'ok' if verify_cycle(cov, z) else 'FAIL'}, L1={z.l1()}"

@@ -77,10 +77,12 @@ def _emit(args, payload, text: str):
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise _fail(f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _fail(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _fail(f"parse error in {path} at line {exc.lineno} "
                     f"column {exc.colno}: {exc.msg}")
@@ -101,15 +103,21 @@ def _load_triangulation(target: str) -> cx.Triangulation:
 
 
 def _load_simplex(path: str, tol: float) -> GeodesicSimplex:
+    """A simplex file: ``dim`` a JSON integer, every coordinate a JSON
+    number and ``ideal``, when given, a JSON bool (JSON tells true from 1)."""
     data = _load_json(path)
     try:
-        dim = int(data["dim"])
-        verts = [lift_klein(np.asarray(rec["x"], dtype=float),
-                            ideal=bool(rec.get("ideal", False)), tol=tol)
-                 for rec in data["vertices"]]
+        dim = cx._wire_int(data["dim"])
+        verts = []
+        for rec in data["vertices"]:
+            x, ideal = rec["x"], rec.get("ideal", False)
+            numbers = all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in x)
+            if not (numbers and isinstance(ideal, bool)):
+                raise TypeError(f"expected numbers x and a true or false ideal, got {rec!r}")
+            verts.append(lift_klein(np.asarray(x, dtype=float), ideal=ideal, tol=tol))
     except GeometryError as exc:
         raise _fail(f"invalid vertex in {path}: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _fail(f"malformed simplex file {path}: {exc}")
     return GeodesicSimplex(tuple(verts), dim)
 

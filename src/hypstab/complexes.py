@@ -21,11 +21,14 @@ must reverse the boundary orientations of the two facets), vertex links
 and edge valences in dimension 3, the alternated fundamental cycle with
 exact rational coefficients, and finite covers described by permutation
 assignments.  Every routine reads one cached per-slot gluing table,
-`Triangulation._gluing`, which rejects malformed gluing data.  The cell
-counts and the links are one numpy component labelling, `_components`,
-over edges gathered from that table; the boundary of a chain is one
-numpy pass over it that sums the signed faces exactly as integers over
-one common denominator.  A cover assignment is admissible when the
+`Triangulation._gluing`, whose checks are the one check of the gluing
+data: `validate` reports their verdict.  The cell counts and the links
+are one numpy component labelling, `_components`, over edges gathered
+from that table; orientations, the dual spanning tree and the census's
+connectedness read one depth-first forest of the dual graph,
+`_dual_forest`; the boundary of a chain is one numpy pass over the table
+that sums the signed faces exactly as integers over one common
+denominator.  A cover assignment is admissible when the
 ordered product of permutations around every codimension-2 cycle is the
 identity (the unbranched condition); branched assignments are rejected
 with the offending cycle.
@@ -76,10 +79,13 @@ class Triangulation:
         ``across[slot]`` sends the vertices of simplex s to those of the
         partner's simplex: the pairing's vertex map (or its inverse from
         side b) extended by facet to facet, and the identity on the
-        boundary.  ``pairing[slot]`` is the pairing index, or -1.  Raises
-        `ComplexError` on a slot out of range, a slot used twice, a facet
-        glued to itself or a vertex map that is not a bijection onto facet
-        b; `validate` reports every such error at once.
+        boundary.  ``pairing[slot]`` is the pairing index, or -1.
+
+        The gluing data is checked in three steps, and the first that
+        fails raises `ComplexError` naming every offending slot or
+        pairing: slots in range, then no slot used twice or glued to
+        itself, then every vertex map a bijection onto facet b.  This is
+        the one check of the gluing data; `validate` reports its verdict.
         """
         n, t = self.dim, self.simplex_count
         n1 = n + 1
@@ -88,31 +94,46 @@ class Triangulation:
         across = np.tile(np.arange(n1, dtype=np.int64), (slots, 1))
         pairing = np.full(slots, -1, dtype=np.int64)
         if self.pairings:
-            if any(len(p.vertex_map) != n for p in self.pairings):
-                raise ComplexError(f"every vertex map needs {n} entries")
-            rec = np.array([(p.a, p.facet_a, p.b, p.facet_b, *p.vertex_map)
-                            for p in self.pairings], dtype=np.int64)
-            a, fa, b, fb, image = rec[:, 0], rec[:, 1], rec[:, 2], rec[:, 3], rec[:, 4:]
-            if min(a.min(), b.min(), fa.min(), fb.min()) < 0 \
-                    or max(a.max(), b.max()) >= t or max(fa.max(), fb.max()) > n:
-                raise ComplexError("pairing slot out of range")
-            slot_a, slot_b = a * n1 + fa, b * n1 + fb
-            both = np.concatenate((slot_a, slot_b))
-            uses = np.bincount(both, minlength=slots)
-            if uses.max() > 1:
-                s, f = divmod(int(np.argmax(uses)), n1)
-                raise ComplexError(f"slot {(s, f)} used by two pairings or glued to itself")
+            # sides[i, side] is the (simplex, facet) of pairing i on side a or b
+            sides = np.array([(p.a, p.facet_a, p.b, p.facet_b) for p in self.pairings],
+                             dtype=np.int64).reshape(-1, 2, 2)
+            out = (sides < 0).any(axis=2) | (sides[..., 0] >= t) | (sides[..., 1] > n)
+            if out.any():
+                raise ComplexError("; ".join(
+                    f"pairing {i}: slot {tuple(sides[i, side].tolist())} out of range"
+                    for i, side in zip(*np.nonzero(out))))
+            ends = sides[..., 0] * n1 + sides[..., 1]  # the slot ids
+            # every use of a slot after its first, in pairing order
+            flat = ends.ravel()
+            order = np.argsort(flat, kind="stable")
+            ranked = flat[order]
+            again = np.sort(order[1:][ranked[1:] == ranked[:-1]])
+            if again.size:
+                first = order[np.searchsorted(ranked, flat[again])] // 2
+                raise ComplexError("; ".join(
+                    f"pairing {i}: facet {divmod(slot, n1)} glued to itself" if i == j else
+                    f"pairing {i}: slot {divmod(slot, n1)} used by two pairings: already used "
+                    f"by pairing {j}"
+                    for i, j, slot in zip((again // 2).tolist(), first.tolist(),
+                                          flat[again].tolist())))
+            slot_a, slot_b = ends.T
+            fa, fb = slot_a % n1, slot_b % n1
+            maps = [p.vertex_map for p in self.pairings]
+            sized = np.array([len(m) == n for m in maps])
+            image = np.array([m if ok else (0,) * n for m, ok in zip(maps, sized)],
+                             dtype=np.int64).reshape(len(maps), n)
             facets = np.array([facet_vertices(n, f) for f in range(n1)], dtype=np.int64)
-            bad = (np.sort(image, axis=1) != facets[fb]).any(axis=1)
+            bad = ~sized | (np.sort(image, axis=1) != facets[fb]).any(axis=1)
             if bad.any():
-                raise ComplexError(f"pairing {int(np.argmax(bad))}: vertex map is not "
-                                   "a bijection onto facet b")
+                raise ComplexError("; ".join(
+                    f"pairing {i}: vertex map is not a bijection onto facet {fb[i]} of "
+                    f"simplex {slot_b[i] // n1}" for i in np.flatnonzero(bad).tolist()))
             partner[slot_a], partner[slot_b] = slot_b, slot_a
             across[slot_a[:, None], facets[fa]] = image
             across[slot_a, fa] = fb
             across[slot_b[:, None], image] = facets[fa]
             across[slot_b, fb] = fa
-            pairing[both] = np.tile(np.arange(len(rec)), 2)
+            pairing[ends.T] = np.arange(len(maps))
         for table in (partner, across, pairing):
             table.flags.writeable = False
         return partner, across, pairing
@@ -149,27 +170,17 @@ class ValidationReport:
 
 
 def validate(T: Triangulation) -> ValidationReport:
-    """Check the involution and vertex-map invariants slot by slot."""
-    errors = []
-    n, t = T.dim, T.simplex_count
-    if n < 1 or t < 1:
-        errors.append("need dim >= 1 and at least one simplex")
-    used = {}
-    for idx, p in enumerate(T.pairings):
-        for s, f, tag in ((p.a, p.facet_a, "a"), (p.b, p.facet_b, "b")):
-            if not (0 <= s < t and 0 <= f <= n):
-                errors.append(f"pairing {idx}: slot ({s},{f}) out of range")
-                continue
-            if (s, f) in used:
-                errors.append(f"pairing {idx}: slot ({s},{f}) already used by pairing {used[(s, f)]}")
-            used[(s, f)] = idx
-        if (p.a, p.facet_a) == (p.b, p.facet_b):
-            errors.append(f"pairing {idx}: facet glued to itself")
-        if sorted(p.vertex_map) != list(facet_vertices(n, p.facet_b)):
-            errors.append(f"pairing {idx}: vertex map is not a bijection onto facet "
-                          f"{p.facet_b} of simplex {p.b}")
-    boundary = tuple((s, f) for s in range(t) for f in range(n + 1) if (s, f) not in used)
-    return ValidationReport(not errors, not boundary and not errors, tuple(errors), boundary)
+    """The verdict of `Triangulation._gluing`'s checks, after dim >= 1 and
+    t >= 1; the boundary slots are the unpaired ones, and none are
+    reported for invalid data."""
+    if T.dim < 1 or T.simplex_count < 1:
+        return ValidationReport(False, False, ("need dim >= 1 and at least one simplex",), ())
+    try:
+        partner = T._gluing[0]
+    except ComplexError as exc:
+        return ValidationReport(False, False, (str(exc),), ())
+    boundary = tuple(divmod(slot, T.dim + 1) for slot in np.flatnonzero(partner < 0).tolist())
+    return ValidationReport(True, not boundary, (), boundary)
 
 
 def _components(u, v, size: int) -> np.ndarray:
@@ -244,43 +255,66 @@ class OrientabilityResult:
     violating_cycle: tuple | None
 
 
+def _dual_forest(T: Triangulation) -> tuple:
+    """(via, order): the depth-first forest of the dual graph.
+
+    The walk starts at the least unreached simplex, keeps a stack and
+    takes each simplex's facets in order.  ``via[s]`` is the slot through
+    which simplex s was reached, or -1 for a root; ``order`` lists the
+    simplices in the order the walk takes them off its stack, every
+    parent before its children.
+    """
+    n1, t = T.dim + 1, T.simplex_count
+    partner = T._gluing[0].tolist()
+    via, order = [None] * t, []
+    for start in range(t):
+        if via[start] is not None:
+            continue
+        via[start] = -1
+        stack = [start]
+        while stack:
+            s = stack.pop()
+            order.append(s)
+            for slot in range(s * n1, s * n1 + n1):
+                other = partner[slot] // n1
+                if other >= 0 and via[other] is None:
+                    via[other] = slot
+                    stack.append(other)
+    return via, order
+
+
 def orientability(T: Triangulation) -> OrientabilityResult:
     """Search for simplex orientations making every pairing orientation-reversing.
 
     The pairing at a slot reverses orientation exactly when the other
     simplex's sign is -sign[s] * sgn(across[slot]), from either side.
+    Signs follow `_dual_forest` from +1 at each root; the first slot that
+    breaks the rule, in the walk's order, closes the violating cycle
+    with the tree paths of its two simplices.
     """
     n1, t = T.dim + 1, T.simplex_count
     partner, across, pairing = T._gluing
-    flips = (-_parity(across)).tolist()
-    partner, pairing = partner.tolist(), pairing.tolist()
-    sign = {}
-    parent = {}
-    for start in range(t):
-        if start in sign:
-            continue
-        sign[start] = 1
-        queue = [start]
-        while queue:
-            s = queue.pop()
-            for slot in range(s * n1, s * n1 + n1):
-                if partner[slot] < 0:
-                    continue
-                other, idx = partner[slot] // n1, pairing[slot]
-                required = sign[s] * flips[slot]
-                if other not in sign:
-                    sign[other] = required
-                    parent[other] = (s, idx)
-                    queue.append(other)
-                elif sign[other] != required:
-                    cycle = [idx]
-                    for node in (s, other):
-                        while node in parent:
-                            node_parent, via = parent[node]
-                            cycle.append(via)
-                            node = node_parent
-                    return OrientabilityResult(False, None, tuple(cycle))
-    return OrientabilityResult(True, tuple(sign[s] for s in range(t)), None)
+    flips = -_parity(across)
+    via, order = _dual_forest(T)
+    sign, flip = [1] * t, flips.tolist()
+    for s in order:
+        if via[s] >= 0:
+            sign[s] = sign[via[s] // n1] * flip[via[s]]
+    signs = np.array(sign)
+    # the slots in the walk's order
+    walk = (np.array(order, dtype=np.int64)[:, None] * n1 + np.arange(n1)).ravel()
+    other = partner[walk]
+    conflict = (other >= 0) & (signs[walk // n1] * flips[walk] != signs[other // n1])
+    if not conflict.any():
+        return OrientabilityResult(True, tuple(sign), None)
+    first = int(walk[conflict.argmax()])
+    pairing = pairing.tolist()
+    cycle = [pairing[first]]
+    for node in (first // n1, int(partner[first]) // n1):
+        while via[node] >= 0:
+            cycle.append(pairing[via[node]])
+            node = via[node] // n1
+    return OrientabilityResult(False, None, tuple(cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -655,23 +689,12 @@ def trivial_cover_spec(T: Triangulation, degree: int = 1) -> CoverSpec:
 
 
 def _dual_spanning_tree(T: Triangulation) -> tuple:
-    """(set of tree pairing indices, list of non-tree pairing indices)."""
-    seen = {0}
-    tree = set()
-    queue = [0]
-    while queue:
-        s = queue.pop()
-        for f in range(T.dim + 1):
-            nb = T.neighbor(s, f)
-            if nb is None:
-                continue
-            other, _, _, idx, _ = nb
-            if other not in seen:
-                seen.add(other)
-                tree.add(idx)
-                queue.append(other)
-    if len(seen) != T.simplex_count:
+    """(set of tree pairing indices, list of non-tree pairing indices) of
+    the `_dual_forest` tree; raises `ComplexError` unless it has one root."""
+    via, _ = _dual_forest(T)
+    if via.count(-1) != 1:
         raise ComplexError("disconnected complex")
+    tree = {int(T._gluing[2][slot]) for slot in via if slot >= 0}
     return tree, [i for i in range(len(T.pairings)) if i not in tree]
 
 
@@ -700,7 +723,11 @@ def characteristic_cover_spec(T: Triangulation, x: int) -> CoverSpec:
     return CoverSpec(d, perms)
 
 
-def random_cover_spec(T: Triangulation, degree: int, rng, max_tries: int = 64) -> CoverSpec:
+#: how many assignments `random_cover_spec` draws before it gives up
+_COVER_TRIES = 64
+
+
+def random_cover_spec(T: Triangulation, degree: int, rng) -> CoverSpec:
     """A random admissible cover assignment.
 
     Each pairing gets a random power of one random permutation of the d
@@ -708,11 +735,11 @@ def random_cover_spec(T: Triangulation, degree: int, rng, max_tries: int = 64) -
     codim-2 walk words have zero signed exposure per pairing (oriented
     surface complexes in particular) the assignment is automatically
     unbranched; other complexes are retried until the holonomy check
-    passes.  The permutation is a d-cycle only with probability 1/d, and
-    the sheets of one of its cycles are never joined to another's, so
-    most of these covers are disconnected.
+    passes, at most `_COVER_TRIES` times.  The permutation is a d-cycle
+    only with probability 1/d, and the sheets of one of its cycles are
+    never joined to another's, so most of these covers are disconnected.
     """
-    for _ in range(max_tries):
+    for _ in range(_COVER_TRIES):
         base = tuple(rng.permutation(degree).tolist())
 
         def power(k):

@@ -502,19 +502,24 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
 # random simplices (property tests and volume probes)
 
 
+#: Klein radius bound of the finite vertices of `random_nondegenerate_simplex`
+_RANDOM_SPREAD = 0.85
+#: least ratio of the smallest to the largest singular value of its Gram matrix
+_RANDOM_MIN_REL_SV = 1e-3
+
+
 def random_nondegenerate_simplex(
     n: int,
     rng: np.random.Generator,
     ideal_prob: float = 0.5,
-    spread: float = 0.85,
-    min_rel_sv: float = 1e-3,
     k: int | None = None,
 ) -> GeodesicSimplex:
     """A well-conditioned random simplex with a mix of finite and ideal vertices.
 
-    Vertices are drawn in the Klein ball (radius <= spread for finite
-    ones); candidates whose Gram matrix is poorly conditioned are
-    rejected so that downstream linear solves stay accurate.
+    Vertices are drawn in the Klein ball (radius <= `_RANDOM_SPREAD` for
+    finite ones); candidates whose Gram matrix has a smallest singular
+    value below `_RANDOM_MIN_REL_SV` times its largest are rejected so
+    that downstream linear solves stay accurate.
     """
     if k is None:
         k = n
@@ -526,10 +531,10 @@ def random_nondegenerate_simplex(
             if rng.random() < ideal_prob:
                 verts.append(lift_klein(direction, ideal=True))
             else:
-                radius = spread * rng.random() ** (1.0 / n)
+                radius = _RANDOM_SPREAD * rng.random() ** (1.0 / n)
                 verts.append(lift_klein(radius * direction))
         K = GeodesicSimplex(tuple(verts), n)
         s = np.linalg.svd(K.gram, compute_uv=False)
-        if s[-1] > min_rel_sv * s[0]:
+        if s[-1] > _RANDOM_MIN_REL_SV * s[0]:
             return K
     raise RuntimeError("failed to sample a well-conditioned simplex")

@@ -371,6 +371,23 @@ def _tail(n: int, mass: float, mean: float) -> float:
     return mass * mean * rho / (1.0 - rho)
 
 
+def _combine(n: int, levels: int, strata: list, weights, means, sems) -> tuple:
+    """(value, variance) of a stratified estimate: the sum of weight *
+    mean and of (weight * standard error)^2 over the strata, then each
+    last-shell corner's geometric `_tail` added to both, in that order."""
+    value = var = 0.0
+    tails = []
+    for (_, corner), w, m, s in zip(strata, weights, means, sems):
+        value += w * m
+        var += (w * s) ** 2
+        if corner is not None and corner[1] == 0.5 ** levels:
+            tails.append(_tail(n, w, m))
+    for tail in tails:
+        value += tail
+        var += tail ** 2
+    return value, var
+
+
 def simplex_volume(
     K: GeodesicSimplex,
     budget: int = DEFAULT_BUDGET,
@@ -439,21 +456,10 @@ def simplex_volume(
         n_acc, sum_f, sum_f2 = sums
         spent += int(alloc.sum())
 
-    value = 0.0
-    var = 0.0
-    tails = []
-    for idx, (_, corner) in enumerate(strata):
-        if n_acc[idx] == 0:
-            raise GeometryError("a stratum received no accepted samples; raise the budget")
-        mean = sum_f[idx] / n_acc[idx]
-        value += measure[idx] * mean
-        var += (measure[idx] * sem(idx)) ** 2
-        if corner is not None and corner[1] == 0.5 ** levels:
-            tails.append(_tail(n, measure[idx], mean))
-    for tail in tails:
-        value += tail
-        var += tail ** 2
-
+    if not n_acc.all():
+        raise GeometryError("a stratum received no accepted samples; raise the budget")
+    means = [sum_f[idx] / n_acc[idx] for idx in range(k)]
+    value, var = _combine(n, levels, strata, measure, means, [sem(idx) for idx in range(k)])
     return VolumeEstimate(value, math.sqrt(var), spent, MONTE_CARLO)
 
 
@@ -583,17 +589,8 @@ def volume_deficit_vs_regular(
             settle(int(owner[-1]))
     settle(k)
     sem = np.sqrt(ssd / (count - 1)) / np.sqrt(count)
-    total = 0.0
-    var = 0.0
-    tails = []
-    for (mass, corner), m, s in zip(strata, mean.tolist(), sem.tolist()):
-        total += mass * m
-        var += (mass * s) ** 2
-        if corner is not None and corner[1] == 0.5 ** levels:
-            tails.append(_tail(n, mass, m))
-    for tail in tails:
-        total += tail
-        var += tail ** 2
+    total, var = _combine(n, levels, strata, [mass for mass, _ in strata], mean.tolist(),
+                          sem.tolist())
     return -total / v_ref, math.sqrt(var) / v_ref
 
 
@@ -613,19 +610,23 @@ class ProbeReport:
     degenerate_rejected: int
 
 
+#: the chance that a vertex of a `maximality_probe` trial is ideal
+_PROBE_IDEAL_PROB = 0.5
+
+
 def maximality_probe(
     n: int,
     trials: int = 1000,
     seed: int = 0,
     budget_per_trial: int = 4096,
     levels: int = 12,
-    ideal_prob: float = 0.5,
 ) -> ProbeReport:
     """Sample random nondegenerate simplices and compare volumes with v_n.
 
-    Each trial draws vertices in the Klein ball (a mixture of finite and
-    ideal ones), rejects degenerate draws without counting them, and
-    checks vol < v_n within 3 standard errors.  The maximum observed
+    Each trial draws vertices in the Klein ball, each one ideal with
+    probability `_PROBE_IDEAL_PROB` and finite otherwise, rejects
+    degenerate draws without counting them, and checks vol < v_n within
+    3 standard errors.  The maximum observed
     volume and its vertex Gram data are recorded.  Raises `GeometryError`
     for fewer than one trial, which would leave no maximum.
     """
@@ -644,7 +645,7 @@ def maximality_probe(
         for _ in range(n + 1):
             direction = rng.standard_normal(n)
             direction /= np.linalg.norm(direction)
-            if rng.random() < ideal_prob:
+            if rng.random() < _PROBE_IDEAL_PROB:
                 verts.append(lift_klein(direction, ideal=True))
             else:
                 verts.append(lift_klein(0.95 * rng.random() ** (1.0 / n) * direction))

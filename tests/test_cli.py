@@ -184,6 +184,13 @@ def test_samples_floor():
     assert exc.value.code == 2
 
 
+#: stands for a directory where a command reads a file
+A_DIRECTORY = object()
+
+IDEAL_TRIANGLE = {"dim": 2, "vertices": [{"x": [1, 0], "ideal": True}, {"x": [-1, 0], "ideal": True},
+                                         {"x": [0, 1], "ideal": True}]}
+
+
 @pytest.mark.parametrize("argv, spec", [
     pytest.param(["constants", "--n-min", "3"], None, id="n-min"),
     pytest.param(["volume", "--samples", "10", "--regular-ideal", "3"], None,
@@ -280,11 +287,42 @@ def test_samples_floor():
     pytest.param(["triangulation", "cover", "torus", "--characteristic", "2", "--spec"],
                  {"degree": 2, "perms": {"0": [2, 1], "1": [1, 2], "2": [1, 2]}},
                  id="cover-spec-and-characteristic"),
+    # a simplex file takes JSON integers, numbers and bools, not their look-alikes
+    pytest.param(["volume", "--samples", "1e4"], {**IDEAL_TRIANGLE, "dim": 2.0},
+                 id="simplex-dim-float"),
+    pytest.param(["volume", "--samples", "1e4"], {**IDEAL_TRIANGLE, "dim": True},
+                 id="simplex-dim-bool"),
+    pytest.param(["volume", "--samples", "1e4"],
+                 {"dim": 2, "vertices": [{"x": [1, 0], "ideal": 1}, *IDEAL_TRIANGLE["vertices"][1:]]},
+                 id="simplex-ideal-int"),
+    # "false" is a nonempty string, so bool() read this vertex as ideal
+    pytest.param(["volume", "--samples", "1e4"],
+                 {"dim": 2, "vertices": [{"x": [0.1, 0], "ideal": "false"},
+                                         *IDEAL_TRIANGLE["vertices"][1:]]},
+                 id="simplex-ideal-string"),
+    pytest.param(["volume", "--samples", "1e4"],
+                 {"dim": 2, "vertices": [{"x": ["0.1", 0]}, *IDEAL_TRIANGLE["vertices"][1:]]},
+                 id="simplex-coordinate-string"),
+    pytest.param(["volume", "--samples", "1e4"],
+                 {"dim": 2, "vertices": [{"x": [True, 0], "ideal": True},
+                                         *IDEAL_TRIANGLE["vertices"][1:]]},
+                 id="simplex-coordinate-bool"),
+    # a directory, and a file that is not UTF-8, wherever a file is read
+    *(pytest.param(argv, bad, id=f"{name}-{kind}")
+      for name, argv in (("info", ["triangulation", "info"]),
+                         ("volume", ["volume", "--samples", "1e4"]),
+                         ("spec", ["triangulation", "cover", "torus", "--spec"]))
+      for kind, bad in (("directory", A_DIRECTORY), ("not-utf8", b"\xff\xfe"))),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
-    if spec is not None:
+    if spec is A_DIRECTORY:
+        argv = argv + [str(tmp_path)]
+    elif spec is not None:
         f = tmp_path / "spec.json"
-        f.write_text(json.dumps(spec))
+        if isinstance(spec, bytes):
+            f.write_bytes(spec)
+        else:
+            f.write_text(json.dumps(spec))
         argv = argv + [str(f)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -292,6 +330,16 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+
+
+def test_simplex_file_ideal_flag_must_be_a_bool(tmp_path, capsys):
+    f = tmp_path / "simplex.json"
+    f.write_text(json.dumps({"dim": 2, "vertices": [{"x": [0.1, 0], "ideal": "false"},
+                                                    *IDEAL_TRIANGLE["vertices"][1:]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", str(f)])
+    assert exc.value.code == 2
+    assert "malformed simplex file" in capsys.readouterr().err
 
 
 def test_constants_quick(capsys):

@@ -15,6 +15,7 @@ from hypstab.complexes import (
     CoverSpec,
     EdgeInfo,
     LinksReport,
+    OrientabilityResult,
     Pairing,
     facet_vertices,
     Triangulation,
@@ -107,6 +108,34 @@ def test_every_routine_rejects_malformed_gluing(routine, kind):
     assert not validate(T).valid
     with pytest.raises(ComplexError):
         routine(T)
+
+
+def test_validate_names_every_doubled_slot():
+    # slots (0, 0) and (1, 2) are each used by two pairings
+    T = Triangulation(2, 3, (Pairing(0, 0, 1, 0, (1, 2)), Pairing(0, 0, 2, 0, (1, 2)),
+                             Pairing(1, 2, 2, 1, (0, 2)), Pairing(2, 2, 1, 2, (0, 1))))
+    rep = validate(T)
+    assert not rep.valid and not rep.closed and rep.boundary_slots == ()
+    (error,) = rep.errors
+    assert "pairing 1: slot (0, 0) used by two pairings: already used by pairing 0" in error
+    assert "pairing 3: slot (1, 2) used by two pairings: already used by pairing 2" in error
+
+
+def test_validate_reports_the_first_failing_check():
+    # a slot out of range hides the doubled slot and the bad map after it
+    T = Triangulation(2, 2, (Pairing(0, 0, 1, 0, (0, 2)), Pairing(0, 0, 1, 1, (0, 2)),
+                             Pairing(0, 1, 2, 1, (0, 2))))
+    assert validate(T).errors == ("pairing 2: slot (2, 1) out of range",)
+    T = Triangulation(2, 2, T.pairings[:2])
+    assert validate(T).errors == ("pairing 1: slot (0, 0) used by two pairings: already used "
+                                  "by pairing 0",)
+    T = Triangulation(2, 2, (T.pairings[0], Pairing(0, 1, 1, 1, (0, 1, 2))))
+    assert validate(T).errors == ("pairing 0: vertex map is not a bijection onto facet 0 of "
+                                  "simplex 1; pairing 1: vertex map is not a bijection onto "
+                                  "facet 1 of simplex 1",)
+    assert validate(Triangulation(2, 1, (Pairing(0, 2, 0, 2, (0, 1)),))).errors \
+        == ("pairing 0: facet (0, 2) glued to itself",)
+    assert validate(Triangulation(0, 1, ())).errors == ("need dim >= 1 and at least one simplex",)
 
 
 def test_boundary_slots_reported():
@@ -483,6 +512,99 @@ def test_neighbor_table_slot_by_slot():
                 T.neighbor(s, f)
 
 
+def reference_orientability(T):
+    """Signs by a depth-first search that stops at the first conflict:
+    the least unreached simplex first, a stack, facets in order."""
+    sign, parent = {}, {}
+    for start in range(T.simplex_count):
+        if start in sign:
+            continue
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            s = stack.pop()
+            for f in range(T.dim + 1):
+                nb = reference_neighbor(T, s, f)
+                if nb is None:
+                    continue
+                other, _, _, idx, _ = nb
+                required = sign[s] * reference_pairing_sign(T.pairings[idx])
+                if other not in sign:
+                    sign[other] = required
+                    parent[other] = (s, idx)
+                    stack.append(other)
+                elif sign[other] != required:
+                    cycle = [idx]
+                    for node in (s, other):
+                        while node in parent:
+                            node, via = parent[node]
+                            cycle.append(via)
+                    return OrientabilityResult(False, None, tuple(cycle))
+    return OrientabilityResult(True, tuple(sign[s] for s in range(T.simplex_count)), None)
+
+
+def reference_dual_spanning_tree(T):
+    """The same search from simplex 0 alone: (tree pairings, the others)."""
+    seen, tree, stack = {0}, set(), [0]
+    while stack:
+        s = stack.pop()
+        for f in range(T.dim + 1):
+            nb = reference_neighbor(T, s, f)
+            if nb is not None and nb[0] not in seen:
+                seen.add(nb[0])
+                tree.add(nb[3])
+                stack.append(nb[0])
+    if len(seen) != T.simplex_count:
+        raise ComplexError("disconnected complex")
+    return tree, [i for i in range(len(T.pairings)) if i not in tree]
+
+
+def klein_orientation_double_cover():
+    """The torus that double covers the Klein bottle: a pairing swaps the
+    sheets iff it needs its two simplices oppositely signed."""
+    klein = load_fixture("klein")
+    return build_cover(klein, CoverSpec(2, {i: (0, 1) if reference_pairing_sign(p) > 0 else (1, 0)
+                                            for i, p in enumerate(klein.pairings)}))
+
+
+def relabelled(T, rng):
+    """T with its simplices renumbered at random, so that the walk no
+    longer meets them in increasing order."""
+    new = rng.permutation(T.simplex_count).tolist()
+    return Triangulation(T.dim, T.simplex_count, tuple(
+        Pairing(new[p.a], p.facet_a, new[p.b], p.facet_b, p.vertex_map) for p in T.pairings))
+
+
+def test_dual_walks_match_references():
+    rng = np.random.default_rng(28)
+    klein, fig8 = load_fixture("klein"), load_fixture("figure-eight")
+    torus = klein_orientation_double_cover()
+    klein_covers = [build_cover(klein, random_cover_spec(klein, d, rng)) for d in range(2, 9)]
+    # connected cyclic covers whose first conflict lies far from simplex 0
+    klein_covers += [build_cover(klein, CoverSpec(d, {i: tuple((s + e) % d for s in range(d))
+                                                      for i, e in enumerate(exponents)}))
+                     for d, exponents in ((6, (0, 1, 3)), (10, (0, 3, 5)), (10, (0, 7, 5)))]
+    complexes = (slot_test_complexes() + klein_covers
+                 + [torus, build_cover(torus, random_cover_spec(torus, 3, rng))]
+                 + [build_cover(fig8, figure_eight_cyclic_spec(fig8, d, a, b))
+                    for d, a, b in ((3, 1, 1), (4, 1, 3), (6, 5, 2), (12, 3, 3), (16, 7, 2))])
+    complexes += [relabelled(T, rng) for T in complexes[-7:] + klein_covers * 3]
+    found = {True: 0, False: 0, "disconnected": 0}
+    for T in complexes:
+        want = reference_orientability(T)
+        assert orientability(T) == want
+        found[want.orientable] += 1
+        try:
+            want = reference_dual_spanning_tree(T)
+        except ComplexError:
+            with pytest.raises(ComplexError, match="disconnected complex"):
+                _dual_spanning_tree(T)
+            found["disconnected"] += 1
+        else:
+            assert _dual_spanning_tree(T) == want
+    assert min(found.values()) >= 3, found
+
+
 def reference_pairing_sign(p):
     """The relative orientation a pairing needs: the gluing cancels the two
     boundary facets iff sign[b] = -sign[a] (-1)^(fa + fb) sgn(vertex map)."""
@@ -493,12 +615,8 @@ def reference_pairing_sign(p):
 def test_orientability_against_reference_signs():
     rng = np.random.default_rng(27)
     klein = load_fixture("klein")
-    # the orientation double cover: a pairing swaps the sheets iff it
-    # needs the two simplices oppositely signed
-    double = CoverSpec(2, {i: (0, 1) if reference_pairing_sign(p) > 0 else (1, 0)
-                           for i, p in enumerate(klein.pairings)})
     covers = [build_cover(klein, random_cover_spec(klein, d, rng)) for d in (2, 3, 4, 5, 6)]
-    torus = build_cover(klein, double)
+    torus = klein_orientation_double_cover()
     covers += [torus, build_cover(torus, random_cover_spec(torus, 3, rng))]
     seen = []
     for T in slot_test_complexes() + covers:
