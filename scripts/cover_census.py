@@ -4,7 +4,8 @@
 Builds random admissible covers, checks exact multiplicativity of the
 f-vector and Euler characteristic, says whether the cover is connected
 (most random covers are not), and verifies the alternated fundamental
-cycle on every orientable cover; a nonorientable one has none.
+cycle on every orientable cover; a nonorientable one has none.  A degree
+for which no admissible assignment is drawn gets a one-line note.
 
 Example:
     python scripts/cover_census.py --fixture torus --count 10 --max-degree 8
@@ -16,6 +17,7 @@ import numpy as np
 
 from hypstab.cli import int_at_least
 from hypstab.complexes import (
+    ComplexError,
     _dual_forest,
     build_cover,
     cell_counts,
@@ -41,7 +43,13 @@ def main():
     print(f"{args.fixture}: t={T.simplex_count}, f={base.f_vector}, chi={base.euler}")
     for i in range(args.count):
         d = int(rng.integers(2, args.max_degree + 1))
-        cov = build_cover(T, random_cover_spec(T, d, rng))
+        try:
+            spec = random_cover_spec(T, d, rng)
+        except ComplexError:
+            # every draw of this degree failed the holonomy check
+            print(f"  degree {d}: no admissible assignment found")
+            continue
+        cov = build_cover(T, spec)
         counts = cell_counts(cov)
         mult = counts.f_vector == tuple(d * f for f in base.f_vector)
         # the dual forest has one root per component

@@ -20,8 +20,10 @@ the volume of the regular ideal simplex, is exact (computed, not
 sampled), so --regular-ideal reads no --seed, --samples or --tolerance;
 a simplex file's volume is Monte Carlo.  --seed of constants seeds the
 eps_n search.  Identical configurations (including --seed) produce
-byte-identical JSON.  The exit code is 0 only when all requested checks
-pass: 1 for failed checks, 2 for bad input (one "error:" line on
+byte-identical JSON.  The constants table computes its rows in order,
+one after another; a row that raises is reported under "errors" while
+the other rows still print.  The exit code is 0 only when all requested
+checks pass: 1 for failed checks, 2 for bad input (one "error:" line on
 stderr).
 
 Triangulation targets are file paths in the wire format or built-in
@@ -34,9 +36,6 @@ Cover specs assign a one-line permutation of {1..d} to each pairing
 index::
 
     { "degree": d, "perms": { "0": [2, 1, ...], ... } }
-
-The environment variable HYPSTAB_THREADS caps row-level parallelism of
-the constants table (results are bit-identical at any thread count).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -69,8 +67,11 @@ def _emit(args, payload, text: str):
     if args.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise _fail(f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         print(text)
 
@@ -129,25 +130,14 @@ def _load_simplex(path: str, tol: float) -> GeodesicSimplex:
 def cmd_constants(args) -> int:
     if not (4 <= args.n_min <= args.n_max <= 8):
         raise _fail("need 4 <= n-min <= n-max <= 8")
-    dims = list(range(args.n_min, args.n_max + 1))
-    try:
-        threads = max(1, int(os.environ.get("HYPSTAB_THREADS", "1")))
-    except ValueError:
-        raise _fail(f"HYPSTAB_THREADS must be an integer, got {os.environ['HYPSTAB_THREADS']!r}")
-
-    def job(n):
+    rows, errors = [], {}
+    for n in range(args.n_min, args.n_max + 1):
         try:
-            row, _ = constants_row(
+            rows.append(constants_row(
                 n, seed=args.seed, restarts=args.restarts,
-                bisection_depth=args.depth, climb_iters=args.climb_iters)
-            return n, row, None
+                bisection_depth=args.depth, climb_iters=args.climb_iters)[0])
         except Exception as exc:  # row-level failure; other rows still emitted
-            return n, None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(job, dims))
-    rows = [row for _, row, _ in results if row is not None]
-    errors = {n: err for n, _, err in results if err is not None}
+            errors[n] = str(exc)
 
     payload = {"rows": [row_as_dict(r) for r in rows],
                "errors": {str(n): e for n, e in errors.items()},

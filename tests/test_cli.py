@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypstab import cli
 from hypstab.cli import main
 from hypstab.complexes import (build_cover, characteristic_cover_spec, cover_spec_to_wire,
                                to_wire)
@@ -176,6 +177,16 @@ def test_out_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["calculator"] == "seifert"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_out_unwritable_exits_2(where, tmp_path, capsys):
+    target = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["triangulation", "info", "torus", "--out", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith(f"error: cannot write {target}")
 
 
 def test_samples_floor():
@@ -360,12 +371,11 @@ def test_constants_quick(capsys):
     assert "samples" not in payload
 
 
-def test_constants_json_identical_across_threads(monkeypatch, capsys):
+def test_constants_json_identical_across_runs(capsys):
     argv = ["constants", "--n-min", "4", "--n-max", "5",
             "--restarts", "2", "--depth", "10", "--climb-iters", "3", "--format", "json"]
     outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HYPSTAB_THREADS", threads)
+    for _ in range(2):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         outs.append(out)
@@ -376,14 +386,32 @@ def test_constants_json_identical_across_threads(monkeypatch, capsys):
     assert all(row["C_n"]["value"] < 1.0 for row in payload["rows"])
 
 
-def test_bad_thread_count_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("HYPSTAB_THREADS", "x")
-    with pytest.raises(SystemExit) as exc:
-        main(["constants", "--n-min", "4", "--n-max", "4"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
-    assert "HYPSTAB_THREADS" in err and "Traceback" not in err
+def test_constants_failed_row_reported_others_emitted(monkeypatch, capsys):
+    real, rows = cli.constants_row, {}
+
+    def flaky(n, **kw):
+        if n == 4:
+            raise RuntimeError("no row at n=4")
+        if n not in rows:
+            rows[n] = real(n, **kw)
+        return rows[n]
+
+    monkeypatch.setattr(cli, "constants_row", flaky)
+    argv = ["constants", "--n-min", "4", "--n-max", "5",
+            "--restarts", "2", "--depth", "10", "--climb-iters", "3"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["errors"] == {"4": "no row at n=4"}
+    assert [row["n"] for row in payload["rows"]] == [5]
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 1
+    assert re.search(r"^ 5 ", out, re.M) and " 4 ERROR: no row at n=4" in out.splitlines()
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 1
+    lines = out.rstrip("\n").splitlines()
+    assert lines[-1] == "# error n=4: no row at n=4"
+    assert [line.split(",")[0] for line in lines[1:-1]] == ["5"]
 
 
 def test_cli_import_loads_no_scipy():
@@ -406,14 +434,18 @@ def run_script(script, args):
     ("maximality_probe.py", ["--n", "2", "--trials", "5"]),
     ("cover_census.py", ["--fixture", "torus", "--count", "2", "--max-degree", "3"]),
     ("cover_census.py", ["--fixture", "klein", "--count", "3", "--seed", "2"]),
+    # some degrees of this complex draw no admissible assignment
+    ("cover_census.py", ["--fixture", "boundary-4-simplex", "--count", "12",
+                         "--max-degree", "6", "--seed", "3"]),
 ])
 def test_scripts_run(script, args):
     # the scripts import the package API directly; a tiny run catches a break
     done = run_script(script, args)
     assert done.returncode == 0, done.stderr
     if script == "cover_census.py":
-        covers = done.stdout.splitlines()[1:]
-        assert len(covers) == int(args[args.index("--count") + 1])
+        lines = done.stdout.splitlines()[1:]
+        assert len(lines) == int(args[args.index("--count") + 1])
+        covers = [line for line in lines if not line.endswith(": no admissible assignment found")]
         assert all(re.search(r" connected=(True|False),", line) for line in covers)
         # a nonorientable cover has no fundamental cycle to verify
         assert all(re.search(r" cycle=(ok, L1=\S+|n/a \(nonorientable\))$", line)
