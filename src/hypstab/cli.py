@@ -63,17 +63,20 @@ def _fail(msg: str) -> SystemExit:
 
 
 def _emit(args, payload, text: str):
-    """Write the result: ``payload`` as JSON under --format json, else ``text``."""
+    """Write the result, ending in one newline, to --out or stdout:
+    ``payload`` as JSON under --format json, else ``text``."""
     if args.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise _fail(f"cannot write {args.out}: {exc.strerror or exc}")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _load_json(path: str):

@@ -14,10 +14,9 @@ varies by a bounded factor and a plain Monte Carlo mean converges
 quickly.  Strata own independent random substreams derived from the
 seed and the stratum index ([seed, idx] for the volume, [seed..., 0xD1F,
 idx] for the deficit), so results do not depend on evaluation order.
-`simplex_volume` adds a pilot pass that feeds a Neyman allocation of the
-remaining sample budget, with a floor share for a stratum whose pilot
-accepted fewer than 2 draws; the deficit spends the same number of
-samples on every stratum.
+Both estimators spend their budget through `_stratified`: a pilot pass
+that feeds a Neyman allocation of the rest, with a floor share for a
+stratum whose pilot accepted fewer than 2 draws.
 
 The sampler works a block at a time: it stacks the antithetic uniform
 draws of consecutive strata, in index order and splitting a large one,
@@ -29,13 +28,11 @@ row's corner and scale looked up from its stratum; rejection is a mask
 applied to the 1-D values after the density, and log u / sum log u
 needs no negation.  Blocks are streamed: a stratum of more than
 `_DRAW_ROWS` rows of u draws them into the block as it goes and replays
-them for its 1 - u rows from a twin generator, and `simplex_volume`
-adds each block's counts and sums into per-stratum totals with
-`np.add.at`, in row order, so its memory does not depend on the budget.
-The deficit keeps the values of a stratum until all of them are in, runs
-its two-pass variance on them and drops them, so its memory does not
-depend on the budget either.  Each stratum's draws are the same however
-the strata fall into blocks and whether or not they are streamed.
+them for its 1 - u rows from a twin generator, and `_stratified` adds
+each block's counts and sums into per-stratum totals with `np.add.at`,
+in row order, so memory does not depend on the budget.  Each stratum's
+draws are the same however the strata fall into blocks and whether or
+not they are streamed.
 
 v_n, the volume of the regular ideal n-simplex, is computed, not
 sampled: every ideal triangle has area pi, the regular ideal tetrahedron
@@ -312,8 +309,7 @@ def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray, terms):
     is evaluated on every row and rejection is a mask applied to the 1-D
     values and strata afterwards.  Yields, for each block of
     `_uniform_blocks`, the values and the stratum index of each, in
-    stratum order, so that a caller can drop a block once it has its sums
-    or once every stratum in it is complete.
+    stratum order, so that a caller can drop a block once it has its sums.
     """
     width = n + 1
     exponent = -width / 2.0
@@ -411,56 +407,65 @@ def simplex_volume(
 
     mmat, vol_t, ideal_idx = _klein_form(K)
     strata = _strata(n, ideal_idx, levels)
+    value, var, n_acc, spent = _stratified([seed], budget, n, levels, strata, ideal_idx,
+                                           [(1.0, mmat)], [vol_t * mass for mass, _ in strata])
+    if not n_acc.all():
+        raise GeometryError("a stratum received no accepted samples; raise the budget")
+    return VolumeEstimate(value, math.sqrt(var), spent, MONTE_CARLO)
+
+
+def _stratified(prefix, budget: int, n: int, levels: int, strata: list, ideal_idx, terms,
+                measure) -> tuple:
+    """(value, variance, accepted draws per stratum, draws spent) of the
+    integral of `terms` (see `_sample`) over `strata` with weights `measure`,
+    stratum idx drawing from the substream [*prefix, idx].
+
+    Each of the k strata draws a pilot of max(16, budget // (6 k)).  The
+    rest of the budget follows a Neyman allocation, in proportion to
+    measure times the pilot's spread; each generator carries on from its
+    pilot draws.  A stratum whose pilot accepted fewer than 2 draws has no
+    spread to weigh, so it gets a floor share of 1/k of the rest and the
+    others share what is left; the shares are formed first so that a
+    single stratum gets exactly the rest.  A stratum that ends with fewer
+    than 2 accepted draws has standard error inf, and one with none mean 0.
+    """
     k = len(strata)
-    measure = [vol_t * mass for mass, _ in strata]
-    rngs = _substreams([seed], k)
+    rngs = _substreams(prefix, k)
 
     def sample(counts):  # accepted draws, sum of f and sum of f^2 per stratum
         # np.add.at adds in row order, as np.bincount over all the rows would
         sums = np.zeros((3, k))
-        for f, owner in _sample(rngs, counts, n, strata, ideal_idx, [(1.0, mmat)]):
+        for f, owner in _sample(rngs, counts, n, strata, ideal_idx, terms):
             np.add.at(sums[0], owner, 1.0)
             np.add.at(sums[1], owner, f)
             np.add.at(sums[2], owner, f * f)
         return sums
 
-    def sem(idx):  # standard error of the stratum mean
-        if n_acc[idx] < 2:
-            return math.inf
-        mean = sum_f[idx] / n_acc[idx]
-        return math.sqrt(max(sum_f2[idx] / n_acc[idx] - mean ** 2, 0.0) / n_acc[idx])
+    def stats(sums):  # accepted draws, mean and standard error of the mean per stratum
+        n_acc, sum_f, sum_f2 = sums
+        count = np.maximum(n_acc, 1.0)
+        mean = sum_f / count
+        return n_acc, mean, np.sqrt(np.maximum(sum_f2 / count - mean * mean, 0.0) / count)
 
     pilot = max(16, budget // (6 * k))
     sums = sample([pilot] * k)
-    n_acc, sum_f, sum_f2 = sums
+    n_acc, _, sem = stats(sums)
     spent = pilot * k
-
-    # Neyman allocation of the rest of the budget; each stratum's
-    # generator carries on from its pilot draws.  A stratum whose pilot
-    # accepted fewer than 2 draws has no spread to weigh, so it gets a
-    # floor share of 1/k of the remaining budget and the others share
-    # what is left.  The shares are formed first so that a single
-    # stratum gets exactly the remaining budget.
     starved = n_acc < 2
     remaining = max(budget - spent, 0)
     alloc = np.where(starved, remaining // k, 0)
-    weights = np.array([0.0 if starved[idx]
-                        else measure[idx] * (sem(idx) * math.sqrt(n_acc[idx]))
-                        for idx in range(k)])
+    weights = np.where(starved, 0.0, np.asarray(measure) * (sem * np.sqrt(n_acc)))
     total_w = weights.sum()
     rest = remaining - int(alloc.sum())
     if total_w > 0 and rest > 0:
         alloc = alloc + np.floor(rest * (weights / total_w)).astype(int)
     if alloc.any():
         sums = sums + sample(alloc)
-        n_acc, sum_f, sum_f2 = sums
         spent += int(alloc.sum())
-
-    if not n_acc.all():
-        raise GeometryError("a stratum received no accepted samples; raise the budget")
-    means = [sum_f[idx] / n_acc[idx] for idx in range(k)]
-    value, var = _combine(n, levels, strata, measure, means, [sem(idx) for idx in range(k)])
-    return VolumeEstimate(value, math.sqrt(var), spent, MONTE_CARLO)
+    n_acc, mean, sem = stats(sums)
+    sem[n_acc < 2] = math.inf
+    value, var = _combine(n, levels, strata, measure, mean.tolist(), sem.tolist())
+    return value, var, n_acc, spent
 
 
 #: Unit panels of [0, _PANELS] of the Schlafli quadrature.  The integrand
@@ -542,12 +547,12 @@ def volume_deficit_vs_regular(
     what makes volume comparisons resolvable at the 1e-4 level inside
     search loops where a plain estimate would drown in noise.  The
     samples follow the strata of the regular simplex, all of whose
-    corners are ideal; `v_ref` is the caller's value of v_n.  Every
-    stratum spends max(32, budget // strata) draws.  A stratum's mean and
-    standard error come from two passes over its values, taken once they
-    are all in, so the function holds at most one block plus the stratum
-    it is filling.  Raises `GeometryError` when a stratum accepted fewer
-    than 2 draws ("stratum starved; raise the deficit budget").
+    corners are ideal; `v_ref` is the caller's value of v_n.  The budget
+    is spent as `simplex_volume` spends it, a pilot and then a Neyman
+    allocation by each stratum's mass and spread, from the substreams
+    [seed..., 0xD1F, idx].  Raises `GeometryError` when a stratum ends
+    with fewer than 2 accepted draws ("stratum starved; raise the
+    deficit budget").
     """
     n = K.ambient_dim
     if K.k != n:
@@ -557,40 +562,11 @@ def volume_deficit_vs_regular(
     mk, volk, _ = _klein_form(K)
     mr, volr, ideal_idx = _regular_klein_form(n)
     strata = _strata(n, ideal_idx, levels)
-    k = len(strata)
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    rngs = _substreams(seed_seq + [0xD1F], k)
-    per = max(32, budget // k)
-    # each stratum's count, mean and sum of squared deviations, taken in
-    # two passes over its values once they are all in; held keeps the
-    # values of the strata from `done` on
-    count = np.zeros(k, dtype=np.intp)
-    mean, ssd = np.zeros(k), np.zeros(k)
-    held, done = [], 0
-
-    def settle(stop):  # the statistics of strata done .. stop - 1
-        nonlocal held, done
-        g, owner = map(np.concatenate, zip(*held))
-        cut = int(np.searchsorted(owner, stop))
-        g_in, o = g[:cut], owner[:cut] - done
-        c = np.bincount(o, minlength=stop - done)
-        if c.min() < 2:
-            raise GeometryError("stratum starved; raise the deficit budget")
-        m = np.bincount(o, g_in, minlength=stop - done) / c
-        dev = g_in - m[o]
-        count[done:stop], mean[done:stop] = c, m
-        ssd[done:stop] = np.bincount(o, dev * dev, minlength=stop - done)
-        held, done = [(g[cut:], owner[cut:])], stop
-
-    for g, owner in _sample(rngs, [per] * k, n, strata, ideal_idx, [(volk, mk), (-volr, mr)]):
-        held.append((g, owner))
-        # strata come in index order, so those below the block's last are complete
-        if owner.size and owner[-1] > done:
-            settle(int(owner[-1]))
-    settle(k)
-    sem = np.sqrt(ssd / (count - 1)) / np.sqrt(count)
-    total, var = _combine(n, levels, strata, [mass for mass, _ in strata], mean.tolist(),
-                          sem.tolist())
+    total, var, n_acc, _ = _stratified([*seed_seq, 0xD1F], budget, n, levels, strata, ideal_idx,
+                                       [(volk, mk), (-volr, mr)], [mass for mass, _ in strata])
+    if (n_acc < 2).any():
+        raise GeometryError("stratum starved; raise the deficit budget")
     return -total / v_ref, math.sqrt(var) / v_ref
 
 

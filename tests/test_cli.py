@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypstab import cli
+from hypstab import cli, constants
 from hypstab.cli import main
 from hypstab.complexes import (build_cover, characteristic_cover_spec, cover_spec_to_wire,
                                to_wire)
@@ -372,8 +372,12 @@ def test_constants_quick(capsys):
 
 
 def test_constants_json_identical_across_runs(capsys):
+    # depth 15 is the least whose descent from 0.9 reaches below the least
+    # known n = 4 violator deficit, 7.54e-5 (0.9 / 2^14 = 5.5e-5); at depth
+    # 10 the descent ends at 1.76e-3, where a search that finds the
+    # violators finds one at every step and so exhausts its budget
     argv = ["constants", "--n-min", "4", "--n-max", "5",
-            "--restarts", "2", "--depth", "10", "--climb-iters", "3", "--format", "json"]
+            "--restarts", "2", "--depth", "15", "--climb-iters", "3", "--format", "json"]
     outs = []
     for _ in range(2):
         code, out, _ = run(capsys, *argv)
@@ -412,6 +416,28 @@ def test_constants_failed_row_reported_others_emitted(monkeypatch, capsys):
     lines = out.rstrip("\n").splitlines()
     assert lines[-1] == "# error n=4: no row at n=4"
     assert [line.split(",")[0] for line in lines[1:-1]] == ["5"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_constants_stdout_equals_out_file(fmt, monkeypatch, tmp_path, capsys):
+    # stdout gets the bytes --out writes, ending in one newline; the n = 5
+    # row fails, so the error lines are covered too
+    row = constants.constants_row(4, seed=1, restarts=4, bisection_depth=6, climb_iters=4,
+                                  cheap_budget=1024, verify_budget=16384, eps_start=1e-3)
+
+    def quick_row(n, **kw):
+        if n == 5:
+            raise RuntimeError("no row at n=5")
+        return row
+
+    monkeypatch.setattr(cli, "constants_row", quick_row)
+    argv = ["constants", "--n-min", "4", "--n-max", "5", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    target = tmp_path / f"table.{fmt}"
+    assert run(capsys, *argv, "--out", str(target)) == (1, "", "")
+    assert target.read_bytes() == out.encode()
+    assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 def test_cli_import_loads_no_scipy():

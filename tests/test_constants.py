@@ -183,16 +183,16 @@ def test_estimate_a_eps_quick():
 #: cheap deficit: (eps, counterexample, best violation, best deficit) as
 #: float.hex, and the number of cheap deficits.
 QUICK_STEPS_N4 = [
-    ('0x1.0624dd2f1a9fcp-9', True, '0x1.18ed83b8850a0p-5', '0x1.130baca79de74p-10', 12),
-    ('0x1.0624dd2f1a9fcp-10', True, '0x1.a5eb624a12c00p-9', '0x1.9a43c50234f93p-13', 6),
-    ('0x1.0624dd2f1a9fcp-11', False, '0x1.aa7ee6b911cc0p-5', '0x1.5d51411a3a7c9p-9', 48),
-    ('0x1.89374bc6a7efap-11', True, '0x1.0f91dc55014c0p-6', '0x1.66235803c5ecfp-12', 18),
-    ('0x1.47ae147ae147bp-11', False, '0x1.1298c6b983270p-3', '0x1.b89f5765bb57bp-6', 48),
-    ('0x1.6872b020c49bap-11', True, '0x1.8de834947f900p-7', '0x1.c780d15af33d9p-12', 12),
-    ('0x1.5810624dd2f1ap-11', False, '0x1.815baa8e51b70p-4', '-0x1.5f9f57c0b8c21p-12', 48),
-    ('0x1.604189374bc6ap-11', False, '0x1.27854c6001960p-4', '0x1.2cf396caac3fbp-9', 48),
-    ('0x1.604189374bc6ap-12', False, '0x1.39071e3163300p-4', '0x1.4aecb92a8ff09p-6', 48),
-    ('0x1.604189374bc6ap-13', True, '0x1.7832d165b6000p-11', '-0x1.1afaa9eb9617cp-17', 18),
+    ('0x1.0624dd2f1a9fcp-9', True, '0x1.18ed83b8850a0p-5', '0x1.279ea429d5e6ap-10', 12),
+    ('0x1.0624dd2f1a9fcp-10', True, '0x1.a5eb624a12c00p-9', '0x1.7e9bea6f3601fp-12', 6),
+    ('0x1.0624dd2f1a9fcp-11', False, '0x1.88e245b5c8c00p-5', '0x1.4a72d7e0f4a34p-7', 48),
+    ('0x1.89374bc6a7efap-11', False, '0x1.23ca33755fb80p-4', '0x1.9a11b0340a764p-5', 48),
+    ('0x1.cac083126e979p-11', False, '0x1.49fb8eb170c00p-3', '0x1.ace6d42e3e95ap-6', 48),
+    ('0x1.eb851eb851eb8p-11', True, '0x1.1a62e01092700p-8', '0x1.b409927a7f334p-11', 6),
+    ('0x1.db22d0e560418p-11', False, '0x1.5e5166df452c0p-4', '0x1.9b957eca5a743p-7', 48),
+    ('0x1.e353f7ced9168p-11', True, '0x1.b134f35540400p-10', '0x1.0c61959e27f41p-11', 6),
+    ('0x1.db22d0e560418p-12', False, '0x1.7600e6e9b0480p-4', '0x1.055cede7ec4f0p-6', 48),
+    ('0x1.db22d0e560418p-13', True, '0x1.7ec1f4e26dc00p-9', '0x1.a1a734d93c146p-13', 18),
 ]
 
 

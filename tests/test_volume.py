@@ -227,19 +227,72 @@ def exact_ideal_volume(K):
     return math.pi / 3 * (4 * math.pi - angles)
 
 
+def _jittered_ideal(n, scale, rng):
+    """The regular ideal n-simplex with its Klein vertices moved by about
+    `scale` and pushed back onto the sphere."""
+    kv = regular_ideal_simplex(n).klein_vertices()
+    kv = kv + scale * rng.standard_normal(kv.shape)
+    kv /= np.linalg.norm(kv, axis=1, keepdims=True)
+    return GeodesicSimplex(tuple(lift_klein(x, ideal=True) for x in kv), n)
+
+
 @pytest.mark.parametrize("n, v_n", [(3, V3), (4, V4)])
 def test_deficit_vs_exact_oracle(n, v_n):
     # the exact volumes share no code with the stratified sampler behind
     # both volume_deficit_vs_regular and simplex_volume
-    base = regular_ideal_simplex(n).klein_vertices()
     rng = np.random.default_rng(40 + n)
     for i, scale in enumerate(np.linspace(0.02, 0.29, 10)):
-        kv = base + scale * rng.standard_normal(base.shape)
-        kv /= np.linalg.norm(kv, axis=1, keepdims=True)
-        K = GeodesicSimplex(tuple(lift_klein(x, ideal=True) for x in kv), n)
+        K = _jittered_ideal(n, scale, rng)
         d, sd = volume_deficit_vs_regular(K, budget=32768, seed=i, levels=12, v_ref=v_n)
         exact = (v_n - exact_ideal_volume(K)) / v_n
         assert abs(d - exact) <= 4 * sd
+
+
+def test_deficit_sigma_is_calibrated():
+    # the Neyman allocation weighs each stratum by a 16-draw pilot spread:
+    # over a family of ideal simplices the reported sigma must not
+    # understate the error against the exact volumes
+    rng = np.random.default_rng(22)
+    z = []
+    for n, v_n in ((3, V3), (4, V4)):
+        for i, scale in enumerate(np.geomspace(0.003, 0.1, 50)):
+            K = _jittered_ideal(n, scale, rng)
+            exact = (v_n - exact_ideal_volume(K)) / v_n
+            for budget in (4096, 65536):
+                d, sd = volume_deficit_vs_regular(K, budget, [i, budget], 14, v_ref=v_n)
+                z.append((d - exact) / sd)
+    z = np.array(z)
+    assert np.mean(np.abs(z) <= 2.0) >= 0.9, np.std(z)
+    assert abs(np.mean(z)) <= 0.3, np.std(z)
+
+
+def equal_split_sigma(K, budget, seed, levels, v_ref):
+    """sigma of the deficit when every stratum draws max(32, budget // k)
+    and reports its sample standard deviation: the split the Neyman
+    allocation replaced."""
+    n = K.ambient_dim
+    exponent = -(n + 1) / 2.0
+    mk, volk, _ = volume._klein_form(K)
+    mr, volr, ideal_idx = volume._klein_form(regular_ideal_simplex(n))
+    strata = volume._strata(n, ideal_idx, levels)
+    per = max(32, budget // len(strata))
+    var = 0.0
+    for idx, (mass, corner) in enumerate(strata):
+        lam = _ref_draw(np.random.default_rng([seed, 0xD1F, idx]), per, n, corner, ideal_idx)
+        g = volk * _ref_density(lam, mk, exponent) - volr * _ref_density(lam, mr, exponent)
+        var += (mass * float(g.std(ddof=1))) ** 2 / g.shape[0]
+    return math.sqrt(var) / v_ref
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_neyman_deficit_halves_the_equal_split_sigma(n):
+    rng = np.random.default_rng(23)
+    v_n = ideal_regular_volume(n).value
+    for i, scale in enumerate((0.01, 0.03, 0.1)):
+        K = _jittered_ideal(n, scale, rng)
+        for budget in (4096, 65536):
+            _, sd = volume_deficit_vs_regular(K, budget, i, 14, v_ref=v_n)
+            assert sd <= 0.5 * equal_split_sigma(K, budget, i, 14, v_n), (scale, budget)
 
 
 # frozen from a 20M-sample run (0.2689044 +- 1.8e-5), cross-checked against
@@ -355,9 +408,10 @@ def test_near_regular_volumes_increase():
 
 # ---------------------------------------------------------------------------
 # reference: the per-stratum sampling loop that the block kernel replaced.
-# Same substreams, antithetic layout, rejection and corner map, one stratum
-# at a time with the three-operand einsum density; the kernel's density
-# and per-stratum sums round differently, hence the 1e-12 tolerance.
+# Same substreams, antithetic layout, rejection, corner map, pilot and
+# Neyman allocation, one stratum at a time with the three-operand einsum
+# density; the kernel's density and per-stratum sums round differently,
+# hence the 1e-12 tolerance.
 
 
 def _ref_draw(rng, count, n, corner, ideal_idx):
@@ -379,19 +433,15 @@ def _ref_density(lam, mmat, exponent):
     return np.clip(np.einsum("si,ij,sj->s", lam, mmat, lam), 1e-300, None) ** exponent
 
 
-def reference_simplex_volume(K, budget, seed, levels):
-    n = K.ambient_dim
-    mmat, vol_t, ideal_idx = volume._klein_form(K)
-    exponent = -(n + 1) / 2.0
-    strata = volume._strata(n, ideal_idx, levels)
+def _reference_stratified(prefix, budget, n, levels, strata, ideal_idx, integrand, measure):
+    """(value, std_error, accepted draws per stratum, draws spent) of the
+    integrand over the strata, by a pilot and a Neyman allocation."""
     k = len(strata)
-    measure = [vol_t * mass for mass, _ in strata]
-    rngs = [np.random.default_rng([seed, idx]) for idx in range(k)]
+    rngs = [np.random.default_rng([*prefix, idx]) for idx in range(k)]
     n_acc, sum_f, sum_f2 = [0] * k, [0.0] * k, [0.0] * k
 
     def sample(idx, count):
-        f = _ref_density(_ref_draw(rngs[idx], count, n, strata[idx][1], ideal_idx),
-                         mmat, exponent)
+        f = integrand(_ref_draw(rngs[idx], count, n, strata[idx][1], ideal_idx))
         n_acc[idx] += f.shape[0]
         sum_f[idx] += float(f.sum())
         sum_f2[idx] += float((f * f).sum())
@@ -414,7 +464,7 @@ def reference_simplex_volume(K, budget, seed, levels):
     total_w = weights.sum()
     rest = remaining - sum(alloc)
     if total_w > 0 and rest > 0:
-        # shares formed first, as in simplex_volume: one stratum gets all
+        # shares formed first: one stratum gets all of the rest
         neyman = np.floor(rest * (weights / total_w)).astype(int)
         alloc = [a + int(extra) for a, extra in zip(alloc, neyman)]
     for idx, extra in enumerate(alloc):
@@ -423,7 +473,7 @@ def reference_simplex_volume(K, budget, seed, levels):
     value = var = 0.0
     tails = []
     for idx, (_, corner) in enumerate(strata):
-        mean = sum_f[idx] / n_acc[idx]
+        mean = sum_f[idx] / max(n_acc[idx], 1)
         value += measure[idx] * mean
         var += (measure[idx] * sem(idx)) ** 2
         if corner is not None and corner[1] == 0.5 ** levels:
@@ -431,7 +481,18 @@ def reference_simplex_volume(K, budget, seed, levels):
     for tail in tails:
         value += tail
         var += tail ** 2
-    return value, math.sqrt(var), spent
+    return value, math.sqrt(var), n_acc, spent
+
+
+def reference_simplex_volume(K, budget, seed, levels):
+    n = K.ambient_dim
+    mmat, vol_t, ideal_idx = volume._klein_form(K)
+    strata = volume._strata(n, ideal_idx, levels)
+    value, std_error, _, spent = _reference_stratified(
+        [seed], budget, n, levels, strata, ideal_idx,
+        lambda lam: _ref_density(lam, mmat, -(n + 1) / 2.0),
+        [vol_t * mass for mass, _ in strata])
+    return value, std_error, spent
 
 
 def reference_deficit(K, budget, seed, levels, v_ref):
@@ -441,57 +502,13 @@ def reference_deficit(K, budget, seed, levels, v_ref):
     mr, volr, ideal_idx = volume._klein_form(regular_ideal_simplex(n))
     strata = volume._strata(n, ideal_idx, levels)
     seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    per = max(32, budget // len(strata))
-    total = var = 0.0
-    tails = []
-    for idx, (mass, corner) in enumerate(strata):
-        rng = np.random.default_rng(seed_seq + [0xD1F, idx])
-        lam = _ref_draw(rng, per, n, corner, ideal_idx)
-        g = volk * _ref_density(lam, mk, exponent) - volr * _ref_density(lam, mr, exponent)
-        mean = float(g.mean())
-        sem = float(g.std(ddof=1)) / math.sqrt(g.shape[0])
-        total += mass * mean
-        var += (mass * sem) ** 2
-        if corner is not None and corner[1] == 0.5 ** levels:
-            tails.append(volume._tail(n, mass, mean))
-    for tail in tails:
-        total += tail
-        var += tail ** 2
-    return -total / v_ref, math.sqrt(var) / v_ref
-
-
-def joined_deficit(K, budget, seed, levels, v_ref):
-    """volume_deficit_vs_regular as it was before it took its statistics a
-    stratum at a time: every block of `volume._sample` joined, then the
-    two-pass statistics of all strata at once."""
-    n = K.ambient_dim
-    mk, volk, _ = volume._klein_form(K)
-    mr, volr, ideal_idx = volume._regular_klein_form(n)
-    strata = volume._strata(n, ideal_idx, levels)
-    k = len(strata)
-    seed_seq = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    rngs = volume._substreams(seed_seq + [0xD1F], k)
-    per = max(32, budget // k)
-    g, owner = map(np.concatenate, zip(*volume._sample(rngs, [per] * k, n, strata, ideal_idx,
-                                                       [(volk, mk), (-volr, mr)])))
-    count = np.bincount(owner, minlength=k)
-    if count.min() < 2:
+    total, sigma, n_acc, _ = _reference_stratified(
+        [*seed_seq, 0xD1F], budget, n, levels, strata, ideal_idx,
+        lambda lam: volk * _ref_density(lam, mk, exponent) - volr * _ref_density(lam, mr, exponent),
+        [mass for mass, _ in strata])
+    if min(n_acc) < 2:
         raise GeometryError("stratum starved; raise the deficit budget")
-    mean = np.bincount(owner, g, minlength=k) / count
-    dev = g - mean[owner]
-    sem = np.sqrt(np.bincount(owner, dev * dev, minlength=k) / (count - 1)) / np.sqrt(count)
-    total = 0.0
-    var = 0.0
-    tails = []
-    for (mass, corner), m, s in zip(strata, mean.tolist(), sem.tolist()):
-        total += mass * m
-        var += (mass * s) ** 2
-        if corner is not None and corner[1] == 0.5 ** levels:
-            tails.append(volume._tail(n, mass, m))
-    for tail in tails:
-        total += tail
-        var += tail ** 2
-    return -total / v_ref, math.sqrt(var) / v_ref
+    return -total / v_ref, sigma / v_ref
 
 
 def _kernel_case_simplex(n, kind, rng):
@@ -515,8 +532,8 @@ def test_deficit_kernel_matches_reference(n, kind):
     K = _kernel_case_simplex(n, kind, np.random.default_rng([n, len(kind)]))
     for levels in (1, 12, 14, 40):
         strata = 1 + (n + 1) * levels
-        # 33 per stratum is odd (antithetic truncation); at levels 1 every
-        # stratum of the last budget spans three blocks
+        # pilots from the floor of 16 draws to 1365; at levels 1 the core's
+        # Neyman draws of the last budget span blocks
         big = (2 * volume._BLOCK_ROWS + 1) * strata if levels == 1 else 60_001
         for budget, seed in ((33 * strata, 0), (4097, [3, 1, 4]), (20_001, 7), (big, [2, 9])):
             got = volume_deficit_vs_regular(K, budget, seed, levels, v_ref=1.0)
@@ -544,8 +561,10 @@ def test_simplex_volume_kernel_matches_reference(n, kind):
 
 #: float.hex of simplex_volume(K, budget, seed=3)'s value and std_error, its
 #: samples, and float.hex of volume_deficit_vs_regular(K, budget, [5, 8])'s
-#: deficit and sigma, for budget 40_000 (many blocks) and 4_097 (odd), as the
-#: kernel gave them before its blocks were reduced to whole-column steps.
+#: deficit and sigma, for budget 40_000 (many blocks) and 4_097 (odd).  The
+#: simplex_volume entries are as the kernel gave them before its blocks were
+#: reduced to whole-column steps; the deficit entries are those of its pilot
+#: and Neyman allocation, which replaced an equal split of the budget.
 #: The reference tests above allow 1e-12 and cannot see a last-bit change;
 #: these pin the random stream and the rounding on one numpy/OpenBLAS build.
 #: The 4_097 simplex_volume entries of (2, "ideal") are those of the floor
@@ -554,75 +573,75 @@ def test_simplex_volume_kernel_matches_reference(n, kind):
 KERNEL_PINS = {
     (2, "finite"): [
         ("0x1.86ed7dd7acf01p-2", "0x1.c78f14130364dp-11", 40000,
-         "0x1.61b50d362a5ddp+1", "0x1.4a80e7897f885p-6"),
+         "0x1.60d0ee0a1aca8p+1", "0x1.3ffcb6f450132p-6"),
         ("0x1.8afa473943ab8p-2", "0x1.73fdc89cce1bep-9", 4097,
-         "0x1.5f6b73756dc47p+1", "0x1.acaa1d10eff6ep-6"),
+         "0x1.5f63aefb3bfffp+1", "0x1.79e91c8b2f160p-6"),
     ],
     (2, "mixed"): [
         ("0x1.0fff737eea035p-1", "0x1.33bb25399dca0p-10", 39985,
-         "0x1.4e77adca1496dp+1", "0x1.2c76faa1322cap-6"),
+         "0x1.4dd5994710287p+1", "0x1.220bd1cea4630p-6"),
         ("0x1.10802a4b52e69p-1", "0x1.05685f03867fcp-8", 4085,
-         "0x1.4caa0ed02116dp+1", "0x1.87401e5e9187ap-6"),
+         "0x1.4ca8aab15b484p+1", "0x1.5361b0a8d233ep-6"),
     ],
     (2, "ideal"): [
         ("0x1.9027f19d64babp+1", "0x1.0f078cd6db7cap-6", 39963,
-         "0x1.0fc4da10d62bcp-10", "0x1.d0546bb58e532p-6"),
+         "0x1.8728bb25fccf2p-9", "0x1.2c8aa549b4ff2p-6"),
         ("0x1.9ed20b354cd5bp+1", "0x1.5d7a37f1c6038p-4", 4069,
-         "-0x1.168ebdca68d9ep-9", "0x1.5b17aba548587p-4"),
+         "0x1.222112ea4f8b5p-5", "0x1.9d3e34548422ep-5"),
     ],
     (3, "finite"): [
         ("0x1.b728021576518p-7", "0x1.565dd890d2d95p-16", 40000,
-         "0x1.0129d96797882p+0", "0x1.7c3b6c08157a1p-9"),
+         "0x1.009de29ada393p+0", "0x1.82023faf453b3p-10"),
         ("0x1.b8096bcc4ff05p-7", "0x1.10e26be637b4ep-14", 4097,
-         "0x1.032aefad23802p+0", "0x1.2afd5effc6bfdp-7"),
+         "0x1.014fb65909bb9p+0", "0x1.29d95205827e6p-8"),
     ],
     (3, "mixed"): [
         ("0x1.dc0808c0ed143p-5", "0x1.0215b45e19508p-13", 39987,
-         "0x1.eb6cfb7b82c0fp-1", "0x1.6de00370fa57cp-9"),
+         "0x1.ea3ed13a868d0p-1", "0x1.723bf278a8d1cp-10"),
         ("0x1.d89d9d0b58962p-5", "0x1.b5dcf6554b768p-12", 4086,
-         "0x1.ef5597286a878p-1", "0x1.1f2eb46f799cdp-7"),
+         "0x1.eb95708deaa7fp-1", "0x1.1e80915d3c217p-8"),
     ],
     (3, "ideal"): [
         ("0x1.9df240071cfefp-2", "0x1.e6d41ca065710p-9", 39974,
-         "0x1.3a157d8114d89p-1", "0x1.129a1c1d2a9a2p-7"),
+         "0x1.38a3f79d33308p-1", "0x1.e7201eedf520ep-9"),
         ("0x1.a1e582cc8a3e8p-2", "0x1.a9c6baee8c84ap-7", 4080,
-         "0x1.24b989fe10e5cp-1", "0x1.63e5cfbf0a9b2p-5"),
+         "0x1.3ba0ff9dbb170p-1", "0x1.9ad2696de0020p-7"),
     ],
     (4, "finite"): [
         ("0x1.cce07cea613a0p-11", "0x1.ec5b1378bb7e9p-19", 40000,
-         "0x1.11c01ed1b3dcdp-2", "0x1.30987ae7ecb22p-10"),
+         "0x1.12f91e57713aep-2", "0x1.99eb0fc21a145p-12"),
         ("0x1.ce5ff1d71463fp-11", "0x1.897975f8bea41p-17", 4097,
-         "0x1.12ba9e6a2dca5p-2", "0x1.e1acd1ec7dd12p-9"),
+         "0x1.121de0eb0b7bap-2", "0x1.522620070a6e4p-10"),
     ],
     (4, "mixed"): [
         ("0x1.7052252a14ebdp-6", "0x1.95d33ffcfc017p-14", 39992,
-         "0x1.f7c6c4d71542ap-3", "0x1.2af18250fd14ap-10"),
+         "0x1.f9aa7975e5683p-3", "0x1.8c070d0859038p-12"),
         ("0x1.732ac7c6e20dbp-6", "0x1.65aa793c85337p-12", 4088,
-         "0x1.f8b17c738bcdap-3", "0x1.e6a2f0733acb2p-9"),
+         "0x1.f89c653277db6p-3", "0x1.4b79a4ca16c89p-10"),
     ],
     (4, "ideal"): [
         ("0x1.a45d120a18225p-3", "0x1.e688b322ad854p-10", 39977,
-         "0x1.0294b437cb0dap-4", "0x1.bd85e882dcf67p-8"),
+         "0x1.08eece11f4be1p-4", "0x1.d90b2de564a7fp-10"),
         ("0x1.93177288188f9p-3", "0x1.20b5c1e2ee682p-7", 4084,
-         "0x1.5225282022f9ep-4", "0x1.dfe67a193d144p-7"),
+         "0x1.07116d3e2074fp-4", "0x1.e1eb280e25e9dp-8"),
     ],
     (5, "finite"): [
         ("0x1.545daed654423p-13", "0x1.f84ad56bd4e92p-23", 40000,
-         "0x1.d5c3d7aec7b40p-5", "0x1.74dc773384156p-12"),
+         "0x1.d7a4e49074e1cp-5", "0x1.6308ca9d65140p-14"),
         ("0x1.556815779515ap-13", "0x1.89246f24dff85p-21", 4097,
-         "0x1.ca89e2509bc9dp-5", "0x1.fb058dc8ccb44p-11"),
+         "0x1.d6ee267744f56p-5", "0x1.26e02b6363dc4p-12"),
     ],
     (5, "mixed"): [
         ("0x1.b287fecbf554bp-7", "0x1.60449e1291407p-15", 39988,
-         "0x1.6c1b582fd4ddap-5", "0x1.643621961ca1dp-12"),
+         "0x1.6c10b59d0cfcap-5", "0x1.44574fb9b6e98p-14"),
         ("0x1.b32d45edf8fe3p-7", "0x1.5ea59562bc4edp-13", 4091,
-         "0x1.6589978b86c28p-5", "0x1.ef3dcc5a4bfb8p-11"),
+         "0x1.6cac0cacbc84fp-5", "0x1.0cdfdff82e371p-12"),
     ],
     (5, "ideal"): [
         ("0x1.103a1a2b2afbap-5", "0x1.1a4805ed67dd4p-13", 39979,
-         "0x1.8d3bb72f96743p-6", "0x1.74f83a3356467p-11"),
+         "0x1.8bb9f0be355cfp-6", "0x1.180bc34bbe051p-13"),
         ("0x1.0dbbce62d2101p-5", "0x1.56f279569503dp-10", 4087,
-         "0x1.81a0bbb62f7c7p-6", "0x1.80d2ba3cd1803p-10"),
+         "0x1.957f2d274f16ep-6", "0x1.b296d805205b9p-12"),
     ],
 }
 
@@ -758,32 +777,55 @@ def test_sample_without_ideal_vertices_keeps_every_row():
     np.testing.assert_allclose(f, _ref_density(lam, mmat, -(n + 1) / 2.0), rtol=1e-12, atol=0.0)
 
 
+def deficit_from_joined_rows(passes, n, levels, strata, v_ref):
+    """volume_deficit_vs_regular's result from the rows of its `_sample`
+    passes (pilot, then Neyman), each pass's blocks joined into one array
+    and summed per stratum by np.bincount."""
+    k = len(strata)
+
+    def sums(rows):
+        f, owner = map(np.concatenate, zip(*rows))
+        return np.stack([np.bincount(owner, minlength=k), np.bincount(owner, f, minlength=k),
+                         np.bincount(owner, f * f, minlength=k)])
+
+    n_acc, sum_f, sum_f2 = sum(map(sums, passes[1:]), sums(passes[0]))
+    mean = sum_f / n_acc
+    sem = np.sqrt(np.maximum(sum_f2 / n_acc - mean * mean, 0.0) / n_acc)
+    total, var = volume._combine(n, levels, strata, [mass for mass, _ in strata], mean.tolist(),
+                                 sem.tolist())
+    return -total / v_ref, math.sqrt(var) / v_ref
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, None])
 @pytest.mark.parametrize("n, kind", KERNEL_CASES)
 def test_deficit_per_stratum_statistics_equal_joined(monkeypatch, block_rows, n, kind):
-    # bincount adds each stratum's values in row order whether it sees one
-    # stratum or all of them, so the statistics agree to the last bit; the
-    # reference runs the same _sample, so the BLAS build does not matter
+    # the running per-stratum sums over blocks of any size agree to the
+    # last bit with np.bincount over each pass's rows joined, because
+    # np.add.at adds in row order as bincount does; the joined rows come
+    # from the same _sample, so the BLAS build does not matter
     if block_rows is not None:
         monkeypatch.setattr(volume, "_BLOCK_ROWS", block_rows)
-    sizes = []
+    passes, sizes = [], []
     sample = volume._sample
 
-    def counting_sample(*args):
+    def recording_sample(*args):
+        passes.append([])
         for f, owner in sample(*args):
             sizes.append(owner.size)
+            passes[-1].append((f.copy(), owner.copy()))
             yield f, owner
 
-    monkeypatch.setattr(volume, "_sample", counting_sample)
+    monkeypatch.setattr(volume, "_sample", recording_sample)
     rows = volume._BLOCK_ROWS
     K = _kernel_case_simplex(n, kind, np.random.default_rng([n, len(kind), 7]))
     for levels in (1, 14):
-        strata = 1 + (n + 1) * levels
-        # every stratum of the first budget spans at least four blocks; 33
-        # per stratum is odd
-        for budget, seed in (((3 * rows + 5) * strata, 0), (33 * strata, [3, 1, 4])):
+        strata = volume._strata(n, np.arange(n + 1), levels)
+        # every stratum's pilot of the first budget spans two blocks
+        for budget, seed in (((12 * rows + 20) * len(strata), 0), (33 * len(strata), [3, 1, 4])):
+            passes.clear()
             got = volume_deficit_vs_regular(K, budget, seed, levels, v_ref=1.0)
-            assert got == joined_deficit(K, budget, seed, levels, v_ref=1.0), (levels, budget)
+            assert len(passes) == 2
+            assert got == deficit_from_joined_rows(passes, n, levels, strata, 1.0), (levels, budget)
     if block_rows == 1:
         assert 0 in sizes  # some blocks had no accepted row
 
@@ -804,15 +846,19 @@ def test_deficit_memory_does_not_grow_with_the_budget(n):
 
 def _starving_triangles():
     """The regular ideal triangle and an irregular one: the deficit's
-    strata, and so which of them starve, depend on the dimension and the
-    seed only."""
+    strata depend on the dimension only, and a stratum starves only when
+    its pilot accepted fewer than 2 draws and its floor share, which does
+    not depend on K, adds too few; so which strata starve depends on the
+    dimension, the budget and the seed only."""
     return [regular_ideal_simplex(2),
             _kernel_case_simplex(2, "ideal", np.random.default_rng([2, len("ideal"), 2]))]
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, None])
 def test_deficit_raises_on_a_starved_stratum(monkeypatch, block_rows):
-    # at these seeds the core of the triangle accepts 1 of its 32 draws
+    # at these seeds the core of the triangle accepts 1 draw in all from
+    # its 16 pilot draws and its floor share of 9 (0 + 1 at 185 and 1169,
+    # 1 + 0 at 1170)
     if block_rows is not None:
         monkeypatch.setattr(volume, "_BLOCK_ROWS", block_rows)
     for K in _starving_triangles():
@@ -823,8 +869,8 @@ def test_deficit_raises_on_a_starved_stratum(monkeypatch, block_rows):
 
 def test_deficit_next_to_a_starved_seed_is_pinned():
     # float.hex of the deficit and sigma at seed 184, no stratum starved,
-    # as the joined statistics gave them
+    # as the pilot and Neyman allocation give them
     got = [tuple(x.hex() for x in volume_deficit_vs_regular(K, 100, 184, 1, v_ref=math.pi))
            for K in _starving_triangles()]
     assert got == [("-0x0.0p+0", "0x0.0p+0"),
-                   ("-0x1.971d76bfbfcdfp-6", "0x1.9520f2ece66bap-3")]
+                   ("-0x1.152c0cf3d5bd8p-6", "0x1.97b31fb9b7dffp-3")]
