@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Random-cover census over the built-in complexes.
 
-Builds random admissible covers, checks exact multiplicativity of the
-f-vector and Euler characteristic, says whether the cover is connected
-(most random covers are not), and verifies the alternated fundamental
-cycle on every orientable cover; a nonorientable one has none.  A degree
-for which no admissible assignment is drawn gets a one-line note.
+Builds random connected cyclic covers, checks exact multiplicativity of
+the f-vector and Euler characteristic, says whether the cover is
+connected, and verifies the alternated fundamental cycle on every
+orientable cover; a nonorientable one has none.  A degree with no
+connected cyclic cover gets a one-line note that names H_1.
 
 Example:
     python scripts/cover_census.py --fixture torus --count 10 --max-degree 8
@@ -45,9 +45,8 @@ def main():
         d = int(rng.integers(2, args.max_degree + 1))
         try:
             spec = random_cover_spec(T, d, rng)
-        except ComplexError:
-            # every draw of this degree failed the holonomy check
-            print(f"  degree {d}: no admissible assignment found")
+        except ComplexError as exc:
+            print(f"  degree {d}: {exc}")
             continue
         cov = build_cover(T, spec)
         counts = cell_counts(cov)

@@ -10,7 +10,7 @@ Subcommands and the flags each one reads::
         --regular-ideal N --format text|json --out
     hypstab triangulation  info | cycle | cover | dashboard on gluing data
         --format text|json --out
-        cover only: one of --spec --characteristic
+        cover only: one of --spec --characteristic (a complex with H_1 = Z^2)
     hypstab bounds         seifert | jsj | filling calculators
         --e --chi --d --va --vb --vc --vd --h --n --figure-eight
         --format text|json --out
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   f"({', '.join(fixture_names())})")
     t.add_argument("--spec", default=None, help="cover-spec JSON file")
     t.add_argument("--characteristic", type=int, default=None, metavar="X",
-                   help="use the x-characteristic cover of a torus complex")
+                   help="use the x-characteristic cover of a complex with H_1 = Z^2")
     t.set_defaults(func=cmd_triangulation)
 
     b = sub.add_parser("bounds", help="covering-degree bound calculators")

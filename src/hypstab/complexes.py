@@ -32,6 +32,15 @@ denominator.  A cover assignment is admissible when the
 ordered product of permutations around every codimension-2 cycle is the
 identity (the unbranched condition); branched assignments are rejected
 with the offending cycle.
+
+The covers built here come from `first_homology`: one integer normal
+form of the relations that the codim-2 cycles put on the pairings off
+the dual spanning tree writes H_1 as a sum of cyclic groups.  A cover
+whose sheets form an abelian group A, each such pairing adding its image
+under a map H_1 -> A, is unbranched by construction and connected when
+the map is onto.  `characteristic_cover_spec` takes A = Z_x x Z_x on a
+complex with H_1 = Z^2, `random_cover_spec` a random surjection onto
+Z_d; where there is none, the error names H_1.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
+
+from .lattices import diagonal_form
 
 
 class ComplexError(ValueError):
@@ -698,61 +709,89 @@ def _dual_spanning_tree(T: Triangulation) -> tuple:
     return tree, [i for i in range(len(T.pairings)) if i not in tree]
 
 
+def first_homology(T: Triangulation) -> tuple:
+    """(gens, e, V): H_1 = the sum of the Z/e_j (Z where e_j = 0) of the
+    complex minus its faces of codimension 3 and more, the space that
+    covers from pairing permutations cover.
+
+    The `_dual_spanning_tree` pairings fix the gauge; the other pairings,
+    ``gens``, generate H_1, and every codim-2 cycle relates them by its
+    signed exposure to each.  `lattices.diagonal_form` diagonalises those
+    relations: generator ``gens[i]`` is the element with coordinates
+    ``V[i]``.  Raises `ComplexError` on a disconnected complex.
+    """
+    _, gens = _dual_spanning_tree(T)
+    column = {g: k for k, g in enumerate(gens)}
+    relations = []
+    for cyc in codim2_cycles(T):
+        row = [0] * len(gens)
+        for _, _, idx, direction in cyc.steps:
+            if idx in column:
+                row[column[idx]] += direction
+        relations.append(row)
+    return (gens, *diagonal_form(relations, len(gens)))
+
+
+def _homology_name(e) -> str:
+    """The group sum of the Z/e_j as text: "Z/2 + Z", or "0"."""
+    return " + ".join([f"Z/{ej}" for ej in sorted(e) if ej > 1] + ["Z"] * e.count(0)) or "0"
+
+
+def _shift_spec(T: Triangulation, gens, shifts, moduli) -> CoverSpec:
+    """The cover whose sheets are the mixed-radix numbers over ``moduli``
+    (the first digit most significant): pairing ``gens[i]`` adds the
+    digits ``shifts[i]`` modulo ``moduli``, and every other pairing
+    keeps the sheet."""
+    degree = math.prod(moduli)
+    digits = np.indices(moduli).reshape(len(moduli), -1)
+    radix = np.array(moduli)[:, None]
+    perms = {i: tuple(range(degree)) for i in range(len(T.pairings))}
+    for g, shift in zip(gens, shifts):
+        # reduce first: the shifts are Python ints of any size
+        step = np.array([s % m for s, m in zip(shift, moduli)])[:, None]
+        perms[g] = tuple(np.ravel_multi_index(tuple((digits + step) % radix), moduli).tolist())
+    return CoverSpec(degree, perms)
+
+
 def characteristic_cover_spec(T: Triangulation, x: int) -> CoverSpec:
-    """The degree x^2 cover of a one-vertex torus complex induced by the
+    """The degree x^2 cover of a complex with H_1 = Z^2 induced by the
     subgroup x(Z x Z).
 
-    Tree pairings act trivially; the two non-tree pairings act as the
-    two coordinate translations on Z_x x Z_x.  Because x(Z x Z) is
+    The sheets are Z_x x Z_x, and each generator of `first_homology`
+    translates them by its two free coordinates.  Because x(Z x Z) is
     characteristic, the choice of free basis does not matter.
     """
     if x < 1:
         raise ComplexError("need x >= 1")
-    tree, gens = _dual_spanning_tree(T)
-    if len(gens) != 2:
-        raise ComplexError("characteristic covers need a rank-2 dual graph (a torus complex)")
-    d = x * x
-
-    def translation(du, dv):
-        return tuple(((u + du) % x) * x + (v + dv) % x
-                     for u in range(x) for v in range(x))
-
-    perms = {i: tuple(range(d)) for i in tree}
-    perms[gens[0]] = translation(1, 0)
-    perms[gens[1]] = translation(0, 1)
-    return CoverSpec(d, perms)
-
-
-#: how many assignments `random_cover_spec` draws before it gives up
-_COVER_TRIES = 64
+    gens, e, V = first_homology(T)
+    if sorted(ej for ej in e if ej != 1) != [0, 0]:
+        raise ComplexError(f"characteristic covers need H_1 = Z^2, not H_1 = {_homology_name(e)}")
+    free = [j for j, ej in enumerate(e) if ej == 0]
+    return _shift_spec(T, gens, [[row[j] for j in free] for row in V], (x, x))
 
 
 def random_cover_spec(T: Triangulation, degree: int, rng) -> CoverSpec:
-    """A random admissible cover assignment.
+    """A random connected cyclic cover of the given degree.
 
-    Each pairing gets a random power of one random permutation of the d
-    sheets.  Powers of one permutation commute, so on complexes whose
-    codim-2 walk words have zero signed exposure per pairing (oriented
-    surface complexes in particular) the assignment is automatically
-    unbranched; other complexes are retried until the holonomy check
-    passes, at most `_COVER_TRIES` times.  The permutation is a d-cycle
-    only with probability 1/d, and the sheets of one of its cycles are
-    never joined to another's, so most of these covers are disconnected.
+    A connected cyclic cover is a surjection H_1 -> Z_d.  It sends the
+    summand Z/e_j of `first_homology` into the subgroup of order
+    gcd(e_j, d), so z_j is drawn there, and the draw is repeated until
+    the z_j generate Z_d; generator i then shifts the sheets by V[i] . z.
+    Raises `ComplexError`, naming H_1, when no such surjection exists.
     """
-    for _ in range(_COVER_TRIES):
-        base = tuple(rng.permutation(degree).tolist())
-
-        def power(k):
-            out = list(range(degree))
-            for _ in range(k):
-                out = [base[x] for x in out]
-            return tuple(out)
-
-        spec = CoverSpec(degree, {i: power(int(rng.integers(0, degree)))
-                                  for i in range(len(T.pairings))})
-        if not check_cover_spec(T, spec):
-            return spec
-    raise ComplexError("failed to sample an admissible cover assignment")
+    if degree < 1:
+        raise ComplexError("need degree >= 1")
+    gens, e, V = first_homology(T)
+    orders = [math.gcd(ej, degree) for ej in e]
+    if math.lcm(*orders) != degree:
+        raise ComplexError(f"no connected cyclic cover of degree {degree}: "
+                           f"H_1 = {_homology_name(e)}")
+    while True:
+        z = [degree // g * int(rng.integers(0, g)) for g in orders]
+        if math.gcd(degree, *z) == 1:
+            break
+    return _shift_spec(T, gens, [[sum(v * zj for v, zj in zip(row, z))] for row in V],
+                       (degree,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Finite-index subgroups of Z x Z in Hermite normal form.
+"""Integer normal forms, and finite-index subgroups of Z x Z.
 
-A rank-2 subgroup is stored by the unique basis
+`hermite_form` is the row Hermite normal form H = U A with U unimodular;
+`diagonal_form` alternates it on A and on A^T until A is diagonal, so
+that Z^width modulo the rows of A is the sum of the Z/e_j.  Both work in
+Python integers, which do not overflow.
+
+A rank-2 subgroup of Z x Z is stored by its Hermite basis
 
     (a, b), (0, d)      with a > 0, d > 0, 0 <= b < d,
 
-whose index is a*d.  The x-characteristic subgroup is x(Z x Z), the one
-generated by (x, 0) and (0, x); it has index x^2 and is contained in
-every subgroup of index x, which is what makes characteristic coverings
-gluable.  Subgroups of index m are enumerated by divisor: the count is
-sigma_1(m), the sum of divisors.
+whose index is a*d; `hermite_reduce` is the 2x2 case of `hermite_form`.
+The x-characteristic subgroup is x(Z x Z), the one generated by (x, 0)
+and (0, x); it has index x^2 and is contained in every subgroup of index
+x, which is what makes characteristic coverings gluable.  Subgroups of
+index m are enumerated by divisor: the count is sigma_1(m), the sum of
+divisors.
 """
 
 from __future__ import annotations
@@ -39,21 +45,64 @@ class LatticeSubgroup:
         return ((self.a, self.b), (0, self.d))
 
 
+def hermite_form(rows) -> tuple:
+    """(H, U), lists of int rows: H = U A for the matrix A with the given
+    rows and a unimodular U.  The nonzero rows of H come first, each
+    one's leading entry (its pivot) is positive and right of the pivot
+    above, and every entry above a pivot lies in [0, pivot).
+
+    Column by column, Euclid's algorithm on the rows from the next pivot
+    row down leaves their gcd there; the rows above are then reduced
+    modulo it.  Each row operation acts on a row of A joined to its row
+    of U.
+    """
+    width, m = (len(rows[0]) if rows else 0), len(rows)
+    a = [[int(v) for v in row] + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    r = 0
+    for c in range(width):
+        while live := [i for i in range(r + 1, m) if a[i][c]]:
+            p = min([r, *live] if a[r][c] else live, key=lambda i: abs(a[i][c]))
+            a[r], a[p] = a[p], a[r]
+            for i in live:
+                q = a[i][c] // a[r][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        if r == m or not a[r][c]:
+            continue
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return [row[:width] for row in a], [row[width:] for row in a]
+
+
+def diagonal_form(rows, width: int) -> tuple:
+    """(e, V): U A V = diag(e) for the matrix A with the given rows, each
+    `width` long, some unimodular U and the unimodular V.  Z^width modulo
+    the rows of A is the sum of the Z/e_j (Z where e_j = 0), and unit
+    vector i maps to row i of V.
+
+    Each Hermite form of A^T either shrinks the first pivot or clears
+    its row, so the alternation ends.
+    """
+    a = rows
+    v = [[int(i == j) for j in range(width)] for i in range(width)]
+    while True:
+        a = hermite_form(a)[0]
+        if all(x == 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            return [a[j][j] if j < len(a) else 0 for j in range(width)], v
+        h, w = hermite_form([[row[j] for row in a] for j in range(width)])  # h = w A^T
+        a = [[row[i] for row in h] for i in range(len(a))]  # A w^T = h^T
+        v = [[sum(x * y for x, y in zip(row, col)) for col in w] for row in v]
+
+
 def hermite_reduce(u: tuple, v: tuple) -> LatticeSubgroup:
     """Hermite normal form of the subgroup generated by two integer vectors."""
-    (u1, u2), (v1, v2) = u, v
-    if u1 * v2 - u2 * v1 == 0:
+    if u[0] * v[1] - u[1] * v[0] == 0:
         raise LatticeError("generators are linearly dependent")
-    # Euclidean elimination on the first column
-    while v1 != 0:
-        q = u1 // v1
-        u1, u2, v1, v2 = v1, v2, u1 - q * v1, u2 - q * v2
-    if u1 < 0:
-        u1, u2 = -u1, -u2
-    if v2 < 0:
-        v2 = -v2
-    u2 %= v2
-    return LatticeSubgroup(u1, u2, v2)
+    (a, b), (_, d) = hermite_form([u, v])[0]
+    return LatticeSubgroup(a, b, d)
 
 
 def x_characteristic(x: int) -> LatticeSubgroup:

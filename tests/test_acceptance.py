@@ -180,7 +180,8 @@ def test_criterion_6_fundamental_cycles():
             complexes.append(build_cover(T, characteristic_cover_spec(T, 2)))
             complexes.append(build_cover(T, random_cover_spec(T, 5, rng)))
         elif name == "sphere":
-            complexes.append(build_cover(T, random_cover_spec(T, 3, rng)))
+            # simply connected: every unbranched cover is trivial
+            complexes.append(build_cover(T, trivial_cover_spec(T, 3)))
         elif name == "figure-eight":
             complexes.append(build_cover(T, random_cover_spec(T, 2, rng)))
         else:

@@ -129,6 +129,18 @@ def test_triangulation_cover_branched_rejected(tmp_path, capsys):
     assert "codimension-2 cycle" in err
 
 
+@pytest.mark.parametrize("target, group", [("klein", "Z/2 + Z"), ("sphere", "0"),
+                                           ("s3", "0"), ("figure-eight", "Z")])
+def test_triangulation_characteristic_needs_h1_z2(capsys, target, group):
+    with pytest.raises(SystemExit) as exc:
+        main(["triangulation", "cover", target, "--characteristic", "2"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"error: characteristic covers need H_1 = Z^2, "
+                                    f"not H_1 = {group}"]
+
+
 def test_triangulation_dashboard(capsys):
     code, out, _ = run(capsys, "triangulation", "dashboard", "figure-eight")
     assert code == 0
@@ -460,7 +472,7 @@ def run_script(script, args):
     ("maximality_probe.py", ["--n", "2", "--trials", "5"]),
     ("cover_census.py", ["--fixture", "torus", "--count", "2", "--max-degree", "3"]),
     ("cover_census.py", ["--fixture", "klein", "--count", "3", "--seed", "2"]),
-    # some degrees of this complex draw no admissible assignment
+    # H_1(S^3) = 0: no degree has a connected cyclic cover
     ("cover_census.py", ["--fixture", "boundary-4-simplex", "--count", "12",
                          "--max-degree", "6", "--seed", "3"]),
 ])
@@ -471,11 +483,14 @@ def test_scripts_run(script, args):
     if script == "cover_census.py":
         lines = done.stdout.splitlines()[1:]
         assert len(lines) == int(args[args.index("--count") + 1])
-        covers = [line for line in lines if not line.endswith(": no admissible assignment found")]
-        assert all(re.search(r" connected=(True|False),", line) for line in covers)
-        # a nonorientable cover has no fundamental cycle to verify
-        assert all(re.search(r" cycle=(ok, L1=\S+|n/a \(nonorientable\))$", line)
-                   for line in covers)
+        if "boundary-4-simplex" in args:
+            assert all(re.search(r": no connected cyclic cover of degree \d+: H_1 = 0$", line)
+                       for line in lines)
+        else:
+            # every cover is connected; a nonorientable one has no
+            # fundamental cycle to verify
+            assert all(re.search(r" connected=True, cycle=(ok, L1=\S+|n/a \(nonorientable\))$",
+                                 line) for line in lines)
 
 
 @pytest.mark.parametrize("script, args", [

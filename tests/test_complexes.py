@@ -18,6 +18,7 @@ from hypstab.complexes import (
     OrientabilityResult,
     Pairing,
     facet_vertices,
+    first_homology,
     Triangulation,
     boundary,
     build_cover,
@@ -39,7 +40,8 @@ from hypstab.complexes import (
     verify_cycle,
     VertexLinkInfo,
 )
-from hypstab.complexes import _components, _dual_spanning_tree, _parity, _scaled_numerators
+from hypstab.complexes import (_components, _dual_spanning_tree, _homology_name, _parity,
+                               _scaled_numerators)
 from hypstab.fixtures import fixture_names, load_fixture
 
 
@@ -210,7 +212,8 @@ def reference_links(T):
 def test_links_match_union_find_reference():
     fig8, s3 = load_fixture("figure-eight"), load_fixture("s3")
     rng = np.random.default_rng(24)
-    complexes = [fig8, s3] + [build_cover(s3, random_cover_spec(s3, d, rng)) for d in (2, 3)]
+    # S^3 is simply connected: its only unbranched covers are trivial
+    complexes = [fig8, s3] + [build_cover(s3, trivial_cover_spec(s3, d)) for d in (2, 3)]
     for d in range(1, 25):
         a, b = (int(v) for v in rng.integers(0, d, size=2))
         complexes.append(build_cover(fig8, figure_eight_cyclic_spec(fig8, d, a, b)))
@@ -406,9 +409,15 @@ def test_references_on_random_covers():
     for name in ("torus", "sphere", "boundary-4-simplex", "klein"):
         T = load_fixture(name)
         for d in (2, 3, 5):
-            cov = build_cover(T, random_cover_spec(T, d, rng))
-            disconnected += dual_components(cov) > 1
-            assert_matches_references(cov, rng)
+            # trivial covers are disconnected, and the only unbranched
+            # covers of the simply connected sphere and S^3
+            specs = [trivial_cover_spec(T, d)]
+            if name in ("torus", "klein"):
+                specs.append(random_cover_spec(T, d, rng))
+            for spec in specs:
+                cov = build_cover(T, spec)
+                disconnected += dual_components(cov) > 1
+                assert_matches_references(cov, rng)
     assert disconnected
 
 
@@ -782,6 +791,96 @@ def test_random_covers_multiplicative():
         assert z.l1() == F(cov.simplex_count)
 
 
+def test_first_homology_of_fixtures():
+    assert {name: _homology_name(first_homology(load_fixture(name))[1])
+            for name in fixture_names()} == {
+        "torus": "Z + Z", "klein": "Z/2 + Z", "figure-eight": "Z",
+        "sphere": "0", "boundary-4-simplex": "0"}
+
+
+def relation_matrix(T, gens):
+    """Rows: the signed exposure of each codim-2 cycle to each generator."""
+    M = np.zeros((len(codim2_cycles(T)), len(gens)), dtype=np.int64)
+    for r, cyc in enumerate(codim2_cycles(T)):
+        for _, _, idx, direction in cyc.steps:
+            if idx in gens:
+                M[r, gens.index(idx)] += direction
+    return M
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_first_homology_counts_unbranched_shifts(name):
+    # the x in Z_d^gens with M x = 0 (mod d) are the maps H_1 -> Z_d
+    T = load_fixture(name)
+    gens, e, _ = first_homology(T)
+    M = relation_matrix(T, gens)
+    rng = np.random.default_rng(31)
+    for d in range(1, 7):
+        x = np.indices((d,) * len(gens)).reshape(len(gens), -1)
+        count = np.count_nonzero((M @ x % d == 0).all(axis=0))
+        assert count == d ** e.count(0) * math.prod(math.gcd(ej, d) for ej in e if ej)
+        # M x = 0 (mod d) is the holonomy check of the shifts x
+        for k in rng.integers(0, x.shape[1], size=8).tolist():
+            spec = CoverSpec(d, {i: tuple((s + x[gens.index(i), k] if i in gens else s) % d
+                                          for s in range(d)) for i in range(len(T.pairings))})
+            unbranched = not check_cover_spec(T, spec)
+            assert unbranched == (M @ x[:, k] % d == 0).all()
+
+
+def test_first_homology_of_figure_eight_cyclic_covers():
+    # H_1 of the d-fold cyclic cover of the figure-eight knot complement is
+    # Z + Z/F_d + Z/5F_d for even d and Z + Z/L_d + Z/L_d for odd d
+    # (Fibonacci and Lucas numbers); at d = 64 the torsion is near 5e13
+    T = load_fixture("figure-eight")
+    fib, luc = [0, 1], [2, 1]
+    while len(fib) <= 64:
+        fib.append(fib[-1] + fib[-2])
+        luc.append(luc[-1] + luc[-2])
+    rng = np.random.default_rng(32)
+    for d in [*range(2, 13), 64]:
+        cover = build_cover(T, random_cover_spec(T, d, rng))
+        torsion = [fib[d], 5 * fib[d]] if d % 2 == 0 else [luc[d]] * 2
+        assert _homology_name(first_homology(cover)[1]) == _homology_name([*torsion, 0])
+
+
+def test_random_covers_connected():
+    for name, degrees in (("figure-eight", range(2, 25)), ("torus", range(2, 13)),
+                          ("klein", range(2, 13))):
+        T = load_fixture(name)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for d in degrees:
+                spec = random_cover_spec(T, d, rng)
+                assert spec.degree == d
+                assert dual_components(build_cover(T, spec)) == 1, (name, seed, d)
+
+
+@pytest.mark.parametrize("name", ["sphere", "boundary-4-simplex"])
+def test_simply_connected_complexes_have_no_cyclic_cover(name):
+    T = load_fixture(name)
+    rng = np.random.default_rng(0)
+    for d in range(2, 9):
+        with pytest.raises(ComplexError, match=f"of degree {d}: H_1 = 0$"):
+            random_cover_spec(T, d, rng)
+    assert random_cover_spec(T, 1, rng) == trivial_cover_spec(T, 1)
+
+
+@pytest.mark.parametrize("degree", [0, -3])
+def test_random_cover_rejects_degree_below_1(degree):
+    with pytest.raises(ComplexError, match="need degree >= 1"):
+        random_cover_spec(load_fixture("torus"), degree, np.random.default_rng(0))
+
+
+def test_characteristic_cover_of_a_torus_cover():
+    # a torus with another gauge and basis: H_1 = Z^2 all the same
+    torus = load_fixture("torus")
+    T = build_cover(torus, random_cover_spec(torus, 3, np.random.default_rng(5)))
+    for x in (2, 3):
+        cov = build_cover(T, characteristic_cover_spec(T, x))
+        assert dual_components(cov) == 1
+        assert cell_counts(cov).f_vector == tuple(x * x * f for f in cell_counts(T).f_vector)
+
+
 def test_branched_spec_rejected_with_cycle():
     # a 3-cycle against a transposition: the vertex-walk holonomy is a
     # nontrivial commutator-type word (degree-2 specs can never branch
@@ -864,6 +963,94 @@ def test_exhaustive_containment_and_counts():
         for s in subs:
             assert lat.index(s) == m
             assert lat.contains(s, xm)
+            # a Hermite basis is its own Hermite form
+            assert lat.hermite_reduce(*s.basis) == s
+
+
+def reference_hermite_reduce(u, v):
+    """(a, b, d) by the two-row Euclid that preceded the general form."""
+    (u1, u2), (v1, v2) = u, v
+    while v1 != 0:
+        q = u1 // v1
+        u1, u2, v1, v2 = v1, v2, u1 - q * v1, u2 - q * v2
+    if u1 < 0:
+        u1, u2 = -u1, -u2
+    v2 = abs(v2)
+    return u1, u2 % v2, v2
+
+
+def test_hermite_reduce_matches_two_row_euclid():
+    nonsingular = 0
+    for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
+        if a * d - b * c:
+            s = lat.hermite_reduce((a, b), (c, d))
+            assert (s.a, s.b, s.d) == reference_hermite_reduce((a, b), (c, d))
+            nonsingular += 1
+    assert nonsingular == 27248
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def det(rows):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    a = [[F(x) for x in row] for row in rows]
+    out = F(1)
+    for c in range(len(a)):
+        p = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            out = -out
+        out *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return out
+
+
+#: integer matrices up to 6 x 6, zeros and units frequent
+MATRICES = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(st.lists(st.sampled_from([0, 0, 1, -1]) | st.integers(-30, 30),
+                                    min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_hermite_form_is_unimodular_echelon_and_reduced(rows):
+    H, U = lat.hermite_form(rows)
+    assert matmul(U, rows) == H
+    assert abs(det(U)) == 1
+    pivots = [next((c for c, x in enumerate(row) if x), None) for row in H]
+    rank = sum(p is not None for p in pivots)
+    assert None not in pivots[:rank]  # the zero rows come last
+    assert all(p < q for p, q in zip(pivots[:rank], pivots[1:rank]))
+    for r, c in enumerate(pivots[:rank]):
+        assert H[r][c] > 0
+        assert all(0 <= H[i][c] < H[r][c] for i in range(r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_diagonal_form_spans_the_same_lattice(rows):
+    width = len(rows[0])
+    e, V = lat.diagonal_form(rows, width)
+    assert len(e) == width and min(e) >= 0
+    assert abs(det(V)) == 1
+    # A V and diag(e) have one row lattice, so one Hermite form
+    diag = [[e[i] if i == j else 0 for j in range(width)] for i in range(width)]
+    nonzero = lambda m: [row for row in lat.hermite_form(m)[0] if any(row)]  # noqa: E731
+    assert nonzero(matmul(rows, V)) == nonzero(diag)
+
+
+def test_normal_forms_of_empty_matrices():
+    assert lat.hermite_form([]) == ([], [])
+    assert lat.hermite_form([[], []]) == ([[], []], [[1, 0], [0, 1]])
+    assert lat.diagonal_form([], 2) == ([0, 0], [[1, 0], [0, 1]])
+    assert lat.diagonal_form([[], []], 0) == ([], [])
 
 
 def test_hermite_reduce_rejects_degenerate():
