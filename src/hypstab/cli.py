@@ -50,7 +50,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import complexes as cx
-from .constants import constants_row, row_as_dict, rows_to_csv, rows_to_text
+from .constants import SEARCH_DEFAULTS, constants_row, row_as_dict, rows_to_csv, rows_to_text
 from .fixtures import load_fixture, fixture_names, ALIASES, FIXTURE_WIRES
 from .minkowski import DEFAULT_TOL, GeometryError, lift_klein
 from .simplex import GeodesicSimplex
@@ -424,11 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(c, ("text", "json", "csv"))
     c.add_argument("--n-min", type=int, default=4)
     c.add_argument("--n-max", type=int, default=5)
-    c.add_argument("--restarts", type=int_at_least(1), default=64,
+    c.add_argument("--restarts", type=int_at_least(1), default=SEARCH_DEFAULTS["restarts"],
                    help="optimizer restarts in the eps search (at least 1)")
-    c.add_argument("--depth", type=int_at_least(1), default=20,
+    c.add_argument("--depth", type=int_at_least(1), default=SEARCH_DEFAULTS["bisection_depth"],
                    help="bisection step budget (at least 1)")
-    c.add_argument("--climb-iters", type=int_at_least(1), default=12,
+    c.add_argument("--climb-iters", type=int_at_least(1), default=SEARCH_DEFAULTS["climb_iters"],
                    help="hill-climb steps per restart (at least 1)")
     c.set_defaults(func=cmd_constants)
 

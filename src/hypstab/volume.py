@@ -26,13 +26,13 @@ whole-column steps.  The core's rows come first in every block, so the
 core test reads that prefix and the corner map the rest, with each
 row's corner and scale looked up from its stratum; rejection is a mask
 applied to the 1-D values after the density, and log u / sum log u
-needs no negation.  Blocks are streamed: a stratum of more than
-`_DRAW_ROWS` rows of u draws them into the block as it goes and replays
-them for its 1 - u rows from a twin generator, and `_stratified` adds
-each block's counts and sums into per-stratum totals with `np.add.at`,
-in row order, so memory does not depend on the budget.  Each stratum's
-draws are the same however the strata fall into blocks and whether or
-not they are streamed.
+needs no negation.  Blocks are streamed: a stratum draws its rows of u
+once, in chunks of at most `_DRAW_ROWS` rows, each chunk followed by its
+own 1 - u rows, and `_stratified` adds each block's counts and sums into
+per-stratum totals with `np.add.at`, in row order, so memory is one
+chunk and one block whatever the budget.  Each stratum's draws are the
+same however the strata fall into blocks; the chunk size sets only the
+order in which they are summed.
 
 v_n, the volume of the regular ideal n-simplex, is computed, not
 sampled: every ideal triangle has area pi, the regular ideal tetrahedron
@@ -216,57 +216,48 @@ def _strata(n: int, ideal_idx: np.ndarray, levels: int) -> list:
 _BLOCK_ROWS = 1 << 12
 
 
-#: Rows of u above which a stratum is drawn a block at a time instead of
-#: in one call, so that memory does not grow with the budget.  Smaller
-#: strata keep the one call: streaming draws every row twice and in small
-#: pieces, and streaming every stratum made the benchmark's constants
-#: workload, thousands of deficits with 24 to 7.4k rows of u per stratum,
-#: 11% slower end to end (median of 12 pairs of 20 s runs, 2-CPU VM).
-_DRAW_ROWS = 1 << 16
+#: Rows of u that a stratum draws in one call: the chunk after which its
+#: own 1 - u rows follow.  A stratum of at most 2 * _DRAW_ROWS rows is one
+#: chunk, so the small strata of a cheap deficit make one call each.  The
+#: size bounds the memory of a pass, which holds one chunk at a time: the
+#: memory test's 1M-sample verify deficit at n = 5 peaks at 2.4 MiB of the
+#: 4 MiB it allows, and at 3.8 MiB with chunks of 1 << 16 rows.
+_DRAW_ROWS = 1 << 15
 
 
 def _uniform_blocks(rngs, counts, width: int):
     """The antithetic uniform rows of all strata, in index order, in full blocks.
 
     Stratum idx stands for half = ceil(counts[idx] / 2) rows u from
-    rngs[idx] followed by the first counts[idx] - half rows of 1 - u; a
-    stratum may span blocks.  A stratum of at most `_DRAW_ROWS` rows of u
-    draws them in one call.  A larger one draws its u straight into the
-    block, and replays them for its 1 - u rows from a twin generator set
-    to the stratum generator's state at its start (float64 draws in
-    pieces equal one large draw), so that it never holds more than a
-    block.  Either way rngs[idx] ends after half rows.  The rows of u
-    are floored at 1e-300 in the block, so that every row has a finite
-    log (1 - u is at least 2^-53).  Yields (rows, stratum index of each
-    row) with _BLOCK_ROWS rows in every block but the last; the rows
-    array is reused.
+    rngs[idx], drawn in chunks of at most `_DRAW_ROWS` rows, each chunk
+    followed by 1 - u of its rows that are among the first counts[idx] -
+    half; a stratum may span blocks.  So a stratum of more than 2 *
+    `_DRAW_ROWS` rows is cut into pieces of 2 * `_DRAW_ROWS` rows and the
+    rest, and each piece draws its rows of u in one call and then takes
+    1 - u of as many of them as it has rows left.  Every u is drawn once:
+    rngs[idx] ends after half rows, as after one random((half, width))
+    call.  The rows of u are floored at 1e-300 in the block, so that
+    every row has a finite log (1 - u is at least 2^-53).  Yields (rows,
+    stratum index of each row) with _BLOCK_ROWS rows in every block but
+    the last; the rows array is reused.
     """
     buf = np.empty((_BLOCK_ROWS, width))
-    twin = None
     ids, sizes, fill = [], [], 0
-    for idx, count in enumerate(counts):
-        rng = rngs[idx]
+    pieces = enumerate(counts)
+    step = 2 * _DRAW_ROWS
+    if max(counts, default=0) > step:  # small strata skip the per-stratum split
+        pieces = [(idx, min(count - lo, step)) for idx, count in pieces
+                  for lo in range(0, count, step)]
+    for idx, count in pieces:
         half = (count + 1) // 2
-        if half <= _DRAW_ROWS:
-            u = rng.random((half, width))
-        else:
-            u = None
-            if twin is None:
-                twin = np.random.Generator(type(rng.bit_generator)(0))
-            twin.bit_generator.state = rng.bit_generator.state
+        u = rngs[idx].random((half, width))
         lo = 0
         while lo < count:
             hi = min(count, lo + _BLOCK_ROWS - fill)
             part = buf[fill:fill + hi - lo]
             head = min(max(half - lo, 0), hi - lo)  # rows of u, then of 1 - u
-            if u is None:
-                rng.random(out=part[:head])
-                np.maximum(part[:head], 1e-300, out=part[:head])
-                twin.random(out=part[head:])
-                np.subtract(1.0, part[head:], out=part[head:])
-            else:
-                np.maximum(u[lo:lo + head], 1e-300, out=part[:head])
-                np.subtract(1.0, u[lo + head - half:hi - half], out=part[head:])
+            np.maximum(u[lo:lo + head], 1e-300, out=part[:head])
+            np.subtract(1.0, u[lo + head - half:hi - half], out=part[head:])
             ids.append(idx)
             sizes.append(hi - lo)
             fill += hi - lo
@@ -274,6 +265,7 @@ def _uniform_blocks(rngs, counts, width: int):
             if fill == _BLOCK_ROWS:
                 yield buf, np.repeat(ids, sizes)
                 ids, sizes, fill = [], [], 0
+        del u  # one chunk at a time
     if fill:
         yield buf[:fill], np.repeat(ids, sizes)
 

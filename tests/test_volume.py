@@ -662,41 +662,61 @@ def test_kernel_output_is_pinned(n, kind):
 
 @pytest.mark.parametrize("n, kind", KERNEL_CASES)
 def test_kernel_output_is_pinned_when_every_stratum_streams(monkeypatch, n, kind):
-    # every stratum of more than one row of u draws it a block at a time
-    # and replays 1 - u from the twin generator
-    monkeypatch.setattr(volume, "_DRAW_ROWS", 1)
-    _check_kernel_pins(n, kind)
+    # every stratum of more than one or three rows of u is drawn in chunks:
+    # the same draws as one chunk, summed in another order, so the output
+    # stays within rounding of the pins, which the default output equals
+    K = _kernel_case_simplex(n, kind, np.random.default_rng([n, len(kind), 2]))
+    for draw_rows in (1, 3):
+        monkeypatch.setattr(volume, "_DRAW_ROWS", draw_rows)
+        for budget, pin in zip((40_000, 4_097), KERNEL_PINS[n, kind]):
+            est = simplex_volume(K, budget, seed=3)
+            deficit, sigma = volume_deficit_vs_regular(K, budget, [5, 8], v_ref=1.0)
+            value, std_error, samples, pin_deficit, pin_sigma = pin
+            assert est.samples == samples, (draw_rows, budget)
+            ref = tuple(map(float.fromhex, (value, std_error, pin_deficit, pin_sigma)))
+            assert (est.value, est.std_error, deficit, sigma) == pytest.approx(
+                ref, rel=1e-12, abs=0.0), (draw_rows, budget)
 
 
 def test_streamed_stratum_output_is_pinned():
-    # float.hex of the value and std_error as the one-call draws gave them;
-    # the finite 5-simplex has one stratum, whose 333_334 Neyman draws
-    # (166_667 rows of u) are above the default streaming threshold
+    # float.hex of the value and std_error; the finite 5-simplex has one
+    # stratum, whose 333_334 Neyman draws (166_667 rows of u) span several
+    # chunks.  Drawn in one call, with 1 - u after all the rows of u, they
+    # gave ("0x1.a8c1fd87b35b3p-9", "0x1.074ffbcb873b6p-19"): the same draws
+    # summed in another order
     K = _kernel_case_simplex(5, "finite", np.random.default_rng([5, len("finite"), 4]))
     assert (400_000 - 400_000 // 6 + 1) // 2 > volume._DRAW_ROWS
     est = simplex_volume(K, 400_000, seed=3)
     got = (est.value.hex(), est.std_error.hex(), est.samples)
-    assert got == ("0x1.a8c1fd87b35b3p-9", "0x1.074ffbcb873b6p-19", 400_000)
+    assert got == ("0x1.a8c1fd87b3584p-9", "0x1.074ffbcb874b1p-19", 400_000)
 
 
 @pytest.mark.parametrize("draw_rows", [3, None])
 def test_streamed_draws_match_one_call(monkeypatch, draw_rows):
-    # the same rows, in the same blocks, as one random((half, width)) call
-    # per stratum, and each stratum generator ends where that call leaves it
-    width = 4
-    counts = [0, 1, 7, 8, 5000, 2 * volume._DRAW_ROWS + 3, 9001]
+    # each stratum's rows are, chunk by chunk, u and then 1 - u of the
+    # chunk's rows among the first count - half, where the chunks are
+    # consecutive slices of one random((half, width)) call; the blocks are
+    # full but the last, and each stratum generator ends where that call
+    # leaves it, after half * width draws: no draw is made twice
     if draw_rows is not None:
         monkeypatch.setattr(volume, "_DRAW_ROWS", draw_rows)
+    chunk = volume._DRAW_ROWS
+    width = 4
+    counts = [0, 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 2 * chunk + 3, 4 * chunk + 5]
     rngs = volume._substreams([6], len(counts))
     got = [(rows.copy(), owner) for rows, owner in volume._uniform_blocks(rngs, counts, width)]
-    assert sum(owner.size for _, owner in got) == sum(counts)
+    assert all(owner.size == volume._BLOCK_ROWS for _, owner in got[:-1])
     rows, owner = map(np.concatenate, zip(*got))
+    assert owner.tolist() == np.repeat(np.arange(len(counts)), counts).tolist()
     for idx, count in enumerate(counts):
         ref_rng = np.random.default_rng([6, idx])
         half = (count + 1) // 2
         u = ref_rng.random((half, width))
-        ref = np.vstack([np.maximum(u, 1e-300), 1.0 - u])[:count]
-        assert np.array_equal(rows[owner == idx], ref), idx
+        ref = [np.empty((0, width))]
+        for lo in range(0, half, chunk):
+            part = u[lo:lo + chunk]
+            ref += [np.maximum(part, 1e-300), 1.0 - part[:count - half - lo]]
+        assert np.array_equal(rows[owner == idx], np.concatenate(ref)), idx
         assert rngs[idx].bit_generator.state == ref_rng.bit_generator.state, idx
 
 
