@@ -326,9 +326,15 @@ def _sweep_table(text: str, bound) -> tuple[dict, list[str]]:
 
 
 def cmd_bounds(args) -> int:
+    counts = (args.va, args.vb, args.vd)
+    if args.calculator == "filling" and args.figure_eight and counts != (None, None, None):
+        raise _fail("--figure-eight sets v_A, v_B and v_D; give it without --va, --vb or --vd")
+    va, vb, vd = (0 if v is None else v for v in counts)
     try:
         if args.calculator == "seifert":
             degs = _parse_int_list(args.d)
+            if not degs:
+                raise _fail("--d needs at least one value")
             seq = bounds_mod.seifert_bound(args.e, args.chi, degs)
             rows = [{"d": d, "bound": cb.bound,
                      "normalized": {"value": cb.normalized, "flag": FORMULA}}
@@ -343,21 +349,20 @@ def cmd_bounds(args) -> int:
                       for cb in seq] + ["  limit -> 0"])
         elif args.calculator == "jsj":
             table, sweep_lines = _sweep_table(args.n, lambda n: bounds_mod.jsj_cover_bound(
-                args.va, args.vb, args.vc, args.vd, args.h, n))
+                va, vb, args.vc, vd, args.h, n))
             payload = {"calculator": "jsj", **table}
-            lines = [f"jsj v_A={args.va} v_B={args.vb} v_C={args.vc} "
-                     f"v_D={args.vd} h={args.h}"] + sweep_lines
+            lines = [f"jsj v_A={va} v_B={vb} v_C={args.vc} "
+                     f"v_D={vd} h={args.h}"] + sweep_lines
         else:  # filling
             if args.figure_eight:
                 preset = bounds_mod.FIGURE_EIGHT_FILLING
                 va, vb, vd = preset["v_a"], preset["v_b"], preset["v_d"]
-            else:
-                va, vb, vd = args.va, args.vb, args.vd
             table, sweep_lines = _sweep_table(
-                args.n, lambda n: bounds_mod.filling_bound(va, vb, vd, n))
-            payload = {"calculator": "filling", "v_a": va, "v_b": vb, "v_d": vd, **table}
+                args.n, lambda n: bounds_mod.filling_bound(va, vb, vd, n, h=args.h))
+            payload = {"calculator": "filling", "v_a": va, "v_b": vb, "v_d": vd, "h": args.h,
+                       **table}
             label = " (figure-eight preset: v_A = c(N) = 2)" if args.figure_eight else ""
-            lines = [f"filling v_A={va} v_B={vb} v_D={vd}{label}"] + sweep_lines
+            lines = [f"filling v_A={va} v_B={vb} v_D={vd} h={args.h}{label}"] + sweep_lines
     except bounds_mod.BoundsError as exc:
         raise _fail(str(exc))
     _emit(args, payload, "\n".join(lines))
@@ -465,10 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--e", type=int, default=0, help="Euler number (seifert)")
     b.add_argument("--chi", type=int, default=-2, help="chi of the base surface (seifert)")
     b.add_argument("--d", default="1,10,100,1000", help="degree list (seifert)")
-    b.add_argument("--va", type=int, default=0)
-    b.add_argument("--vb", type=int, default=0)
+    b.add_argument("--va", type=int, default=None, help="A-vertex count (jsj, filling; default 0)")
+    b.add_argument("--vb", type=int, default=None, help="B-vertex count (jsj, filling; default 0)")
     b.add_argument("--vc", type=int, default=0)
-    b.add_argument("--vd", type=int, default=0)
+    b.add_argument("--vd", type=int, default=None, help="D-vertex count (jsj, filling; default 0)")
     b.add_argument("--h", type=int, default=1)
     b.add_argument("--n", default="1,10,100,1000", help="characteristic parameter sweep")
     b.add_argument("--figure-eight", action="store_true",

@@ -48,18 +48,29 @@ edge, so
 
 with V_0 = 1 and V_1(x) = x, and v_n is the limit l -> infinity.
 
-Every one-dimensional integral here (the ball volume behind eta_n,
-Lambda and Schlafli's integral) uses one rule: `_NODES`-point
-Gauss-Legendre on panels of length at most 1.  Each integrand is
-analytic well beyond its panels, so the rule is exact to rounding.
+The ball volume behind eta_n and Schlafli's integral use one rule:
+`_NODES`-point Gauss-Legendre on panels of length at most 1.  Each
+integrand is analytic well beyond its panels, so the rule is exact to
+rounding.  Lambda is the Clausen series (`lobachevsky`).
+
+`_exact_volume` computes the volume of any simplex with 2 <= n <= 5 and
+any mix of ideal and finite vertices, with no sampling: pi minus the
+angle sum for a triangle; for a tetrahedron, cones from an ideal point,
+each cut into six right triangles of the upper half-space and summed by
+Lambda; for n = 4 and 5, Schlafli's formula along the straight path from
+the regular ideal simplex, whose faces are those triangles and
+tetrahedra.  `maximality_probe` uses it; `simplex_volume` stays Monte
+Carlo.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -67,6 +78,7 @@ from .minkowski import GeometryError, lift_klein
 from .simplex import (
     DegenerateSimplexError,
     GeodesicSimplex,
+    _inverse_gram,
     is_degenerate,
     regular_ideal_simplex,
 )
@@ -118,28 +130,46 @@ def _gauss_legendre(f, a: float, b: float) -> float:
     return 0.5 * h * float(np.sum(f(x) @ _GL_WEIGHTS))
 
 
-def lobachevsky(theta: float) -> float:
+@functools.cache
+def _clausen_coefficients() -> tuple:
+    """|B_2k| / (2k (2k+1)!) for k = 1..28, from exact Bernoulli fractions.
+
+    Built on first use: the fraction recurrence takes a few milliseconds,
+    which an import of the package should not pay.
+    """
+    bern = [Fraction(1)]
+    for m in range(1, 57):  # sum_{j <= m} C(m+1, j) B_j = 0
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    return tuple(float(abs(bern[2 * k]) / (2 * k * math.factorial(2 * k + 1)))
+                 for k in range(1, 29))
+
+
+def lobachevsky(theta):
     """Lobachevsky function Lambda(theta) = -int_0^theta log|2 sin t| dt.
 
-    The function is odd and pi-periodic; arguments are reduced to
-    [0, pi/2] first.  The logarithmic singularity at 0 is split off,
+    Lambda(theta) = Cl_2(2 theta) / 2, with the Clausen function's series
+    (Lewin, "Polylogarithms and associated functions", 1981)
 
-        Lambda(t) = t (1 - log 2t) - int_0^t log(sin u / u) du,
+        Cl_2(x) = x - x log|x| + sum_{k=1}^{28} |B_2k| x^{2k+1} / (2k (2k+1)!),
 
-    and the remaining integrand is analytic for |u| < pi.
+    whose first omitted term is below 1e-20 for |x| <= pi.  The function
+    is odd and pi-periodic, so theta is reduced to (-pi/2, pi/2] first;
+    the series is summed in increasing powers.  Takes a float or an array
+    and returns the same.
     """
-    t = math.fmod(abs(theta), math.pi)  # oddness first: adding pi would round a small t
-    sign = math.copysign(1.0, theta)
-    if t > math.pi / 2:
-        t = math.pi - t
-        sign = -sign
-    if t == 0.0:
-        return 0.0
-    if math.isnan(t):  # no panel count for a nan interval
-        return t
-    # sin(u) / u as sinc, which is 1 at the nodes that round to 0 when t is subnormal
-    tail = _gauss_legendre(lambda u: np.log(np.sinc(u / math.pi)), 0.0, t)
-    return sign * (t * (1.0 - math.log(2.0 * t)) - tail)
+    theta = np.asarray(theta, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf has no residue: nan, as for nan
+        t = np.fmod(np.abs(theta), math.pi)  # oddness first: adding pi would round a small t
+    x = 2.0 * np.where(t > math.pi / 2, t - math.pi, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = np.where(x == 0.0, 0.0, x - x * np.log(np.abs(x)))
+    x2 = x * x
+    power, tail = x, np.zeros_like(x)
+    for c in _clausen_coefficients():
+        power = power * x2
+        tail = tail + c * power
+    value = np.copysign(1.0, theta) * (0.5 * (head + tail))
+    return value if value.ndim else float(value)
 
 
 def sphere_area(n: int) -> float:
@@ -563,6 +593,225 @@ def volume_deficit_vs_regular(
 
 
 # ---------------------------------------------------------------------------
+# exact volumes for 2 <= n <= 5
+#
+# Every kernel below reads a stack of vertex Gram matrices of the rows
+# (1, x_i), G_ij = -1 + x_i . x_j, whose diagonal is an exact 0 at an ideal
+# vertex; H = G^-1, and the dihedral angle at the face opposite vertices i
+# and j has cos theta_ij = -H_ij / sqrt(H_ii H_jj), as in
+# `simplex._inverse_gram`.
+
+
+def _cosines(g: np.ndarray) -> np.ndarray:
+    """cos theta_ij = -H_ij / sqrt(H_ii H_jj) of a stack of Gram matrices."""
+    h, d, _ = _inverse_gram(g)
+    return -h / np.sqrt(d[..., :, None] * d[..., None, :])
+
+
+def _triangle_areas(g: np.ndarray) -> np.ndarray:
+    """Areas of a (..., 3, 3) stack of triangles: pi minus the angle sum.
+
+    The angle at vertex a of (a, b, c) is theta_bc.  At an ideal vertex it
+    is set to exactly 0, where arccos(1 - 1e-16) would give 1.5e-8.
+    """
+    cos = _cosines(g)[..., [1, 0, 0], [2, 2, 1]]
+    angles = np.arccos(np.clip(cos, -1.0, 1.0))
+    angles[np.diagonal(g, axis1=-2, axis2=-1) == 0.0] = 0.0
+    return math.pi - angles.sum(axis=-1)
+
+
+#: (k, j, m) of the six right triangles of `_ideal_cone_volumes`: side k,
+#: its end vertex j and the other side m at j, vertices numbered 1..3
+_RIGHT_K, _RIGHT_J, _RIGHT_M = np.array(
+    [(k, j, 6 - k - j) for k in (1, 2, 3) for j in (1, 2, 3) if j != k]).T
+
+
+def _ideal_cone_volumes(g: np.ndarray) -> np.ndarray:
+    """Volumes of a (..., 4, 4) stack of tetrahedra whose vertex 0 is ideal.
+
+    In the upper half-space with vertex 0 at infinity the tetrahedron is
+    the region above its face (1, 2, 3), which lies on a hemisphere of
+    radius 1 about c0, and over the vertical projection D of that face.
+    D is a Euclidean triangle whose angle A_j at vertex j is the dihedral
+    angle at the edge 0j, and the signed distance from c0 to the side of D
+    opposite vertex k is cos gamma_k, gamma_k the dihedral angle at the
+    edge of the face that projects to that side.  D splits at c0 into six
+    signed right triangles, one per side k and end vertex j, with m the
+    other side at j:
+
+        t = (cos gamma_m + cos gamma_k cos A_j) / sin A_j,
+        phi = atan2(t, |cos gamma_k|),   delta = arccos |cos gamma_k|,
+        vol = 1/4 sum sign(cos gamma_k)
+                  [Lambda(delta + phi) - Lambda(delta - phi) + 2 Lambda(pi/2 - phi)].
+    """
+    cos = _cosines(g)
+    cos_gamma = cos[..., 0, :]  # theta_0k: the edge of the face opposite vertex k
+    cos_a = cos[..., [0, 2, 1, 1], [0, 3, 3, 2]]  # A_j = theta_kl for {j, k, l} = {1, 2, 3}
+    ck, cm, ca = cos_gamma[..., _RIGHT_K], cos_gamma[..., _RIGHT_M], cos_a[..., _RIGHT_J]
+    h = np.abs(ck)
+    phi = np.arctan2((cm + ck * ca) / np.sqrt(1.0 - ca * ca), h)
+    delta = np.arccos(np.minimum(h, 1.0))
+    lam = lobachevsky(np.stack([delta + phi, delta - phi, math.pi / 2 - phi]))
+    return 0.25 * (np.sign(ck) * (lam[0] - lam[1] + 2.0 * lam[2])).sum(axis=-1)
+
+
+#: Faces (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2) of a tetrahedron:
+#: cone(p, face i) is taken with the sign of `_CONE_SIGNS`[i]
+_TETRAHEDRON_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_CONE_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
+
+
+def _tetrahedron_volumes(g: np.ndarray) -> np.ndarray:
+    """Volumes of a (..., 4, 4) stack of tetrahedra of any vertex mix.
+
+    A tetrahedron with an ideal vertex is the cone from it, taken directly.
+    Otherwise p = (1 - mu) v_0 + mu c, with c the centroid of the opposite
+    face's rows, is the ideal point where the ray from v_0 through c
+    leaves the ball: mu is the least root above 1 of <p, p> = 0, a
+    quadratic a mu^2 + 2 b mu + G_00 in mu, taken in the form that does
+    not cancel.  The tetrahedron is then the union of the cones from p over
+    its three faces at v_0, minus the cone over the face opposite v_0, and
+    each cone has the ideal apex p: its Gram matrix borders the face's with
+    the row <p, v_j> = (lambda^T G)_j and <p, p> = 0.  (On thin ideal
+    tetrahedra the direct cone is the more accurate: 6e-13 against 3e-12
+    in the worst of 300 random ones.)
+    """
+    ideal = np.diagonal(g, axis1=-2, axis2=-1) == 0.0
+    apex = ideal.any(axis=-1)
+    vol = np.empty(g.shape[:-2])
+    if apex.any():
+        order = np.argsort(~ideal[apex], axis=-1, kind="stable")  # an ideal vertex first
+        vol[apex] = _ideal_cone_volumes(np.take_along_axis(
+            np.take_along_axis(g[apex], order[:, :, None], axis=1), order[:, None, :], axis=2))
+    if not apex.all():
+        vol[~apex] = _finite_tetrahedron_volumes(g[~apex])
+    return vol
+
+
+def _finite_tetrahedron_volumes(g: np.ndarray) -> np.ndarray:
+    """`_tetrahedron_volumes` of a (k, 4, 4) stack, by the cones from p."""
+    w = np.array([-1.0, 1.0, 1.0, 1.0]) / np.array([1.0, 3.0, 3.0, 3.0])
+    gw = g @ w
+    a = gw @ w
+    b = gw[..., 0]
+    c = g[..., 0, 0]
+    root = np.sqrt(b * b - a * c)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the other branch of the where
+        mu = np.where(b <= 0.0, (root - b) / a, c / (-b - root))
+    lam = mu[..., None] * w
+    lam[..., 0] += 1.0
+    pg = np.einsum("...i,...ij->...j", lam, g)
+    cones = np.zeros(g.shape[:-2] + (4, 4, 4))
+    cones[..., 1:, 1:] = g[..., _TETRAHEDRON_FACES[:, :, None], _TETRAHEDRON_FACES[:, None, :]]
+    cones[..., 0, 1:] = cones[..., 1:, 0] = pg[..., _TETRAHEDRON_FACES]
+    return _ideal_cone_volumes(cones) @ _CONE_SIGNS
+
+
+#: Gauss-Legendre nodes in u of the Schlafli path of `_path_volume`
+_PATH_NODES = 32
+
+
+@functools.cache
+def _path_rule() -> tuple:
+    """(t, dt/du, weights) at the `_PATH_NODES` nodes of [0, 1] in u, with
+    t = 3u^2 - 2u^3, whose dt/du = 6u(1 - u) vanishes at both ends."""
+    u, weights = np.polynomial.legendre.leggauss(_PATH_NODES)
+    u = (u + 1.0) / 2.0
+    return u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u), weights / 2.0
+
+
+def _path_order(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """The vertex order of x1 along which the path (1 - t) x0 + t x1[order]
+    stays farthest from a degenerate simplex.
+
+    With B = [1 | x], det B(t) = det B_0 prod_k (1 + t lambda_k) over the
+    eigenvalues of M = B_0^-1 (B_1 - B_0), so the path degenerates at some
+    t in (0, 1] exactly when M has a real eigenvalue <= -1.  An order's
+    margin is min_k min_{0 <= t <= 1} |1 + t lambda_k|, 0 for such an
+    eigenvalue; M = B_0^-1 [0 | dx] has the nonzero eigenvalues of
+    (B_0^-1)[1:] dx.  The largest margin, not the first order with a
+    positive one: the first such order of a well-shaped 4-simplex can pass
+    close to a degenerate one (margin 0.024, volume 1.2e-10 off
+    Gauss-Bonnet, where the best order gives 6e-15).  Raises
+    `GeometryError` if no order has a margin.
+    """
+    orders = np.array(list(itertools.permutations(range(len(x0)))))
+    b0inv = np.linalg.inv(np.column_stack([np.ones(len(x0)), x0]))[1:]
+    lam = np.linalg.eigvals(b0inv @ (x1[orders] - x0))
+    size = np.abs(lam) ** 2
+    t = np.clip(-lam.real / np.where(size > 0.0, size, 1.0), 0.0, 1.0)
+    margin = np.abs(1.0 + t * lam).min(axis=-1)
+    best = int(np.argmax(margin))
+    if margin[best] <= 1e-8:
+        raise GeometryError("every vertex order of the Schlafli path meets a degenerate simplex")
+    return orders[best]
+
+
+def _path_volume(x: np.ndarray, ideal: np.ndarray) -> float:
+    """Volume of the n-simplex (n = 4, 5) with Klein vertices x by
+    Schlafli's formula dV = -1/(n-1) sum_{i<j} V_{n-2}(F_ij) dtheta_ij.
+
+    The path x(t) = (1 - t) x_reg + t x runs from the regular ideal
+    simplex (volume v_n) in a `_path_order` of x; it is not renormalised,
+    so vertices turn finite along it.  Its Gram matrices G(t) = -1 + X X^T
+    have the diagonal -(t r + t (1 - t) |dx|^2), r = 1 - |x_i|^2 (0 at an
+    ideal vertex), which does not cancel near the ideal ends.  Along the
+    path dG = dX X^T + X dX^T and dH = -H dG H, so with s_ij = sqrt(H_ii H_jj)
+
+        dcos theta_ij = -dH_ij / s_ij + 1/2 (H_ij / s_ij) (dH_ii / H_ii + dH_jj / H_jj),
+
+    and dtheta = -dcos theta / sin theta.  The faces F_ij are triangles
+    (n = 4) or tetrahedra (n = 5), stacked over nodes and faces.
+    """
+    n = x.shape[1]
+    x0 = regular_ideal_simplex(n).klein_vertices()
+    order = _path_order(x0, x)
+    x, ideal = x[order], ideal[order]
+    t, dt, weights = _path_rule()
+    dx = x - x0
+    r = np.where(ideal, 0.0, 1.0 - np.einsum("ij,ij->i", x, x))
+    q = np.einsum("ij,ij->i", dx, dx)
+    xt = x0 + t[:, None, None] * dx
+    g = xt @ xt.transpose(0, 2, 1) - 1.0
+    dg = dx @ xt.transpose(0, 2, 1)
+    dg = dg + dg.transpose(0, 2, 1)
+    diag = np.arange(n + 1)
+    g[:, diag, diag] = -(t[:, None] * r + (t * (1.0 - t))[:, None] * q)
+    dg[:, diag, diag] = -(r + (1.0 - 2.0 * t)[:, None] * q)
+    h = np.linalg.inv(g)
+    dh = -h @ (dg * dt[:, None, None]) @ h
+    i, j = np.triu_indices(n + 1, 1)
+    s = np.sqrt(h[:, i, i] * h[:, j, j])
+    cos = -h[:, i, j] / s
+    dcos = -dh[:, i, j] / s + 0.5 * (h[:, i, j] / s) * (dh[:, i, i] / h[:, i, i]
+                                                       + dh[:, j, j] / h[:, j, j])
+    dtheta = -dcos / np.sqrt(1.0 - cos * cos)
+    faces = np.array([[k for k in diag if k != a and k != b] for a, b in zip(i, j)])
+    face_g = g[:, faces[:, :, None], faces[:, None, :]]
+    face_v = _triangle_areas(face_g) if n == 4 else _tetrahedron_volumes(face_g)
+    dv = -(face_v * dtheta).sum(axis=1) / (n - 1)
+    return ideal_regular_volume(n).value + float(dv @ weights)
+
+
+def _exact_volume(K: GeodesicSimplex) -> float:
+    """Hyperbolic volume of a full-dimensional geodesic simplex, 2 <= n <= 5,
+    of any mix of ideal and finite vertices, with no sampling.
+
+    n = 2: pi minus the angle sum; n = 3: `_tetrahedron_volumes`; n = 4 and
+    5: `_path_volume`.
+    """
+    n = K.ambient_dim
+    if K.k != n or not 2 <= n <= 5:
+        raise GeometryError("exact volumes need a full-dimensional simplex, 2 <= n <= 5")
+    if is_degenerate(K):
+        raise DegenerateSimplexError("volume of a degenerate simplex")
+    if n >= 4:
+        return _path_volume(K.klein_vertices(), K.ideal_flags())
+    g = -_klein_form(K)[0]
+    return float(_triangle_areas(g) if n == 2 else _tetrahedron_volumes(g))
+
+
+# ---------------------------------------------------------------------------
 # maximality probe
 
 
@@ -572,7 +821,6 @@ class ProbeReport:
     trials: int
     v_ref: float
     max_value: float
-    max_std_error: float
     max_gram: np.ndarray
     violations: int
     degenerate_rejected: int
@@ -582,21 +830,17 @@ class ProbeReport:
 _PROBE_IDEAL_PROB = 0.5
 
 
-def maximality_probe(
-    n: int,
-    trials: int = 1000,
-    seed: int = 0,
-    budget_per_trial: int = 4096,
-    levels: int = 12,
-) -> ProbeReport:
-    """Sample random nondegenerate simplices and compare volumes with v_n.
+def maximality_probe(n: int, trials: int = 1000, seed: int = 0) -> ProbeReport:
+    """Draw random nondegenerate simplices and compare their volumes with v_n.
 
     Each trial draws vertices in the Klein ball, each one ideal with
     probability `_PROBE_IDEAL_PROB` and finite otherwise, rejects
-    degenerate draws without counting them, and checks vol < v_n within
-    3 standard errors.  The maximum observed
-    volume and its vertex Gram data are recorded.  Raises `GeometryError`
-    for fewer than one trial, which would leave no maximum.
+    degenerate draws without counting them, and computes the volume V
+    exactly (`_exact_volume`, no sampling); V > v_n is a violation.  Every
+    ideal triangle is regular, with area exactly pi = v_2, so at n = 2 the
+    maximum is attained and equality is not a violation.  The largest
+    volume and its vertex Gram matrix are recorded.  Raises
+    `GeometryError` for fewer than one trial, which would leave no maximum.
     """
     if not 2 <= n <= 5:
         raise GeometryError("probe supports dimensions 2..5")
@@ -604,7 +848,7 @@ def maximality_probe(
         raise GeometryError(f"the probe needs at least one trial, got {trials}")
     v_ref = ideal_regular_volume(n).value
     rng = np.random.default_rng([seed, 0xBEEF])
-    best = (-math.inf, 0.0, None)
+    best = (-math.inf, None)
     violations = 0
     rejected = 0
     done = 0
@@ -621,12 +865,10 @@ def maximality_probe(
         if is_degenerate(K, tol=1e-8):
             rejected += 1
             continue
-        est = simplex_volume(K, budget=budget_per_trial, seed=seed + done + 1,
-                             levels=levels)
-        if est.value >= v_ref + 3.0 * est.std_error:
+        value = _exact_volume(K)
+        if value > v_ref:
             violations += 1
-        if est.value > best[0]:
-            best = (est.value, est.std_error, K.gram.copy())
+        if value > best[0]:
+            best = (value, K.gram.copy())
         done += 1
-    return ProbeReport(n, trials, v_ref, best[0], best[1], best[2],
-                       violations, rejected)
+    return ProbeReport(n, trials, v_ref, best[0], best[1], violations, rejected)

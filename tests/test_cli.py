@@ -183,6 +183,17 @@ def test_bounds_filling_preset(capsys):
     assert "limit -> v_A = 2" in out
 
 
+def test_bounds_filling_reads_h(capsys):
+    # h = 1 gave degree 2 and bound 10 whatever --h said
+    code, out, _ = run(capsys, "bounds", "filling", "--va", "4", "--vb", "1", "--vd", "1",
+                       "--h", "3", "--n", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["h"] == 3
+    assert payload["rows"] == [{"n": 2, "degree": 6, "bound": 30,
+                                "normalized": {"value": 5.0, "flag": "formula"}}]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "res.json"
     code, out, _ = run(capsys, "bounds", "seifert", "--format", "json",
@@ -265,6 +276,11 @@ IDEAL_TRIANGLE = {"dim": 2, "vertices": [{"x": [1, 0], "ideal": True}, {"x": [-1
                                          {"x": [0, 1], "ideal": True}]},
                  id="simplex-nan"),
     pytest.param(["bounds", "jsj", "--n", ","], None, id="jsj-empty-sweep"),
+    # an empty --d printed an empty table
+    pytest.param(["bounds", "seifert", "--d", ""], None, id="seifert-empty-degrees"),
+    # the preset silently replaced a given count
+    pytest.param(["bounds", "filling", "--figure-eight", "--va", "3"], None,
+                 id="filling-preset-and-count"),
     # a NaN tolerance let an off-sphere "ideal" vertex through
     pytest.param(["volume", "--samples", "1e4", "--tolerance", "nan"],
                  {"dim": 2, "vertices": [{"x": [0.5, 0], "ideal": True},
@@ -484,6 +500,7 @@ def run_script(script, args):
                          "--max-degree", "6", "--seed", "3"]),
     # the cusp's torus link is not a sphere: vertices are not compared
     ("cover_census.py", ["--fixture", "figure-eight", "--count", "3", "--max-degree", "9"]),
+    ("maximality_probe.py", ["--n", "4", "5", "--trials", "3"]),
 ])
 def test_scripts_run(script, args):
     # the scripts import the package API directly; a tiny run catches a break
@@ -507,6 +524,7 @@ def test_scripts_run(script, args):
 
 @pytest.mark.parametrize("script, args", [
     ("maximality_probe.py", ["--n", "2", "--trials", "0"]),
+    # the probe's volumes are exact, so the sampling budget flag is gone: unknown
     ("maximality_probe.py", ["--n", "2", "--budget-per-trial", "999"]),
     ("maximality_probe.py", ["--n", "6"]),
     ("cover_census.py", ["--max-degree", "1"]),

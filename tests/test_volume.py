@@ -14,6 +14,7 @@ from hypstab.simplex import (
     apply_isometry,
     barycentric_point,
     dihedral_angle,
+    dihedral_angles,
     is_degenerate,
     random_nondegenerate_simplex,
     regular_ideal_simplex,
@@ -51,8 +52,7 @@ def test_lobachevsky_special_values():
 
 
 def test_lobachevsky_vs_quadrature():
-    # 1e-8 and pi/2 - 1e-9 sit next to the ends of the reduced range;
-    # 1.56 takes two panels
+    # 1e-8 and pi/2 - 1e-9 sit next to the ends of the reduced range
     for theta in (math.pi / 6, math.pi / 3, 0.3, 1.2, 1.5, 1e-8, math.pi / 2 - 1e-9, 1.56):
         assert lobachevsky(theta) == pytest.approx(quad_lobachevsky(theta), abs=1e-11)
     assert 3.0 * lobachevsky(math.pi / 3) == pytest.approx(V3, abs=1e-13)
@@ -374,20 +374,193 @@ def test_substreams_reject_negative_entries():
         volume._substreams([3, -1], 2)
 
 
+#: degenerate draws the probe rejected at the parent commit, which drew the
+#: same simplices and sampled their volumes: {(n, trials): [seed 0, 1, 2]}
+PROBE_REJECTED = {(2, 60): [0, 0, 0], (3, 40): [0, 0, 0], (4, 20): [0, 0, 0], (5, 10): [0, 0, 0],
+                  (4, 200): [1, 0, 0]}
+
+
 def test_maximality_probe_smoke():
-    rep = maximality_probe(2, trials=60, seed=0, budget_per_trial=2000, levels=8)
-    assert rep.violations == 0
-    assert rep.max_value < rep.v_ref + 3 * rep.max_std_error
-    assert rep.max_gram.shape == (3, 3)
-    rep3 = maximality_probe(3, trials=25, seed=1, budget_per_trial=2000, levels=8)
-    assert rep3.violations == 0
-    assert rep3.max_value < rep3.v_ref + 3 * rep3.max_std_error
+    for (n, trials), counts in PROBE_REJECTED.items():
+        for seed, rejected in enumerate(counts):
+            rep = maximality_probe(n, trials=trials, seed=seed)
+            assert rep.violations == 0 and rep.degenerate_rejected == rejected, (n, trials, seed)
+            assert rep.max_gram.shape == (n + 1, n + 1)
+            if n == 2:  # an all-ideal draw is the regular ideal triangle
+                assert rep.max_value == rep.v_ref == math.pi
+            else:
+                assert rep.max_value < rep.v_ref, (n, trials, seed)
+
+
+def test_maximality_probe_samples_nothing(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the probe sampled a volume")
+
+    monkeypatch.setattr(volume, "_stratified", no_sampling)
+    for n in (2, 3, 4, 5):
+        assert maximality_probe(n, trials=4, seed=n).violations == 0
 
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_maximality_probe_needs_a_trial(trials):
     with pytest.raises(GeometryError, match="at least one trial"):
         maximality_probe(2, trials=trials)
+
+
+# ---------------------------------------------------------------------------
+# exact volumes: volume._exact_volume
+
+
+def _ideal_simplices(n, count, rng, max_angle=math.pi):
+    """`count` jittered regular ideal n-simplices, then `count` random ideal
+    ones whose dihedral angles lie in [0.3, max_angle]."""
+    out = [_jittered_ideal(n, scale, rng) for scale in np.linspace(0.02, 0.4, count)]
+    while len(out) < 2 * count:
+        K = random_nondegenerate_simplex(n, rng, ideal_prob=1.0)
+        angles = dihedral_angles(K)[np.triu_indices(n + 1, 1)]
+        if angles.min() >= 0.3 and angles.max() <= max_angle:
+            out.append(K)
+    return out
+
+
+def test_lobachevsky_takes_arrays():
+    theta = np.linspace(-4.0, 4.0, 161)
+    got = lobachevsky(theta)
+    assert got.shape == theta.shape
+    np.testing.assert_allclose(got, [lobachevsky(float(t)) for t in theta], rtol=0, atol=2e-16)
+
+
+def test_exact_triangles_are_pi_minus_the_angle_sum():
+    rng = np.random.default_rng(50)
+    for _ in range(10):
+        K = random_nondegenerate_simplex(2, rng, ideal_prob=0.5)
+        angles = [0.0 if K.vertices[a].is_ideal else dihedral_angle(K, b, c)
+                  for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+        assert volume._exact_volume(K) == pytest.approx(math.pi - sum(angles), rel=1e-13)
+    assert volume._exact_volume(regular_ideal_simplex(2)) == math.pi
+
+
+def test_exact_ideal_tetrahedra_match_milnor():
+    # Milnor: Lambda(alpha) + Lambda(beta) + Lambda(gamma) over the angles at
+    # the edges through one vertex; the kernel takes six right triangles
+    for K in _ideal_simplices(3, 10, np.random.default_rng(51)):
+        milnor = sum(lobachevsky(dihedral_angle(K, 0, j)) for j in (1, 2, 3))
+        assert abs(volume._exact_volume(K) - milnor) <= 1e-13
+
+
+def test_exact_compact_tetrahedra_match_quadrature():
+    # the Klein density (1 - |x|^2)^-2 integrated over the Euclidean tetrahedron
+    rng = np.random.default_rng(52)
+    for _ in range(2):
+        K = random_nondegenerate_simplex(3, rng, ideal_prob=0.0)
+        x = K.klein_vertices()
+        edges = x[1:] - x[0]
+
+        def density(c, b, a):
+            p = x[0] + a * edges[0] + b * edges[1] + c * edges[2]
+            return (1.0 - p @ p) ** -2
+
+        val, _ = integrate.tplquad(density, 0, 1, 0, lambda a: 1 - a, 0, lambda a, b: 1 - a - b,
+                                   epsabs=0, epsrel=1e-12)
+        exact = abs(np.linalg.det(edges)) * val
+        assert volume._exact_volume(K) == pytest.approx(exact, rel=1e-11)
+
+
+def test_exact_ideal_4_simplices_match_gauss_bonnet():
+    # thin simplices, with an angle near pi, lose digits at the path's ideal
+    # end: random ideal ones with angles up to 3.1 read up to 4e-8 off
+    for K in _ideal_simplices(4, 8, np.random.default_rng(53), max_angle=2.6):
+        exact = exact_ideal_volume(K)
+        assert abs(volume._exact_volume(K) - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_volume_adds_up_over_an_edge_split(n):
+    rng = np.random.default_rng(54 + n)
+    for _ in range(3):
+        K = random_nondegenerate_simplex(n, rng, ideal_prob=0.5)
+        mid = barycentric_point(K, [0.5, 0.5] + [0.0] * (n - 1))
+        halves = []
+        for i in (0, 1):
+            verts = list(K.vertices)
+            verts[i] = mid
+            halves.append(volume._exact_volume(GeodesicSimplex(tuple(verts), n)))
+        assert abs(sum(halves) - volume._exact_volume(K)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exact_volume_is_invariant(n):
+    rng = np.random.default_rng(58 + n)
+    for trial in range(3):
+        K = random_nondegenerate_simplex(n, rng, ideal_prob=0.5)
+        v = volume._exact_volume(K)
+        order = rng.permutation(n + 1)
+        permuted = GeodesicSimplex(tuple(K.vertices[i] for i in order), n)
+        assert abs(volume._exact_volume(permuted) - v) <= 1e-12
+        moved = apply_isometry(random_isometry(n, seed=trial), K)
+        assert abs(volume._exact_volume(moved) - v) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_volume_of_the_swapped_regular_simplex(n):
+    # the path from the regular simplex to its mirror image in the identity
+    # order passes through a flat simplex; the order selection undoes the swap
+    x = regular_ideal_simplex(n).klein_vertices()[[1, 0, *range(2, n + 1)]]
+    K = GeodesicSimplex(tuple(lift_klein(v, ideal=True) for v in x), n)
+    if n >= 4:
+        order = volume._path_order(regular_ideal_simplex(n).klein_vertices(), x)
+        assert order.tolist() != list(range(n + 1))
+    assert volume._exact_volume(K) == pytest.approx(ideal_regular_volume(n).value, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_exact_volume_matches_monte_carlo(n):
+    rng = np.random.default_rng(62 + n)
+    for seed in range(2):
+        K = random_nondegenerate_simplex(n, rng, ideal_prob=0.5)
+        est = simplex_volume(K, budget=1_000_000, seed=seed)
+        assert abs(est.value - volume._exact_volume(K)) <= 4 * est.std_error
+
+
+def test_exact_volume_rejects_bad_input():
+    with pytest.raises(GeometryError):
+        volume._exact_volume(regular_ideal_simplex(6))
+    with pytest.raises(GeometryError):
+        volume._exact_volume(regular_ideal_simplex(4, 3))  # not full-dimensional
+    flat = GeodesicSimplex(tuple(lift_klein(x) for x in ([0.1, 0.0], [0.2, 0.0], [0.3, 0.0])), 2)
+    with pytest.raises(GeometryError):
+        volume._exact_volume(flat)
+
+
+def _calibration_simplex(n, ideal_count, rng):
+    """A random n-simplex whose first `ideal_count` vertices are ideal."""
+    while True:
+        directions = rng.standard_normal((n + 1, n))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        K = GeodesicSimplex(tuple(
+            lift_klein(d, ideal=True) if i < ideal_count
+            else lift_klein(0.9 * rng.random() ** (1.0 / n) * d)
+            for i, d in enumerate(directions)), n)
+        if not is_degenerate(K, tol=1e-6):
+            return K
+
+
+def test_simplex_volume_sigma_is_calibrated():
+    # z of simplex_volume against the exact volume over every vertex mix:
+    # n = 3, 4, 5, none, half or all of the vertices ideal, 40 and 14 levels
+    rng = np.random.default_rng(63)
+    z = []
+    for n in (3, 4, 5):
+        for ideal_count in (0, (n + 1) // 2, n + 1):
+            for i in range(16):
+                K = _calibration_simplex(n, ideal_count, rng)
+                exact = volume._exact_volume(K)
+                for levels in (40, 14):
+                    est = simplex_volume(K, budget=20_000, seed=i, levels=levels)
+                    z.append((est.value - exact) / est.std_error)
+    z = np.array(z)
+    assert np.mean(np.abs(z) <= 2.0) >= 0.9, np.std(z)
+    assert abs(np.mean(z)) <= 0.3, np.std(z)
 
 
 def test_near_regular_volumes_increase():
