@@ -37,7 +37,7 @@ from hypstab.fixtures import ALIASES, fixture_names, load_fixture
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--fixture", default="torus", choices=sorted([*fixture_names(), *ALIASES]))
     ap.add_argument("--count", type=int_at_least(1), default=10)
     ap.add_argument("--max-degree", type=int_at_least(2), default=8)

@@ -15,7 +15,7 @@ from hypstab.volume import maximality_probe
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--n", type=int, nargs="+", default=[2, 3], choices=range(2, 6))
     ap.add_argument("--trials", type=int_at_least(1), default=500)
     ap.add_argument("--seed", type=int_at_least(0), default=0)

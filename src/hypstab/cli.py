@@ -1,19 +1,17 @@
 """Batch command-line front end.
 
-Subcommands and the flags each one reads::
+Subcommands and the flags each one reads after its action or calculator,
+besides --format text|json (constants also csv) and --out; any other
+flag, and any abbreviation, is bad input::
 
-    hypstab constants      per-dimension constants table (C_n pipeline)
-        --n-min --n-max --restarts --depth --climb-iters
-        --seed --format text|json|csv --out
-    hypstab volume         hyperbolic simplex volume (file or regular ideal)
-        FILE --seed --samples --tolerance --format text|json --out
-        --regular-ideal N --format text|json --out
-    hypstab triangulation  info | cycle | cover | dashboard on gluing data
-        --format text|json --out
-        cover only: one of --spec --characteristic (a complex with H_1 = Z^2)
-    hypstab bounds         seifert | jsj | filling calculators
-        --e --chi --d --va --vb --vc --vd --h --n --figure-eight
-        --format text|json --out
+    hypstab constants          --n-min --n-max --restarts --depth --climb-iters --seed
+    hypstab volume FILE        --seed --samples --tolerance
+    hypstab volume --regular-ideal N
+    hypstab triangulation info|cycle|dashboard TARGET
+    hypstab triangulation cover TARGET  --spec FILE | --characteristic X (H_1 = Z^2)
+    hypstab bounds seifert     --e --chi --d
+    hypstab bounds jsj         --va --vb --vc --vd --h --n
+    hypstab bounds filling     --va --vb --vd --h --n --figure-eight
 
 Every emitted number carries a flag saying how it was computed.  v_n,
 the volume of the regular ideal simplex, is exact (computed, not
@@ -160,8 +158,6 @@ def cmd_constants(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    if (args.regular_ideal is None) == (args.simplex is None):
-        raise _fail("give exactly one of --regular-ideal N or a simplex file")
     file_flags = (args.seed, args.samples, args.tolerance)
     if args.regular_ideal is not None and file_flags != (None, None, None):
         raise _fail("--seed, --samples and --tolerance apply to a simplex file, "
@@ -202,10 +198,6 @@ def _links_payload(T):
 
 
 def cmd_triangulation(args) -> int:
-    if args.action != "cover" and (args.spec, args.characteristic) != (None, None):
-        raise _fail(f"--spec and --characteristic apply to cover, not to {args.action}")
-    if args.action == "cover" and (args.spec is None) == (args.characteristic is None):
-        raise _fail("cover needs exactly one of --spec FILE or --characteristic X")
     T = _load_triangulation(args.target)
     name = (T.labels or {}).get("name", args.target)
     report = cx.validate(T)
@@ -301,19 +293,9 @@ def cmd_triangulation(args) -> int:
 # bounds
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise _fail(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _sweep_table(text: str, bound) -> tuple[dict, list[str]]:
+def _sweep_table(sweep: list[int], bound) -> tuple[dict, list[str]]:
     """Payload rows and limit, and the text lines, of a jsj or filling
-    table: ``bound(n)`` for each n of the --n list ``text``."""
-    sweep = _parse_int_list(text)
-    if not sweep:
-        raise _fail("--n needs at least one value")
+    table: ``bound(n)`` for each n of the --n list ``sweep``."""
     seq = [bound(n) for n in sweep]
     rows = [{"n": n, "degree": cb.degree, "bound": cb.bound,
              "normalized": {"value": cb.normalized, "flag": FORMULA}}
@@ -326,19 +308,12 @@ def _sweep_table(text: str, bound) -> tuple[dict, list[str]]:
 
 
 def cmd_bounds(args) -> int:
-    counts = (args.va, args.vb, args.vd)
-    if args.calculator == "filling" and args.figure_eight and counts != (None, None, None):
-        raise _fail("--figure-eight sets v_A, v_B and v_D; give it without --va, --vb or --vd")
-    va, vb, vd = (0 if v is None else v for v in counts)
     try:
         if args.calculator == "seifert":
-            degs = _parse_int_list(args.d)
-            if not degs:
-                raise _fail("--d needs at least one value")
-            seq = bounds_mod.seifert_bound(args.e, args.chi, degs)
+            seq = bounds_mod.seifert_bound(args.e, args.chi, args.d)
             rows = [{"d": d, "bound": cb.bound,
                      "normalized": {"value": cb.normalized, "flag": FORMULA}}
-                    for d, cb in zip(degs, seq)]
+                    for d, cb in zip(args.d, seq)]
             payload = {"calculator": "seifert", "e": args.e, "chi": args.chi,
                        "rows": rows, "limit": {"value": 0, "flag": FORMULA},
                        "decreasing": all(seq[i].normalized >= seq[i + 1].normalized
@@ -349,12 +324,17 @@ def cmd_bounds(args) -> int:
                       for cb in seq] + ["  limit -> 0"])
         elif args.calculator == "jsj":
             table, sweep_lines = _sweep_table(args.n, lambda n: bounds_mod.jsj_cover_bound(
-                va, vb, args.vc, vd, args.h, n))
+                args.va, args.vb, args.vc, args.vd, args.h, n))
             payload = {"calculator": "jsj", **table}
-            lines = [f"jsj v_A={va} v_B={vb} v_C={args.vc} "
-                     f"v_D={vd} h={args.h}"] + sweep_lines
+            lines = [f"jsj v_A={args.va} v_B={args.vb} v_C={args.vc} "
+                     f"v_D={args.vd} h={args.h}"] + sweep_lines
         else:  # filling
+            counts = (args.va, args.vb, args.vd)
+            va, vb, vd = (0 if v is None else v for v in counts)
             if args.figure_eight:
+                if counts != (None, None, None):
+                    raise _fail("--figure-eight sets v_A, v_B and v_D; "
+                                "give it without --va, --vb or --vd")
                 preset = bounds_mod.FIGURE_EIGHT_FILLING
                 va, vb, vd = preset["v_a"], preset["v_b"], preset["v_d"]
             table, sweep_lines = _sweep_table(
@@ -413,20 +393,36 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _add_output(p: argparse.ArgumentParser, formats=("text", "json")):
+def _int_list(text: str) -> list[int]:
+    """Type of --d and --n: a comma-separated list of at least one integer."""
+    try:
+        values = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a nonempty integer list: {text!r}")
+    return values
+
+
+def _leaf(sub, name: str, func, formats=("text", "json"), **kwargs):
+    """A command's parser: it reads --format and --out, runs ``func`` and
+    takes no abbreviated flag (else ``bounds seifert --h`` reads as --help)."""
+    p = sub.add_parser(name, allow_abbrev=False, **kwargs)
     p.add_argument("--format", dest="fmt", choices=formats, default="text")
     p.add_argument("--out", default=None, help="write output to a file")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hypstab", description=__doc__,
+    ap = argparse.ArgumentParser(prog="hypstab", description=__doc__, allow_abbrev=False,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("constants", help="per-dimension constants table (4 <= n <= 8)")
+    c = _leaf(sub, "constants", cmd_constants, ("text", "json", "csv"),
+              help="per-dimension constants table (4 <= n <= 8)")
     c.add_argument("--seed", type=int_at_least(0), default=0,
                    help="seed of the eps search (default 0; identical seeds give identical output)")
-    _add_output(c, ("text", "json", "csv"))
     c.add_argument("--n-min", type=int, default=4)
     c.add_argument("--n-max", type=int, default=5)
     c.add_argument("--restarts", type=int_at_least(1), default=SEARCH_DEFAULTS["restarts"],
@@ -435,9 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bisection step budget (at least 1)")
     c.add_argument("--climb-iters", type=int_at_least(1), default=SEARCH_DEFAULTS["climb_iters"],
                    help="hill-climb steps per restart (at least 1)")
-    c.set_defaults(func=cmd_constants)
 
-    v = sub.add_parser("volume", help="volume of a geodesic simplex")
+    v = _leaf(sub, "volume", cmd_volume, help="volume of a geodesic simplex")
     v.add_argument("--seed", type=int_at_least(0), default=None,
                    help="random seed of a simplex file's volume (default 0; "
                         "identical seeds give identical output)")
@@ -447,38 +442,43 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tolerance", type=_tolerance, default=None,
                    help="validation tolerance for the vertices of a simplex file "
                         f"(default {DEFAULT_TOL:g})")
-    _add_output(v)
-    v.add_argument("simplex", nargs="?", default=None,
-                   help="simplex file in Klein coordinates")
-    v.add_argument("--regular-ideal", type=int, default=None, metavar="N",
-                   help="use the regular ideal N-simplex")
-    v.set_defaults(func=cmd_volume)
+    one = v.add_mutually_exclusive_group(required=True)
+    one.add_argument("simplex", nargs="?", help="simplex file in Klein coordinates")
+    one.add_argument("--regular-ideal", type=int, metavar="N",
+                     help="use the regular ideal N-simplex")
 
-    t = sub.add_parser("triangulation", help="operations on face-pairing gluing data")
-    _add_output(t)
-    t.add_argument("action", choices=("info", "cycle", "cover", "dashboard"))
-    t.add_argument("target", help="wire-format file or fixture name "
-                                  f"({', '.join(fixture_names())})")
-    t.add_argument("--spec", default=None, help="cover-spec JSON file")
-    t.add_argument("--characteristic", type=int, default=None, metavar="X",
-                   help="use the x-characteristic cover of a complex with H_1 = Z^2")
-    t.set_defaults(func=cmd_triangulation)
+    actions = sub.add_parser("triangulation", help="operations on face-pairing gluing data",
+                             allow_abbrev=False).add_subparsers(dest="action", required=True)
+    for action in ("info", "cycle", "cover", "dashboard"):
+        a = _leaf(actions, action, cmd_triangulation)
+        a.add_argument("target", help="wire-format file or fixture name "
+                                      f"({', '.join(fixture_names())})")
+        if action == "cover":
+            one = a.add_mutually_exclusive_group(required=True)
+            one.add_argument("--spec", help="cover-spec JSON file")
+            one.add_argument("--characteristic", type=int, metavar="X",
+                             help="use the x-characteristic cover of a complex with H_1 = Z^2")
 
-    b = sub.add_parser("bounds", help="covering-degree bound calculators")
-    _add_output(b)
-    b.add_argument("calculator", choices=("seifert", "jsj", "filling"))
-    b.add_argument("--e", type=int, default=0, help="Euler number (seifert)")
-    b.add_argument("--chi", type=int, default=-2, help="chi of the base surface (seifert)")
-    b.add_argument("--d", default="1,10,100,1000", help="degree list (seifert)")
-    b.add_argument("--va", type=int, default=None, help="A-vertex count (jsj, filling; default 0)")
-    b.add_argument("--vb", type=int, default=None, help="B-vertex count (jsj, filling; default 0)")
-    b.add_argument("--vc", type=int, default=0)
-    b.add_argument("--vd", type=int, default=None, help="D-vertex count (jsj, filling; default 0)")
-    b.add_argument("--h", type=int, default=1)
-    b.add_argument("--n", default="1,10,100,1000", help="characteristic parameter sweep")
-    b.add_argument("--figure-eight", action="store_true",
+    calculators = sub.add_parser("bounds", help="covering-degree bound calculators",
+                                 allow_abbrev=False).add_subparsers(dest="calculator",
+                                                                    required=True)
+    s = _leaf(calculators, "seifert", cmd_bounds, help="Seifert pieces")
+    s.add_argument("--e", type=int, default=0, help="Euler number")
+    s.add_argument("--chi", type=int, default=-2, help="chi of the base surface")
+    s.add_argument("--d", type=_int_list, default="1,10,100,1000", help="degree list")
+    j = _leaf(calculators, "jsj", cmd_bounds, help="JSJ gluings")
+    f = _leaf(calculators, "filling", cmd_bounds, help="Dehn fillings")
+    # filling's counts stay None when not given, so --figure-eight can tell
+    for p, count in ((j, 0), (f, None)):
+        for flag in ("--va", "--vb", "--vd"):
+            p.add_argument(flag, type=int, default=count,
+                           help=f"{flag[3].upper()}-vertex count (default 0)")
+        p.add_argument("--h", type=int, default=1)
+        p.add_argument("--n", type=_int_list, default="1,10,100,1000",
+                       help="characteristic parameter sweep")
+    j.add_argument("--vc", type=int, default=0)
+    f.add_argument("--figure-eight", action="store_true",
                    help="use the figure-eight filling preset (v_A = c(N) = 2)")
-    b.set_defaults(func=cmd_bounds)
     return ap
 
 

@@ -672,9 +672,9 @@ def check_cover_spec(T: Triangulation, spec: CoverSpec) -> list:
 def build_cover(T: Triangulation, spec: CoverSpec) -> Triangulation:
     """The degree-d cover with d * t simplices defined by the assignment.
 
-    Simplex (i, sheet s) gets id i*d + s; the projection is retained in
-    the labels.  Raises `ComplexError` naming a codim-2 cycle when the
-    assignment is branched.
+    Simplex i*d + s is sheet s over simplex i of the base; a named base
+    names the cover.  Raises `ComplexError` naming a codim-2 cycle when
+    the assignment is branched.
     """
     bad = check_cover_spec(T, spec)
     if bad:
@@ -687,11 +687,9 @@ def build_cover(T: Triangulation, spec: CoverSpec) -> Triangulation:
         for s in range(d):
             pairings.append(Pairing(p.a * d + s, p.facet_a,
                                     p.b * d + perm[s], p.facet_b, p.vertex_map))
-    labels = {"projection": {i * d + s: i for i in range(T.simplex_count)
-                             for s in range(d)},
-              "degree": d}
+    labels = None
     if T.labels and "name" in T.labels:
-        labels["name"] = f"{T.labels['name']}-cover-deg{d}"
+        labels = {"name": f"{T.labels['name']}-cover-deg{d}"}
     return Triangulation(T.dim, T.simplex_count * d, tuple(pairings), labels)
 
 

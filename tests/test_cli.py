@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -352,6 +354,16 @@ IDEAL_TRIANGLE = {"dim": 2, "vertices": [{"x": [1, 0], "ideal": True}, {"x": [-1
                          ("volume", ["volume", "--samples", "1e4"]),
                          ("spec", ["triangulation", "cover", "torus", "--spec"]))
       for kind, bad in (("directory", A_DIRECTORY), ("not-utf8", b"\xff\xfe"))),
+    # each calculator reads only its own flags; these printed the unchanged table
+    pytest.param(["bounds", "seifert", "--va", "3"], None, id="seifert-va"),
+    pytest.param(["bounds", "filling", "--vc", "5"], None, id="filling-vc"),
+    pytest.param(["bounds", "jsj", "--e", "2"], None, id="jsj-e"),
+    pytest.param(["bounds", "seifert", "--h", "2", "--n", "5"], None, id="seifert-h-n"),
+    # an abbreviated flag is bad input
+    pytest.param(["triangulation", "cover", "torus", "--char", "2"], None,
+                 id="cover-abbreviated-characteristic"),
+    pytest.param(["constants", "--rest", "2"], None, id="constants-abbreviated-restarts"),
+    pytest.param(["volume", "--regular-ideal", "3"], IDEAL_TRIANGLE, id="file-and-regular-ideal"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     if spec is A_DIRECTORY:
@@ -369,6 +381,55 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+
+
+#: the flags each command reads, as README's CLI section lists them
+OUTPUT_FLAGS = {"--format", "--out"}
+FLAGS_READ = {
+    "constants": OUTPUT_FLAGS | {"--seed", "--n-min", "--n-max", "--restarts", "--depth",
+                                 "--climb-iters"},
+    "volume": OUTPUT_FLAGS | {"--seed", "--samples", "--tolerance", "--regular-ideal"},
+    **{f"triangulation {action}": OUTPUT_FLAGS for action in ("info", "cycle", "dashboard")},
+    "triangulation cover": OUTPUT_FLAGS | {"--spec", "--characteristic"},
+    "bounds seifert": OUTPUT_FLAGS | {"--e", "--chi", "--d"},
+    "bounds jsj": OUTPUT_FLAGS | {"--va", "--vb", "--vc", "--vd", "--h", "--n"},
+    "bounds filling": OUTPUT_FLAGS | {"--va", "--vb", "--vd", "--h", "--n", "--figure-eight"},
+}
+
+
+def _parsers(parser, path=()):
+    """(command path, parser, whether it is a leaf) for every parser under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    yield " ".join(path), parser, not subs
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _parsers(child, path + (name,))
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    parsers = list(_parsers(cli.build_parser()))
+    declared = {path: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+                for path, p, leaf in parsers if leaf}
+    assert declared == FLAGS_READ
+    assert not any(p.allow_abbrev for _, p, _ in parsers)
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("hypstab ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_examples_run(line, tmp_path, monkeypatch, capsys):
+    argv = shlex.split(line)[1:]
+    cli.build_parser().parse_args(argv)
+    # parsed only: the default-budget constants table takes about a minute,
+    # and my_simplex.json stands for the reader's own file
+    if (argv[0] == "constants" and "--restarts" not in argv) or "my_simplex.json" in argv:
+        return
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_simplex_file_ideal_flag_must_be_a_bool(tmp_path, capsys):
@@ -531,6 +592,9 @@ def test_scripts_run(script, args):
     ("cover_census.py", ["--count", "0"]),
     ("cover_census.py", ["--seed", "-1"]),
     ("cover_census.py", ["--fixture", "nope"]),
+    # abbreviated flags are bad input, as in the CLI
+    ("maximality_probe.py", ["--n", "2", "--tri", "3"]),
+    ("cover_census.py", ["--fix", "torus", "--cou", "1"]),
 ])
 def test_scripts_bad_input_exits_2(script, args):
     done = run_script(script, args)
