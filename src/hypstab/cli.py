@@ -405,12 +405,14 @@ def _int_list(text: str) -> list[int]:
 
 
 def _leaf(sub, name: str, func, formats=("text", "json"), **kwargs):
-    """A command's parser: it reads --format and --out, runs ``func`` and
-    takes no abbreviated flag (else ``bounds seifert --h`` reads as --help)."""
+    """A command's parser: it reads --format and --out, runs ``func``,
+    takes no abbreviated flag (else ``bounds seifert --h`` reads as --help)
+    and records itself as ``leaf``, so that `main` reports a flag the
+    command does not read with the command's own usage line."""
     p = sub.add_parser(name, allow_abbrev=False, **kwargs)
     p.add_argument("--format", dest="fmt", choices=formats, default="text")
     p.add_argument("--out", default=None, help="write output to a file")
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, leaf=p)
     return p
 
 
@@ -483,7 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse hands a leaf's leftover arguments back to the root parser,
+    # whose error would print the root's usage line
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.func(args)
 
 

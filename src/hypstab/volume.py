@@ -20,19 +20,20 @@ stratum whose pilot accepted fewer than 2 draws.
 
 The sampler works a block at a time: it stacks the antithetic uniform
 draws of consecutive strata, in index order and splitting a large one,
-into one array of `_BLOCK_ROWS` rows, then takes the log, normalises,
-maps into the corners and evaluates the density once per block, in
-whole-column steps.  The core's rows come first in every block, so the
+into one coordinate-major array of `_BLOCK_ROWS` draws, one row per
+coordinate, then takes the log, normalises, maps into the corners and
+evaluates the density once per block, in steps over whole contiguous
+coordinate rows.  The core's draws come first in every block, so the
 core test reads that prefix and the corner map the rest, with each
-row's corner and scale looked up from its stratum; rejection is a mask
+draw's corner and scale looked up from its stratum; rejection is a mask
 applied to the 1-D values after the density, and log u / sum log u
 needs no negation.  Blocks are streamed: a stratum draws its rows of u
 once, in chunks of at most `_DRAW_ROWS` rows, each chunk followed by its
-own 1 - u rows, and `_stratified` adds each block's counts and sums into
-per-stratum totals with `np.add.at`, in row order, so memory is one
-chunk and one block whatever the budget.  Each stratum's draws are the
-same however the strata fall into blocks; the chunk size sets only the
-order in which they are summed.
+own 1 - u rows, and `_stratified` adds each block's accepted counts
+(`np.bincount`) and sums of f and f^2 (`np.add.at`, in draw order) into
+per-stratum totals, so memory is one chunk and one block whatever the
+budget.  Each stratum's draws are the same however the strata fall into
+blocks; the chunk size sets only the order in which they are summed.
 
 v_n, the volume of the regular ideal n-simplex, is computed, not
 sampled: every ideal triangle has area pi, the regular ideal tetrahedron
@@ -236,22 +237,25 @@ def _strata(n: int, ideal_idx: np.ndarray, levels: int) -> list:
     return strata
 
 
-#: Rows of one block of the sampling kernel.  Small enough that a block
-#: stays in cache and that its (rows x n+1) @ (n+1 x n+1) density products
-#: run on one BLAS thread: OpenBLAS split 2^16-row products across
-#: threads, which on a loaded 2-CPU machine made them about 20 times
-#: slower, while a 1M-sample deficit in 4096-row blocks used one CPU for
-#: n = 4 to 8.  Large enough that numpy's per-call overhead is a small
-#: share; a 4096-sample deficit is one block.
+#: Draws in one block of the sampling kernel.  Small enough that a block
+#: stays in cache and that its (n+1 x n+1) @ (n+1 x draws) density
+#: products run on one BLAS thread: OpenBLAS split 2^16-row products
+#: across threads, which on a loaded 2-CPU machine made them about 20
+#: times slower, while in 4096-draw blocks a default-budget
+#: simplex_volume (n = 2 to 5) and a 1M-sample deficit (n = 4 to 8) use
+#: one CPU.  Large enough that numpy's per-call overhead is a small
+#: share; a 4096-sample deficit is one block.  8192-draw blocks were no
+#: faster and added about 1 MB to the peak RSS of a constants table.
 _BLOCK_ROWS = 1 << 12
 
 
 #: Rows of u that a stratum draws in one call: the chunk after which its
 #: own 1 - u rows follow.  A stratum of at most 2 * _DRAW_ROWS rows is one
 #: chunk, so the small strata of a cheap deficit make one call each.  The
-#: size bounds the memory of a pass, which holds one chunk at a time: the
-#: memory test's 1M-sample verify deficit at n = 5 peaks at 2.4 MiB of the
-#: 4 MiB it allows, and at 3.8 MiB with chunks of 1 << 16 rows.
+#: size bounds the memory of a pass, which holds one chunk and one block
+#: at a time: under tracemalloc the memory test's 1M-sample verify deficit
+#: at n = 5 peaks at 2.26 MiB of the 4 MiB it allows, and a default-budget
+#: simplex_volume of an ideal 5-simplex at 2.51 MiB of 8 MiB.
 _DRAW_ROWS = 1 << 15
 
 
@@ -267,11 +271,17 @@ def _uniform_blocks(rngs, counts, width: int):
     1 - u of as many of them as it has rows left.  Every u is drawn once:
     rngs[idx] ends after half rows, as after one random((half, width))
     call.  The rows of u are floored at 1e-300 in the block, so that
-    every row has a finite log (1 - u is at least 2^-53).  Yields (rows,
-    stratum index of each row) with _BLOCK_ROWS rows in every block but
-    the last; the rows array is reused.
+    every row has a finite log (1 - u is at least 2^-53).  A block is
+    stored coordinate-major, one row per coordinate and one column per
+    draw, and is C-contiguous: the size of the last block is known from
+    the start.  Yields (block of shape (width, draws), stratum index of
+    each draw) with _BLOCK_ROWS draws in every block but the last; the
+    block memory is reused.
     """
-    buf = np.empty((_BLOCK_ROWS, width))
+    left = int(sum(counts))
+    size = min(_BLOCK_ROWS, left)
+    buf = np.empty(width * size)
+    block = buf.reshape(width, size)
     ids, sizes, fill = [], [], 0
     pieces = enumerate(counts)
     step = 2 * _DRAW_ROWS
@@ -280,36 +290,25 @@ def _uniform_blocks(rngs, counts, width: int):
                   for lo in range(0, count, step)]
     for idx, count in pieces:
         half = (count + 1) // 2
-        u = rngs[idx].random((half, width))
+        u = rngs[idx].random((half, width)).T
         lo = 0
         while lo < count:
-            hi = min(count, lo + _BLOCK_ROWS - fill)
-            part = buf[fill:fill + hi - lo]
-            head = min(max(half - lo, 0), hi - lo)  # rows of u, then of 1 - u
-            np.maximum(u[lo:lo + head], 1e-300, out=part[:head])
-            np.subtract(1.0, u[lo + head - half:hi - half], out=part[head:])
+            hi = min(count, lo + size - fill)
+            part = block[:, fill:fill + hi - lo]
+            head = min(max(half - lo, 0), hi - lo)  # draws of u, then of 1 - u
+            np.maximum(u[:, lo:lo + head], 1e-300, out=part[:, :head])
+            np.subtract(1.0, u[:, lo + head - half:hi - half], out=part[:, head:])
             ids.append(idx)
             sizes.append(hi - lo)
             fill += hi - lo
             lo = hi
-            if fill == _BLOCK_ROWS:
-                yield buf, np.repeat(ids, sizes)
+            if fill == size:
+                yield block, np.repeat(ids, sizes)
+                left -= size
+                size = min(_BLOCK_ROWS, left)
+                block = buf[:width * size].reshape(width, size)
                 ids, sizes, fill = [], [], 0
         del u  # one chunk at a time
-    if fill:
-        yield buf[:fill], np.repeat(ids, sizes)
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of each row of a (rows, few) array, one column after another.
-
-    numpy's axis-1 sum pays a loop call per row, about five times the
-    cost of these column additions at n + 1 columns.
-    """
-    s = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        s += a[:, j]
-    return s
 
 
 def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray, terms):
@@ -322,40 +321,52 @@ def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray, terms):
     The integrand at a point lambda is the sum of
     c * (lambda^T M lambda)^{-(n+1)/2} over the (c, M) in `terms`.
 
-    Every step runs once per block of many strata on whole columns.  The
-    strata come in index order, so the core rows are a prefix of every
-    block: the core test reads that prefix one ideal column at a time,
-    and the shell scale, the corner look-up and the corner map touch the
-    suffix only.  lambda is log u / sum log u, which rounds exactly as
-    E / sum E with E = -log u, so no negation is needed.  The integrand
-    is evaluated on every row and rejection is a mask applied to the 1-D
-    values and strata afterwards.  Yields, for each block of
-    `_uniform_blocks`, the values and the stratum index of each, in
-    stratum order, so that a caller can drop a block once it has its sums.
+    Every step runs once per block of many strata, on the block's
+    contiguous coordinate rows.  The axis-0 sums add those rows one after
+    another, as a loop over the coordinates would.  The strata come in
+    index order, so the core draws are a prefix of every block: the core
+    test reads that prefix of each ideal coordinate, and the shell scale,
+    the corner look-up and the corner map touch the suffix only.  lambda
+    is log u / sum log u, which rounds exactly as E / sum E with
+    E = -log u, so no negation is needed.  The integrand is evaluated on
+    every draw, in one scratch buffer per call, and rejection is a mask
+    applied to the 1-D values and strata afterwards.  Yields, for each
+    block of `_uniform_blocks`, the values and the stratum index of each,
+    in stratum order, so that a caller can drop a block once it has its
+    sums.
     """
     width = n + 1
     exponent = -width / 2.0
     corner = np.array([-1 if c is None else c[0] for _, c in strata])
     scale = np.array([1.0 if c is None else c[1] for _, c in strata])
+    scratch = np.empty(width * _BLOCK_ROWS)
     for lam, owner in _uniform_blocks(rngs, counts, width):
+        rows = owner.size
         np.log(lam, out=lam)
-        lam /= _row_sums(lam)[:, None]
+        lam /= lam.sum(axis=0)
         if ideal_idx.size:
-            core = int(np.searchsorted(owner, 1))  # rows of stratum 0
-            keep = np.ones(owner.size, dtype=bool)
+            core = int(np.searchsorted(owner, 1))  # draws of stratum 0
+            keep = np.ones(rows, dtype=bool)
             for i in ideal_idx:
-                keep[:core] &= lam[:core, i] < 0.5
-            shell, ci, sc = lam[core:], corner[owner[core:]], scale[owner[core:]]
-            flat = np.arange(ci.size) * width + ci
-            at = shell.ravel()[flat]
+                keep[:core] &= lam[i, :core] < 0.5
+            sc = scale[owner[core:]]
+            flat = corner[owner[core:]] * rows + np.arange(core, rows)
+            at = lam.ravel()[flat]
             keep[core:] = at < 0.5
-            shell *= sc[:, None]
-            shell.ravel()[flat] = 1.0 - sc * (1.0 - at)
-        f = sum(c * np.maximum(_row_sums((lam @ mmat) * lam), 1e-300) ** exponent
-                for c, mmat in terms)
+            lam[:, core:] *= sc
+            lam.ravel()[flat] = 1.0 - sc * (1.0 - at)
+        quad = scratch[:width * rows].reshape(width, rows)
+        f = 0.0
+        for c, mmat in terms:
+            np.matmul(mmat.T, lam, out=quad)
+            quad *= lam
+            q = quad.sum(axis=0)
+            np.maximum(q, 1e-300, out=q)
+            q **= exponent
+            f = f + c * q
         if ideal_idx.size:
-            rows = np.flatnonzero(keep)
-            f, owner = f[rows], owner[rows]
+            kept = np.flatnonzero(keep)
+            f, owner = f[kept], owner[kept]
         yield f, owner
 
 
@@ -455,10 +466,11 @@ def _stratified(prefix, budget: int, n: int, levels: int, strata: list, ideal_id
     rngs = _substreams(prefix, k)
 
     def sample(counts):  # accepted draws, sum of f and sum of f^2 per stratum
-        # np.add.at adds in row order, as np.bincount over all the rows would
+        # np.add.at adds in row order, as np.bincount over all the rows
+        # would; the counts are exact integers, whichever way they are added
         sums = np.zeros((3, k))
         for f, owner in _sample(rngs, counts, n, strata, ideal_idx, terms):
-            np.add.at(sums[0], owner, 1.0)
+            sums[0] += np.bincount(owner, minlength=k)
             np.add.at(sums[1], owner, f)
             np.add.at(sums[2], owner, f * f)
         return sums

@@ -383,6 +383,28 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, command, leftover", [
+    pytest.param(["bounds", "seifert", "--va", "3"], "bounds seifert", "--va 3", id="seifert"),
+    pytest.param(["bounds", "jsj", "--e", "2", "--chi", "1"], "bounds jsj", "--e 2 --chi 1",
+                 id="jsj"),
+    pytest.param(["triangulation", "info", "torus", "--seed", "1"], "triangulation info",
+                 "--seed 1", id="info"),
+    pytest.param(["volume", "--regular-ideal", "3", "--depth=2"], "volume", "--depth=2",
+                 id="volume"),
+    pytest.param(["constants", "--samples", "1e4"], "constants", "--samples 1e4",
+                 id="constants"),
+])
+def test_unread_flag_is_reported_by_its_command(capsys, argv, command, leftover):
+    # argparse hands a leaf's leftovers to the root parser, which printed
+    # "usage: hypstab [-h] {constants,...}" instead of the command's flags
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hypstab {command} [-h]")
+    assert f"hypstab {command}: error: unrecognized arguments: {leftover}" in err
+
+
 #: the flags each command reads, as README's CLI section lists them
 OUTPUT_FLAGS = {"--format", "--out"}
 FLAGS_READ = {

@@ -833,6 +833,16 @@ def test_kernel_output_is_pinned(n, kind):
     _check_kernel_pins(n, kind)
 
 
+@pytest.mark.parametrize("block_rows", [1000, 8192])
+@pytest.mark.parametrize("n, kind", KERNEL_CASES)
+def test_kernel_output_is_pinned_at_any_block_size(monkeypatch, block_rows, n, kind):
+    # a block sets only which draws share a numpy call: every value, and
+    # every per-stratum sum taken in draw order, is the same to the last
+    # bit as with the default 4096-draw blocks
+    monkeypatch.setattr(volume, "_BLOCK_ROWS", block_rows)
+    _check_kernel_pins(n, kind)
+
+
 @pytest.mark.parametrize("n, kind", KERNEL_CASES)
 def test_kernel_output_is_pinned_when_every_stratum_streams(monkeypatch, n, kind):
     # every stratum of more than one or three rows of u is drawn in chunks:
@@ -870,14 +880,18 @@ def test_streamed_draws_match_one_call(monkeypatch, draw_rows):
     # chunk's rows among the first count - half, where the chunks are
     # consecutive slices of one random((half, width)) call; the blocks are
     # full but the last, and each stratum generator ends where that call
-    # leaves it, after half * width draws: no draw is made twice
+    # leaves it, after half * width draws: no draw is made twice.  Blocks
+    # are coordinate-major, so each is compared as rows.T
     if draw_rows is not None:
         monkeypatch.setattr(volume, "_DRAW_ROWS", draw_rows)
     chunk = volume._DRAW_ROWS
     width = 4
     counts = [0, 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 2 * chunk + 3, 4 * chunk + 5]
     rngs = volume._substreams([6], len(counts))
-    got = [(rows.copy(), owner) for rows, owner in volume._uniform_blocks(rngs, counts, width)]
+    got = []
+    for rows, owner in volume._uniform_blocks(rngs, counts, width):
+        assert rows.shape == (width, owner.size) and rows.flags.c_contiguous
+        got.append((rows.T.copy(), owner))
     assert all(owner.size == volume._BLOCK_ROWS for _, owner in got[:-1])
     rows, owner = map(np.concatenate, zip(*got))
     assert owner.tolist() == np.repeat(np.arange(len(counts)), counts).tolist()
