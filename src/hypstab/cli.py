@@ -416,6 +416,36 @@ def _leaf(sub, name: str, func, formats=("text", "json"), **kwargs):
     return p
 
 
+class _FlagBeforeCommand(argparse.Action):
+    """A command's flag given before the command's name, which argparse
+    would report as the flag's value being an invalid command
+    (``invalid choice: 'json'``): say where the flag goes instead."""
+
+    def __init__(self, option_strings, dest, command, noun, **kwargs):
+        super().__init__(option_strings, dest, default=argparse.SUPPRESS,
+                         help=argparse.SUPPRESS, **kwargs)
+        self.command, self.noun = command, noun
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        value = f" {values}" if isinstance(values, str) else ""  # none after --figure-eight
+        parser.error(f"{option_string} must follow the {self.noun}: "
+                     f"{parser.prog} {self.command} {option_string}{value} ...")
+
+
+def _flags_follow_command(group, commands, noun: str):
+    """Teach ``group`` every flag of its ``commands`` (a subparsers action)
+    as a `_FlagBeforeCommand`, named after the first command that reads it."""
+    seen = {"-h", "--help"}
+    for name, leaf in commands.choices.items():
+        for action in leaf._actions:
+            for flag in action.option_strings:
+                if flag in seen:
+                    continue
+                seen.add(flag)
+                group.add_argument(flag, action=_FlagBeforeCommand, command=name, noun=noun,
+                                   nargs=0 if action.nargs == 0 else None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hypstab", description=__doc__, allow_abbrev=False,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -449,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--regular-ideal", type=int, metavar="N",
                      help="use the regular ideal N-simplex")
 
-    actions = sub.add_parser("triangulation", help="operations on face-pairing gluing data",
-                             allow_abbrev=False).add_subparsers(dest="action", required=True)
+    triangulation = sub.add_parser("triangulation", help="operations on face-pairing gluing data",
+                                   allow_abbrev=False)
+    actions = triangulation.add_subparsers(dest="action", required=True)
     for action in ("info", "cycle", "cover", "dashboard"):
         a = _leaf(actions, action, cmd_triangulation)
         a.add_argument("target", help="wire-format file or fixture name "
@@ -460,10 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
             one.add_argument("--spec", help="cover-spec JSON file")
             one.add_argument("--characteristic", type=int, metavar="X",
                              help="use the x-characteristic cover of a complex with H_1 = Z^2")
+    _flags_follow_command(triangulation, actions, "action")
 
-    calculators = sub.add_parser("bounds", help="covering-degree bound calculators",
-                                 allow_abbrev=False).add_subparsers(dest="calculator",
-                                                                    required=True)
+    bounds = sub.add_parser("bounds", help="covering-degree bound calculators",
+                            allow_abbrev=False)
+    calculators = bounds.add_subparsers(dest="calculator", required=True)
     s = _leaf(calculators, "seifert", cmd_bounds, help="Seifert pieces")
     s.add_argument("--e", type=int, default=0, help="Euler number")
     s.add_argument("--chi", type=int, default=-2, help="chi of the base surface")
@@ -481,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--vc", type=int, default=0)
     f.add_argument("--figure-eight", action="store_true",
                    help="use the figure-eight filling preset (v_A = c(N) = 2)")
+    _flags_follow_command(bounds, calculators, "calculator")
     return ap
 
 

@@ -14,9 +14,12 @@ varies by a bounded factor and a plain Monte Carlo mean converges
 quickly.  Strata own independent random substreams derived from the
 seed and the stratum index ([seed, idx] for the volume, [seed..., 0xD1F,
 idx] for the deficit), so results do not depend on evaluation order.
-Both estimators spend their budget through `_stratified`: a pilot pass
-that feeds a Neyman allocation of the rest, with a floor share for a
-stratum whose pilot accepted fewer than 2 draws.
+Each substream is exactly default_rng([*prefix, idx]), but the PCG64
+states of all strata are hashed in one vectorised SeedSequence pass
+instead of one SeedSequence per stratum.  Both estimators spend their
+budget through `_stratified`: a pilot pass that feeds a Neyman
+allocation of the rest, with a floor share for a stratum whose pilot
+accepted fewer than 2 draws.
 
 The sampler works a block at a time: it stacks the antithetic uniform
 draws of consecutive strata, in index order and splitting a large one,
@@ -29,11 +32,13 @@ draw's corner and scale looked up from its stratum; rejection is a mask
 applied to the 1-D values after the density, and log u / sum log u
 needs no negation.  Blocks are streamed: a stratum draws its rows of u
 once, in chunks of at most `_DRAW_ROWS` rows, each chunk followed by its
-own 1 - u rows, and `_stratified` adds each block's accepted counts
-(`np.bincount`) and sums of f and f^2 (`np.add.at`, in draw order) into
-per-stratum totals, so memory is one chunk and one block whatever the
-budget.  Each stratum's draws are the same however the strata fall into
-blocks; the chunk size sets only the order in which they are summed.
+own 1 - u rows, staged row-major with two contiguous copies per piece
+and transposed into the block once it is full, and `_stratified` adds
+each block's accepted counts (`np.bincount`) and sums of f and f^2
+(`np.add.at`, in draw order) into per-stratum totals, so memory is one
+chunk and one block whatever the budget.  Each stratum's draws are the
+same however the strata fall into blocks; the chunk size sets only the
+order in which they are summed.
 
 v_n, the volume of the regular ideal n-simplex, is computed, not
 sampled: every ideal triangle has area pi, the regular ideal tetrahedron
@@ -274,14 +279,17 @@ def _uniform_blocks(rngs, counts, width: int):
     every row has a finite log (1 - u is at least 2^-53).  A block is
     stored coordinate-major, one row per coordinate and one column per
     draw, and is C-contiguous: the size of the last block is known from
-    the start.  Yields (block of shape (width, draws), stratum index of
-    each draw) with _BLOCK_ROWS draws in every block but the last; the
-    block memory is reused.
+    the start.  A block's draws are first staged row-major, one row per
+    draw, so that each piece is two contiguous copies (u, then 1 - u),
+    and a full stage is transposed into the block once, by the floor.
+    Yields (block of shape (width, draws), stratum index of each draw)
+    with _BLOCK_ROWS draws in every block but the last; the block memory
+    is reused.
     """
     left = int(sum(counts))
     size = min(_BLOCK_ROWS, left)
+    stage = np.empty((size, width))
     buf = np.empty(width * size)
-    block = buf.reshape(width, size)
     ids, sizes, fill = [], [], 0
     pieces = enumerate(counts)
     step = 2 * _DRAW_ROWS
@@ -290,23 +298,24 @@ def _uniform_blocks(rngs, counts, width: int):
                   for lo in range(0, count, step)]
     for idx, count in pieces:
         half = (count + 1) // 2
-        u = rngs[idx].random((half, width)).T
+        u = rngs[idx].random((half, width))
         lo = 0
         while lo < count:
             hi = min(count, lo + size - fill)
-            part = block[:, fill:fill + hi - lo]
             head = min(max(half - lo, 0), hi - lo)  # draws of u, then of 1 - u
-            np.maximum(u[:, lo:lo + head], 1e-300, out=part[:, :head])
-            np.subtract(1.0, u[:, lo + head - half:hi - half], out=part[:, head:])
+            stage[fill:fill + head] = u[lo:lo + head]
+            np.subtract(1.0, u[lo + head - half:hi - half], out=stage[fill + head:fill + hi - lo])
             ids.append(idx)
             sizes.append(hi - lo)
             fill += hi - lo
             lo = hi
             if fill == size:
+                # 1 - u >= 2^-53, so the floor changes only rows of u
+                block = buf[:width * size].reshape(width, size)
+                np.maximum(stage[:size].T, 1e-300, out=block)
                 yield block, np.repeat(ids, sizes)
                 left -= size
                 size = min(_BLOCK_ROWS, left)
-                block = buf[:width * size].reshape(width, size)
                 ids, sizes, fill = [], [], 0
         del u  # one chunk at a time
 
@@ -370,13 +379,82 @@ def _sample(rngs, counts, n: int, strata: list, ideal_idx: np.ndarray, terms):
         yield f, owner
 
 
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 a state computed beforehand: PCG64
+    reads nothing of its seed sequence but generate_state(4, np.uint64)."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^j mod 2^32 for j < count, as a (count, 1) uint32 column:
+    the data-independent hash constants of SeedSequence."""
+    out = []
+    for _ in range(count):
+        out.append(init)
+        init = init * mult & 0xFFFFFFFF
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.setflags(write=False)
+    return column
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of a
+    (k, m) uint32 array of entropy words, in one pass over the k rows.
+
+    numpy's algorithm, in uint32 arithmetic that wraps mod 2^32.  Each
+    hashmix(v) takes the next two of a sequence of hash constants h:
+    v = (v ^ h_j) * h_{j+1}, then v ^= v >> 16; mix(x, y) is
+    0xCA01F9DD x - 0x4973F715 y, then the same shift.  A pool of 4 words
+    holds the hashmix of the first 4 entropy words (of 0 past the end);
+    then every pool word src is hashed into every other, in the order
+    (src, dst) of two nested loops, and every entropy word past the fourth
+    into every pool word.  The state is 8 hashes of the pool, cycled, with
+    a second sequence of constants, read as 4 uint64 words, low word
+    first.  The hashes that share an input run as one array step.
+    """
+    k, m = words.shape
+    words = words.T
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 12 + 4 * max(m - 4, 0) + 1)
+    used = 0
+
+    def hashmix(v, j):  # the next j hashmix calls, one per row of the result
+        nonlocal used
+        v = (v ^ consts[used:used + j]) * consts[used + 1:used + j + 1]
+        used += j
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = 0xCA01F9DD * x - 0x4973F715 * y
+        return r ^ (r >> 16)
+
+    first = np.zeros((4, k), dtype=np.uint32)
+    first[:m] = words[:4]
+    pool = hashmix(first, 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for word in words[4:]:
+        pool = mix(pool, hashmix(word, 4))
+    consts = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+    used = 0
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 8).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
 def _substreams(prefix, count: int) -> list:
     """The generators default_rng([*prefix, idx]) for idx < count.
 
     numpy turns such a list into SeedSequence entropy words: each entry's
     32-bit chunks, low first, with [0] for 0.  Those words are built here
-    once, so each generator starts from a ready uint32 row instead of
-    coercing the list again; the streams are the same.
+    once, and the PCG64 states of all count generators are hashed from them
+    in one vectorised SeedSequence pass (`_seed_states`), so no generator
+    builds its own SeedSequence; the streams are the same.
     """
     words = []
     for entry in prefix:
@@ -391,7 +469,8 @@ def _substreams(prefix, count: int) -> list:
     rows = np.empty((count, len(words) + 1), dtype=np.uint32)
     rows[:, :-1] = words
     rows[:, -1] = np.arange(count)
-    return [np.random.default_rng(row) for row in rows]
+    return [np.random.Generator(np.random.PCG64(_SeedState(state)))
+            for state in _seed_states(rows)]
 
 
 def _tail(n: int, mass: float, mean: float) -> float:

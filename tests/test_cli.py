@@ -364,6 +364,11 @@ IDEAL_TRIANGLE = {"dim": 2, "vertices": [{"x": [1, 0], "ideal": True}, {"x": [-1
                  id="cover-abbreviated-characteristic"),
     pytest.param(["constants", "--rest", "2"], None, id="constants-abbreviated-restarts"),
     pytest.param(["volume", "--regular-ideal", "3"], IDEAL_TRIANGLE, id="file-and-regular-ideal"),
+    # a flag before the action or calculator read its value as the command
+    pytest.param(["triangulation", "--format", "json", "info", "torus"], None,
+                 id="triangulation-flag-before-action"),
+    pytest.param(["bounds", "--format", "json", "seifert"], None,
+                 id="bounds-flag-before-calculator"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     if spec is A_DIRECTORY:
@@ -381,6 +386,27 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["triangulation", "--format", "json", "info", "torus"],
+     "hypstab triangulation: error: --format must follow the action: "
+     "hypstab triangulation info --format json ..."),
+    (["bounds", "--format", "json", "seifert"],
+     "hypstab bounds: error: --format must follow the calculator: "
+     "hypstab bounds seifert --format json ..."),
+    (["triangulation", "--characteristic", "3", "cover", "torus"],
+     "error: --characteristic must follow the action: "
+     "hypstab triangulation cover --characteristic 3 ..."),
+    (["bounds", "--figure-eight", "filling"],
+     "error: --figure-eight must follow the calculator: hypstab bounds filling --figure-eight ..."),
+])
+def test_flag_before_its_command_names_where_it_goes(capsys, argv, message):
+    # argparse took the flag's value for the command: "invalid choice: 'json'"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, command, leftover", [

@@ -359,12 +359,23 @@ def test_regular_klein_form_cached_read_only():
 
 @pytest.mark.parametrize("prefix", [
     [0], [7, 0xD1F], [0, 3, 5, 0xACC, 2, 0xD1F], [2**32 - 1, 2**32, 0xD1F],
-    [2**64 + 3, 12345678901234567890, 0xD1F], [np.int64(5), np.uint32(0)]])
+    [2**64 + 3, 12345678901234567890, 0xD1F], [np.int64(5), np.uint32(0)],
+    # 0, 1, 3, 4, 5 and 7 entropy words before idx, on both sides of
+    # SeedSequence's pool of 4 words
+    [], [9], [4, 5, 0xD1F], [4, 5, 6, 0xD1F], [4, 5, 6, 7, 0xD1F],
+    [1, 2, 3, 4, 5, 6, 0xD1F]])
 def test_substreams_match_list_seeding(prefix):
     # the entropy words built once per call give the streams of numpy's list seeding
     for idx, rng in enumerate(volume._substreams(prefix, 5)):
         expected = np.random.default_rng(list(prefix) + [idx]).random(16)
         assert np.array_equal(rng.random(16), expected), idx
+    # the states hashed in one pass over many strata, checked past 8 bits of
+    # idx, with draws that carry on as the Neyman pass carries on the pilot's
+    rngs = volume._substreams(prefix, 301)
+    for idx in (0, 255, 256, 300):
+        ref = np.random.default_rng(list(prefix) + [idx])
+        for shape in (16, (3, 5)):
+            assert np.array_equal(rngs[idx].random(shape), ref.random(shape)), (idx, shape)
 
 
 def test_substreams_reject_negative_entries():
@@ -833,12 +844,13 @@ def test_kernel_output_is_pinned(n, kind):
     _check_kernel_pins(n, kind)
 
 
-@pytest.mark.parametrize("block_rows", [1000, 8192])
+@pytest.mark.parametrize("block_rows", [37, 1000, 8192])
 @pytest.mark.parametrize("n, kind", KERNEL_CASES)
 def test_kernel_output_is_pinned_at_any_block_size(monkeypatch, block_rows, n, kind):
     # a block sets only which draws share a numpy call: every value, and
     # every per-stratum sum taken in draw order, is the same to the last
-    # bit as with the default 4096-draw blocks
+    # bit as with the default 4096-draw blocks.  37 is odd and below most
+    # pilots, so most stratum pieces cross a block boundary
     monkeypatch.setattr(volume, "_BLOCK_ROWS", block_rows)
     _check_kernel_pins(n, kind)
 
