@@ -14,11 +14,18 @@ duals come in closed form from one inverse G^-1 (`_inverse_gram`):
 
 * the duals:  q_i = -V^T G^-1 e_i / sqrt(G^-1_ii),
 * dihedral angles:  cos(angle at F_i ∩ F_j) = -<q_i, q_j>
-  = -G^-1_ij / sqrt(G^-1_ii G^-1_jj),
+  = -G^-1_ij / sqrt(G^-1_ii G^-1_jj) (`_dihedral_cosines`), and their
+  derivatives along a change dG of the Gram matrix, through
+  dG^-1 = -G^-1 dG G^-1 (`_angle_derivatives`),
 * the incenter/inradius:  the interior point sum_i d_i v_i with
   <c, q_i> constant has d_i = sqrt(G^-1_ii), and sinh r = 1/sqrt(-d^T G d).
 
 Duals also give hyperplane distances, sinh d(w, H(F_i)) = -<w, q_i>.
+These functions take stacks of Gram matrices, and they are the only
+place the program turns Gram matrices into angles: the exact volume
+kernels and the Schlafli path of `volume` call them too.  Likewise
+`_degenerate` is the one rank test of a stack of Gram matrices, behind
+`is_degenerate` and the per-face check of `min_face_clearance`.
 
 Point-to-face distances are exact: the nearest point of a convex
 simplex to a finite point lies in the relative interior of exactly one
@@ -164,8 +171,15 @@ def is_degenerate(K: GeodesicSimplex, tol: float = 1e-10) -> bool:
     the span of a nondegenerate simplex is a Lorentzian (k+1)-subspace,
     so Gram rank deficiency is equivalent to linear dependence.
     """
-    s = np.linalg.svd(K.gram, compute_uv=False)
-    return bool(s[-1] <= tol * max(s[0], 1.0))
+    return bool(_degenerate(K.gram, tol))
+
+
+def _degenerate(grams: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """True where a (..., k, k) stack of Gram matrices is numerically
+    singular: its least singular value is at most tol times the larger of
+    its largest and 1."""
+    s = np.linalg.svd(grams, compute_uv=False)
+    return s[..., -1] <= tol * np.maximum(s[..., 0], 1.0)
 
 
 def orientation_sign(K: GeodesicSimplex, tol: float = 1e-10) -> int:
@@ -201,6 +215,32 @@ def _inverse_gram(grams: np.ndarray):
     diag = np.diagonal(ginv, axis1=-2, axis2=-1)
     scale = np.maximum(1.0, np.max(np.abs(ginv), axis=(-2, -1)))
     return ginv, diag, diag > 1e-8 * scale[..., None]
+
+
+def _dihedral_cosines(ginv: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """cos theta_ij = -G^-1_ij / sqrt(G^-1_ii G^-1_jj) of the dihedral angles
+    of a stack of simplices, from G^-1 and its diagonal (`_inverse_gram`)."""
+    return -ginv / np.sqrt(diag[..., :, None] * diag[..., None, :])
+
+
+def _angle_derivatives(h: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """dtheta_ij for i < j, in `np.triu_indices` order, of a (..., k, k)
+    stack of Gram matrices with inverses H = G^-1 along directions dG.
+
+    dH = -H dG H, so with s_ij = sqrt(H_ii H_jj)
+
+        dcos theta_ij = -dH_ij / s_ij + 1/2 (H_ij / s_ij) (dH_ii / H_ii + dH_jj / H_jj),
+
+    and dtheta = -dcos theta / sin theta.
+    """
+    dh = -h @ dg @ h
+    i, j = np.triu_indices(h.shape[-1], 1)
+    diag = np.diagonal(h, axis1=-2, axis2=-1)
+    s = np.sqrt(diag[..., i] * diag[..., j])
+    cos = _dihedral_cosines(h, diag)[..., i, j]
+    dcos = -dh[..., i, j] / s + 0.5 * (h[..., i, j] / s) * (dh[..., i, i] / diag[..., i]
+                                                           + dh[..., j, j] / diag[..., j])
+    return -dcos / np.sqrt(1.0 - cos * cos)
 
 
 def _no_spacelike_dual(facet: str) -> DualVectorError:
@@ -242,7 +282,7 @@ def dihedral_angles(K: GeodesicSimplex) -> np.ndarray:
     ginv, diag, spacelike = _inverse_gram(K.gram)
     if not np.all(spacelike):
         raise _no_spacelike_dual(f"facet {int(np.argmin(spacelike))}")
-    angles = np.arccos(np.clip(-ginv / np.sqrt(np.outer(diag, diag)), -1.0, 1.0))
+    angles = np.arccos(np.clip(_dihedral_cosines(ginv, diag), -1.0, 1.0))
     np.fill_diagonal(angles, np.nan)
     return angles
 
@@ -474,8 +514,7 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
     faces, tables, apart, within, targets_apart = _clearance_tables(n)
     gram = K.gram
     g_faces = gram[faces[:, :, None], faces[:, None, :]]
-    s = np.linalg.svd(g_faces, compute_uv=False)
-    degenerate = s[:, -1] <= 1e-10 * np.maximum(s[:, 0], 1.0)
+    degenerate = _degenerate(g_faces)
     if np.any(degenerate):
         raise DegenerateSimplexError(f"degenerate face {tuple(faces[np.argmax(degenerate)])}")
     centers, _ = _gram_incenter_coeffs(g_faces)

@@ -84,6 +84,8 @@ from .minkowski import GeometryError, lift_klein
 from .simplex import (
     DegenerateSimplexError,
     GeodesicSimplex,
+    _angle_derivatives,
+    _dihedral_cosines,
     _inverse_gram,
     is_degenerate,
     regular_ideal_simplex,
@@ -688,15 +690,9 @@ def volume_deficit_vs_regular(
 #
 # Every kernel below reads a stack of vertex Gram matrices of the rows
 # (1, x_i), G_ij = -1 + x_i . x_j, whose diagonal is an exact 0 at an ideal
-# vertex; H = G^-1, and the dihedral angle at the face opposite vertices i
-# and j has cos theta_ij = -H_ij / sqrt(H_ii H_jj), as in
-# `simplex._inverse_gram`.
-
-
-def _cosines(g: np.ndarray) -> np.ndarray:
-    """cos theta_ij = -H_ij / sqrt(H_ii H_jj) of a stack of Gram matrices."""
-    h, d, _ = _inverse_gram(g)
-    return -h / np.sqrt(d[..., :, None] * d[..., None, :])
+# vertex.  Their dihedral angles, and the angles' derivatives along the
+# Schlafli path, come from the one inverse H = G^-1 of `simplex`:
+# `_inverse_gram`, `_dihedral_cosines` and `_angle_derivatives`.
 
 
 def _triangle_areas(g: np.ndarray) -> np.ndarray:
@@ -705,7 +701,8 @@ def _triangle_areas(g: np.ndarray) -> np.ndarray:
     The angle at vertex a of (a, b, c) is theta_bc.  At an ideal vertex it
     is set to exactly 0, where arccos(1 - 1e-16) would give 1.5e-8.
     """
-    cos = _cosines(g)[..., [1, 0, 0], [2, 2, 1]]
+    ginv, diag, _ = _inverse_gram(g)
+    cos = _dihedral_cosines(ginv, diag)[..., [1, 0, 0], [2, 2, 1]]
     angles = np.arccos(np.clip(cos, -1.0, 1.0))
     angles[np.diagonal(g, axis1=-2, axis2=-1) == 0.0] = 0.0
     return math.pi - angles.sum(axis=-1)
@@ -735,7 +732,8 @@ def _ideal_cone_volumes(g: np.ndarray) -> np.ndarray:
         vol = 1/4 sum sign(cos gamma_k)
                   [Lambda(delta + phi) - Lambda(delta - phi) + 2 Lambda(pi/2 - phi)].
     """
-    cos = _cosines(g)
+    ginv, diag, _ = _inverse_gram(g)
+    cos = _dihedral_cosines(ginv, diag)
     cos_gamma = cos[..., 0, :]  # theta_0k: the edge of the face opposite vertex k
     cos_a = cos[..., [0, 2, 1, 1], [0, 3, 3, 2]]  # A_j = theta_kl for {j, k, l} = {1, 2, 3}
     ck, cm, ca = cos_gamma[..., _RIGHT_K], cos_gamma[..., _RIGHT_M], cos_a[..., _RIGHT_J]
@@ -847,12 +845,9 @@ def _path_volume(x: np.ndarray, ideal: np.ndarray) -> float:
     so vertices turn finite along it.  Its Gram matrices G(t) = -1 + X X^T
     have the diagonal -(t r + t (1 - t) |dx|^2), r = 1 - |x_i|^2 (0 at an
     ideal vertex), which does not cancel near the ideal ends.  Along the
-    path dG = dX X^T + X dX^T and dH = -H dG H, so with s_ij = sqrt(H_ii H_jj)
-
-        dcos theta_ij = -dH_ij / s_ij + 1/2 (H_ij / s_ij) (dH_ii / H_ii + dH_jj / H_jj),
-
-    and dtheta = -dcos theta / sin theta.  The faces F_ij are triangles
-    (n = 4) or tetrahedra (n = 5), stacked over nodes and faces.
+    path dG = dX X^T + X dX^T, which `simplex._angle_derivatives` turns
+    into dtheta.  The faces F_ij are triangles (n = 4) or tetrahedra
+    (n = 5), stacked over nodes and faces.
     """
     n = x.shape[1]
     x0 = regular_ideal_simplex(n).klein_vertices()
@@ -869,14 +864,9 @@ def _path_volume(x: np.ndarray, ideal: np.ndarray) -> float:
     diag = np.arange(n + 1)
     g[:, diag, diag] = -(t[:, None] * r + (t * (1.0 - t))[:, None] * q)
     dg[:, diag, diag] = -(r + (1.0 - 2.0 * t)[:, None] * q)
-    h = np.linalg.inv(g)
-    dh = -h @ (dg * dt[:, None, None]) @ h
+    h, _, _ = _inverse_gram(g)
+    dtheta = _angle_derivatives(h, dg * dt[:, None, None])
     i, j = np.triu_indices(n + 1, 1)
-    s = np.sqrt(h[:, i, i] * h[:, j, j])
-    cos = -h[:, i, j] / s
-    dcos = -dh[:, i, j] / s + 0.5 * (h[:, i, j] / s) * (dh[:, i, i] / h[:, i, i]
-                                                       + dh[:, j, j] / h[:, j, j])
-    dtheta = -dcos / np.sqrt(1.0 - cos * cos)
     faces = np.array([[k for k in diag if k != a and k != b] for a, b in zip(i, j)])
     face_g = g[:, faces[:, :, None], faces[:, None, :]]
     face_v = _triangle_areas(face_g) if n == 4 else _tetrahedron_volumes(face_g)

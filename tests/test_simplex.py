@@ -1,5 +1,8 @@
+import ast
 import itertools
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +21,15 @@ from hypstab.minkowski import (
     mink,
     random_isometry,
 )
+import hypstab
+from hypstab import volume
 from hypstab.simplex import (
     DegenerateSimplexError,
     DualVectorError,
     GeodesicSimplex,
     SingularSystemError,
+    _angle_derivatives,
+    _inverse_gram,
     all_facet_duals,
     apply_isometry,
     barycentric_coords,
@@ -190,6 +197,84 @@ def test_inverse_gram_matches_solves():
         assert res.inradius == pytest.approx(r_ref, rel=1e-12)
         count += 1
     assert count >= 600
+
+
+def test_angle_derivatives_match_central_differences():
+    # dtheta along random symmetric Gram directions against central
+    # differences of dihedral_angles, which reads only the Gram matrix.
+    # k >= 3: a triangle's angle at an ideal vertex is 0, where arccos has
+    # no derivative
+    rng = np.random.default_rng(1012)
+    step = 1e-6
+    count = 0
+    for K in _kernel_reference_simplices():
+        if K.k < 3:
+            continue
+        g = np.array(K.gram)
+        a = rng.standard_normal(g.shape)
+        dg = (a + a.T) / 2.0 * np.max(np.abs(g))
+        got = _angle_derivatives(_inverse_gram(g)[0], dg)
+        iu = np.triu_indices(K.k + 1, 1)
+        plus, minus = (dihedral_angles(SimpleNamespace(gram=g + sign * step * dg))[iu]
+                       for sign in (1.0, -1.0))
+        fd = (plus - minus) / (2.0 * step)
+        assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd)), (K.ambient_dim, K.k)
+        count += 1
+    assert count >= 360
+
+
+def _calls_where(matches):
+    """{(module, innermost enclosing function)} of every call in the
+    package's source for which ``matches(call)`` holds."""
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and matches(node):
+            found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(hypstab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def _linalg_calls(name):
+    return _calls_where(lambda call: ast.unparse(call.func).split(".")[-2:] in (
+        [name], ["linalg", name]))
+
+
+def _is_diagonal_product(node):
+    """True for a[...] * a[...] or outer(a, a): the H_ii H_jj under the
+    s_ij = sqrt(H_ii H_jj) of the dihedral cosines."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        left, right = node.left, node.right
+        return (isinstance(left, ast.Subscript) and isinstance(right, ast.Subscript)
+                and ast.unparse(left.value) == ast.unparse(right.value))
+    return (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("outer")
+            and len(node.args) == 2 and ast.unparse(node.args[0]) == ast.unparse(node.args[1]))
+
+
+def test_gram_matrices_become_angles_in_one_place():
+    # one Gram inverse behind every dihedral angle: G^-1 only in
+    # _inverse_gram (besides the Legendre Vandermonde of the v_n rule and
+    # the path order's B_0, neither a Gram matrix); the cosines and their
+    # derivatives only in the two simplex kernels; the SVD rank rule only
+    # in _degenerate (random_nondegenerate_simplex's conditioning check is
+    # another rule on purpose)
+    inverses = _linalg_calls("inv")
+    assert ("simplex", "_inverse_gram") in inverses
+    assert inverses <= {("simplex", "_inverse_gram"), ("volume", "_schlafli_volume"),
+                        ("volume", "_path_order")}
+    svds = _linalg_calls("svd")
+    assert ("simplex", "_degenerate") in svds
+    assert svds <= {("simplex", "_degenerate"), ("simplex", "random_nondegenerate_simplex")}
+    assert _calls_where(lambda call: ast.unparse(call.func).endswith("sqrt")
+                        and len(call.args) == 1 and _is_diagonal_product(call.args[0])) == {
+        ("simplex", "_dihedral_cosines"), ("simplex", "_angle_derivatives")}
+    assert not hasattr(volume, "_cosines")
 
 
 def test_angle_violation_regular_and_search_candidates():

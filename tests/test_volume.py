@@ -886,6 +886,42 @@ def test_streamed_stratum_output_is_pinned():
     assert got == ("0x1.a8c1fd87b3584p-9", "0x1.074ffbcb874b1p-19", 400_000)
 
 
+#: float.hex of _exact_volume(K) for the KERNEL_CASES simplices, and
+#: (float.hex of max_value, violations, degenerate_rejected) of
+#: maximality_probe(n, trials=20, seed=1).  The exact-volume tests allow
+#: 1e-10 or more and cannot see a last-bit change of the Schlafli path or
+#: the tetrahedron cones; these pin their rounding on one numpy/OpenBLAS
+#: build.
+EXACT_PINS = {
+    (2, "finite"): "0x1.df973034f0800p-5",
+    (2, "mixed"): "0x1.05b1eed4efee0p-1",
+    (2, "ideal"): "0x1.921fb54442d18p+1",
+    (3, "finite"): "0x1.b83b5a647363ap-4",
+    (3, "mixed"): "0x1.d6a5820ff59aap-2",
+    (3, "ideal"): "0x1.81e7802271466p-1",
+    (4, "finite"): "0x1.6c9eeee4fb540p-7",
+    (4, "mixed"): "0x1.a629616771fb8p-5",
+    (4, "ideal"): "0x1.8de0cbb254160p-4",
+    (5, "finite"): "0x1.ef90ba6244c60p-10",
+    (5, "mixed"): "0x1.2683945371540p-9",
+    (5, "ideal"): "0x1.fcd52fa5d2120p-9",
+    "probe 4": ("0x1.8dc71c606e7b5p-3", 0, 0),
+    "probe 5": ("0x1.0a728de4f3fbep-6", 0, 0),
+}
+
+
+@pytest.mark.parametrize("n, kind", KERNEL_CASES)
+def test_exact_volume_is_pinned(n, kind):
+    K = _kernel_case_simplex(n, kind, np.random.default_rng([n, len(kind), 8]))
+    assert volume._exact_volume(K).hex() == EXACT_PINS[n, kind]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_maximality_probe_is_pinned(n):
+    rep = maximality_probe(n, trials=20, seed=1)
+    assert (rep.max_value.hex(), rep.violations, rep.degenerate_rejected) == EXACT_PINS[f"probe {n}"]
+
+
 @pytest.mark.parametrize("draw_rows", [3, None])
 def test_streamed_draws_match_one_call(monkeypatch, draw_rows):
     # each stratum's rows are, chunk by chunk, u and then 1 - u of the
