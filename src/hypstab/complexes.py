@@ -28,10 +28,12 @@ from that table; orientations, the dual spanning tree and the census's
 connectedness read one depth-first forest of the dual graph,
 `_dual_forest`; the boundary of a chain is one numpy pass over the table
 that sums the signed faces exactly as integers over one common
-denominator.  A cover assignment is admissible when the
-ordered product of permutations around every codimension-2 cycle is the
-identity (the unbranched condition); branched assignments are rejected
-with the offending cycle.
+denominator; the walk around the codimension-2 cells, `codim2_cycles`,
+crosses each pairing through the table's partner, across and pairing
+entries.  A cover assignment is admissible when the ordered product of
+permutations around every codimension-2 cycle is the identity (the
+unbranched condition); branched assignments are rejected with the
+offending cycle.
 
 The covers built here come from `first_homology`: one integer normal
 form of the relations that the codim-2 cycles put on the pairings off
@@ -148,28 +150,6 @@ class Triangulation:
         for table in (partner, across, pairing):
             table.flags.writeable = False
         return partner, across, pairing
-
-    def neighbor(self, s: int, f: int):
-        """(other simplex, other facet, vertex map row, pairing index,
-        direction) across the pairing at slot (s, f), or None on the
-        boundary; direction is +1 from side a to side b and -1 back.
-        Raises `ComplexError` on a slot out of range.
-
-        The vertex map row is the read-only `_gluing` ``across`` row: it
-        sends every vertex of simplex s, f included, into the other one.
-        """
-        n1 = self.dim + 1
-        partner, across, pairing = self._gluing
-        if not (0 <= s < self.simplex_count and 0 <= f < n1):
-            raise ComplexError(f"slot {(s, f)} out of range")
-        slot = s * n1 + f
-        other = int(partner[slot])
-        if other < 0:
-            return None
-        idx = int(pairing[slot])
-        p = self.pairings[idx]
-        direction = 1 if (p.a, p.facet_a) == (s, f) else -1
-        return (*divmod(other, n1), across[slot], idx, direction)
 
 
 @dataclass(frozen=True)
@@ -608,13 +588,17 @@ def codim2_cycles(T: Triangulation) -> list:
     """All closed walks around codimension-2 cells of a closed complex.
 
     A walk's state is (simplex, exit facet, kept vertex): the cell is the
-    face without those two vertices, and the vertex map of the exit
-    facet's pairing carries the kept vertex to the next exit facet.
+    face without those two vertices, and the `_gluing` ``across`` row of
+    the exit slot carries the kept vertex to the next exit facet.  A step
+    crosses its pairing in direction +1 from side a and -1 from side b.
     """
+    n1 = T.dim + 1
+    partner, across, pairing = (table.tolist() for table in T._gluing)
+    side_a = {p.a * n1 + p.facet_a for p in T.pairings}
     seen = set()
     cycles = []
     for s in range(T.simplex_count):
-        for pair in itertools.combinations(range(T.dim + 1), 2):
+        for pair in itertools.combinations(range(n1), 2):
             for exit_facet, kept in (pair, pair[::-1]):
                 state0 = (s, exit_facet, kept)
                 if state0 in seen:
@@ -625,13 +609,13 @@ def codim2_cycles(T: Triangulation) -> list:
                 while True:
                     cs, cexit, ckept = state
                     seen.add(state)
-                    nb = T.neighbor(cs, cexit)
-                    if nb is None:
+                    slot = cs * n1 + cexit
+                    if partner[slot] < 0:
                         closed_walk = False
                         break
-                    other, entry, vmap, idx, direction = nb
-                    nxt = int(vmap[ckept])
-                    steps.append((cs, cexit, idx, direction))
+                    other, entry = divmod(partner[slot], n1)
+                    nxt = across[slot][ckept]
+                    steps.append((cs, cexit, pairing[slot], 1 if slot in side_a else -1))
                     # mark the opposite-direction state so each geometric
                     # cell yields one walk, not a forward/backward pair
                     seen.add((other, entry, nxt))
@@ -648,23 +632,22 @@ def codim2_cycles(T: Triangulation) -> list:
 
 def check_cover_spec(T: Triangulation, spec: CoverSpec) -> list:
     """Codim-2 cycles with nontrivial holonomy (branched locus); empty if
-    the assignment is an honest unbranched cover."""
+    the assignment is an honest unbranched cover.  A step gathers the
+    sheets through its pairing's permutation, or backwards through the
+    inverse, which is taken once per pairing."""
     missing = [i for i in range(len(T.pairings)) if i not in spec.perms]
     if missing:
         raise ComplexError(f"no permutation assigned to pairings {missing}")
+    forward = np.array([spec.perms[i] for i in range(len(T.pairings))],
+                       dtype=np.int64).reshape(len(T.pairings), spec.degree)
+    step = {1: forward, -1: np.argsort(forward, axis=1)}
+    identity = np.arange(spec.degree)
     bad = []
     for cyc in codim2_cycles(T):
-        sheets = list(range(spec.degree))
+        sheets = identity
         for _, _, idx, direction in cyc.steps:
-            perm = spec.perms[idx]
-            if direction > 0:
-                sheets = [perm[x] for x in sheets]
-            else:
-                inv = [0] * spec.degree
-                for i, v in enumerate(perm):
-                    inv[v] = i
-                sheets = [inv[x] for x in sheets]
-        if sheets != list(range(spec.degree)):
+            sheets = step[direction][idx, sheets]
+        if not np.array_equal(sheets, identity):
             bad.append(cyc)
     return bad
 

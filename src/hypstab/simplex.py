@@ -261,14 +261,22 @@ def facet_dual(K: GeodesicSimplex, i: int) -> FacetDual:
     vertex i: <q_i, v_m> = 0 for m != i and <q_i, v_i> < 0."""
     if not (0 <= i <= K.k):
         raise GeometryError(f"facet index {i} out of range")
-    ginv, diag, spacelike = _inverse_gram(K.gram)
-    if not spacelike[i]:
-        raise _no_spacelike_dual(f"facet {i}")
-    return FacetDual(-(K.rep_matrix.T @ ginv[:, i]) / math.sqrt(diag[i]), i)
+    return _facet_duals(K, (i,))[0]
 
 
 def all_facet_duals(K: GeodesicSimplex):
-    return [facet_dual(K, i) for i in range(K.k + 1)]
+    return _facet_duals(K, range(K.k + 1))
+
+
+def _facet_duals(K: GeodesicSimplex, facets) -> list:
+    """`facet_dual` of each listed facet, in order, from one Gram inverse."""
+    ginv, diag, spacelike = _inverse_gram(K.gram)
+    duals = []
+    for i in facets:
+        if not spacelike[i]:
+            raise _no_spacelike_dual(f"facet {i}")
+        duals.append(FacetDual(-(K.rep_matrix.T @ ginv[:, i]) / math.sqrt(diag[i]), i))
+    return duals
 
 
 def dihedral_angles(K: GeodesicSimplex) -> np.ndarray:

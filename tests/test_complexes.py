@@ -502,23 +502,104 @@ def slot_test_complexes():
                for d, a, b in ((2, 1, 0), (5, 2, 3), (7, 1, 4))])
 
 
-def test_neighbor_table_slot_by_slot():
+def test_gluing_table_slot_by_slot():
     for T in slot_test_complexes():
+        n1 = T.dim + 1
+        partner, across, pairing = T._gluing
         for s in range(T.simplex_count):
-            for f in range(T.dim + 1):
+            for f in range(n1):
+                slot = s * n1 + f
                 ref = reference_neighbor(T, s, f)
-                got = T.neighbor(s, f)
                 if ref is None:
-                    assert got is None
+                    assert partner[slot] == pairing[slot] == -1
+                    assert across[slot].tolist() == list(range(n1))
                     continue
-                other, other_facet, vmap, idx, direction = ref
-                assert got[0] == other and got[1] == other_facet
-                assert got[2].tolist() == [other_facet if v == f else vmap[v]
-                                           for v in range(T.dim + 1)]
-                assert (got[3], got[4]) == (idx, direction)
-        for s, f in ((-1, 0), (0, -1), (T.simplex_count, 0), (0, T.dim + 1)):
-            with pytest.raises(ComplexError, match="out of range"):
-                T.neighbor(s, f)
+                other, other_facet, vmap, idx, _ = ref
+                assert partner[slot] == other * n1 + other_facet
+                assert across[slot].tolist() == [other_facet if v == f else vmap[v]
+                                                 for v in range(n1)]
+                assert pairing[slot] == idx
+
+
+def reference_codim2_walks(T):
+    """The steps of `codim2_cycles` by the same walk over the same states,
+    each step read straight from the pairings by `reference_neighbor`."""
+    seen, walks = set(), []
+    for s in range(T.simplex_count):
+        for pair in itertools.combinations(range(T.dim + 1), 2):
+            for start in ((s, *pair), (s, *pair[::-1])):
+                if start in seen:
+                    continue
+                steps, state = [], start
+                while True:
+                    seen.add(state)
+                    cs, exit_facet, kept = state
+                    nb = reference_neighbor(T, cs, exit_facet)
+                    if nb is None:
+                        break
+                    other, entry, vmap, idx, direction = nb
+                    steps.append((cs, exit_facet, idx, direction))
+                    seen.add((other, entry, vmap[kept]))
+                    state = (other, vmap[kept], entry)
+                    if state == start:
+                        walks.append(tuple(steps))
+                        break
+                    if state in seen:
+                        break
+    return walks
+
+
+def test_codim2_cycles_match_reference_walk():
+    directions = set()
+    for T in slot_test_complexes():
+        walks = reference_codim2_walks(T)
+        assert [cyc.steps for cyc in codim2_cycles(T)] == walks
+        directions |= {step[3] for walk in walks for step in walk}
+    assert directions == {1, -1}
+
+
+def reference_branched(walks, spec):
+    """The walks around which the composed sheet permutations, each
+    inverted where the walk crosses its pairing from side b, are not the
+    identity."""
+    bad = []
+    for walk in walks:
+        sheets = list(range(spec.degree))
+        for _, _, idx, direction in walk:
+            perm = spec.perms[idx]
+            if direction < 0:
+                perm = [perm.index(x) for x in range(spec.degree)]
+            sheets = [perm[x] for x in sheets]
+        if sheets != list(range(spec.degree)):
+            bad.append(walk)
+    return bad
+
+
+def test_check_cover_spec_matches_composed_permutations():
+    # random permutations, a random relabelling of each simplex's sheets
+    # (unbranched, yet non-abelian and crossed both ways), and that
+    # relabelling with one pairing's permutation redrawn
+    rng = np.random.default_rng(33)
+
+    def draw(d):
+        return tuple(rng.permutation(d).tolist())
+
+    branched = unbranched = 0
+    for T in slot_test_complexes():
+        walks = reference_codim2_walks(T)
+        for d in (3, 4, 5):
+            label = [draw(d) for _ in range(T.simplex_count)]
+            gauge = {i: tuple(label[p.b][label[p.a].index(u)] for u in range(d))
+                     for i, p in enumerate(T.pairings)}
+            specs = [{i: draw(d) for i in gauge}, gauge,
+                     {**gauge, int(rng.integers(len(gauge))): draw(d)}]
+            for perms in specs:
+                spec = CoverSpec(d, perms)
+                want = reference_branched(walks, spec)
+                assert [cyc.steps for cyc in check_cover_spec(T, spec)] == want
+                branched += len(want)
+                unbranched += len(walks) - len(want)
+    assert branched and unbranched
 
 
 def reference_orientability(T):
