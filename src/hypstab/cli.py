@@ -199,7 +199,7 @@ def _links_payload(T):
 
 def cmd_triangulation(args) -> int:
     T = _load_triangulation(args.target)
-    name = (T.labels or {}).get("name", args.target)
+    name = T.name or args.target
     report = cx.validate(T)
 
     if args.action == "info":

@@ -82,7 +82,7 @@ class Triangulation:
     dim: int
     simplex_count: int
     pairings: tuple
-    labels: dict | None = None
+    name: str | None = None
 
     @cached_property
     def _gluing(self) -> tuple:
@@ -336,16 +336,24 @@ class LinksReport:
 def links(T: Triangulation) -> LinksReport:
     """Per-vertex link surfaces (as Euler characteristics) and edge valences.
 
-    Dimension 3 only.  The link of a vertex v in a tetrahedron is a
-    triangle whose sides lie on the three facets through v; sides are
-    glued according to the facet pairings.  Requires a closed complex:
-    an unpaired facet leaves link sides unmatched.
+    Dimension 3 only.  The link of a vertex v in a tetrahedron s is a
+    triangle with a side (s, v, f) on each facet f through v and a corner
+    (s, v, w) on each edge vw; the facet pairings glue the triangles.
+    Requires a closed complex: an unpaired facet leaves link sides
+    unmatched.
 
-    One `_components` call labels four orbit families: the vertices
-    (s, v), the link sides (s, v, f) and link corners (s, v, w), each an
-    ordered pair of distinct vertices, and the edges (s, {v, w}).  Vertex
-    and edge node ids increase with (s, v) and (s, sorted pair), so an
-    orbit's label is its least member.
+    One `_components` call labels the vertices (s, v) and the corners
+    (s, v, w), one per oriented edge: 16 nodes per tetrahedron, with ids
+    increasing in (s, v) and (s, v, w), so an orbit's label is its least
+    member.  The rest follows.  A side (s, v, f) is glued only across
+    facet f, to the one side at the other end of that pairing, and no
+    slot is glued to itself: the sides pair up, and a link of F triangles
+    has 3F/2 edges.  The orbit of the edge (s, {v, w}) is the union of
+    those of (s, v, w) and (s, w, v), one orbit if the edge is folded.
+    Corner (v, w) with v < w is numbered before (w, v), and these pairs
+    follow `itertools.combinations`, so the smaller orientation label
+    names the edge orbit and orders the orbits as their least (simplex,
+    pair) do.
     """
     if T.dim != 3:
         raise ComplexError("links are implemented for 3-dimensional complexes")
@@ -360,55 +368,45 @@ def links(T: Triangulation) -> LinksReport:
     a, fa = np.divmod(slot, 4)
     b, fw = partner[slot] // 4, across[slot]
     # the 12 ordered pairs (v, w) of distinct vertices and their images
-    # across each pairing: a pair with v on the facet glues a link side
-    # when w is the facet's opposite vertex, and a link corner and the
-    # edge vw when w is on the facet too
+    # across each pairing: with v on the facet, the pair glues the vertex
+    # v once, when w is the facet's opposite vertex, and a link corner
+    # when w is on the facet too
     v, w = np.array([(v, w) for v in range(4) for w in range(4) if v != w]).T
     bv, bw = fw[:, v], fw[:, w]
     on_facet = v != fa[:, None]
-    side = on_facet & (w == fa[:, None])
-    corner = on_facet & ~side
+    vertex = on_facet & (w == fa[:, None])
+    corner = on_facet & ~vertex
     ordered = np.zeros((4, 4), dtype=np.int64)
     ordered[v, w] = np.arange(12)
-    pairs = list(itertools.combinations(range(4), 2))
-    unordered = np.zeros((4, 4), dtype=np.int64)
-    for k, (p, q) in enumerate(pairs):
-        unordered[p, q] = unordered[q, p] = k
-    # (nodes per simplex, node in simplex a, node in simplex b, glued)
-    families = ((4, v, bv, side), (12, ordered[v, w], ordered[bv, bw], side),
-                (12, ordered[v, w], ordered[bv, bw], corner),
-                (6, unordered[v, w], unordered[bv, bw], corner))
-    ends_a, ends_b, offsets = [], [], [0]
-    for width, node_a, node_b, glued in families:
-        ends_a.append((offsets[-1] + a[:, None] * width + node_a)[glued])
-        ends_b.append((offsets[-1] + b[:, None] * width + node_b)[glued])
-        offsets.append(offsets[-1] + width * t)
-    lab = _components(np.concatenate(ends_a), np.concatenate(ends_b), offsets[-1])
-    verts, sides, corners, edges = (lab[lo:hi] - lo for lo, hi in zip(offsets, offsets[1:]))
 
-    def roots(labels):
-        return np.flatnonzero(labels == np.arange(len(labels)))
+    def nodes(s, v, w):
+        # vertex (s, v) is node 4s + v, corner (s, v, w) node 4t + 12s + ordered[v, w]
+        return np.concatenate([(4 * s[:, None] + v)[vertex],
+                               (4 * t + 12 * s[:, None] + ordered[v, w])[corner]])
 
-    def per_vertex(labels):
-        # orbits of ordered pairs per vertex orbit, through each root's v
-        s, k = np.divmod(roots(labels), 12)
-        return np.bincount(verts[s * 4 + v[k]], minlength=4 * t)
-
-    vertex_roots = roots(verts)
+    lab = _components(nodes(a, v, w), nodes(b, bv, bw), 16 * t)
+    verts, corners = lab[:4 * t], lab[4 * t:] - 4 * t
+    vertex_roots = np.flatnonzero(verts == np.arange(4 * t))
     faces = np.bincount(verts, minlength=4 * t)[vertex_roots]
-    e_count = per_vertex(sides)[vertex_roots]
-    v_count = per_vertex(corners)[vertex_roots]
-    if (3 * faces != 2 * e_count).any():
-        raise ComplexError("non-manifold link structure: link sides unmatched")
+    # every link side is matched across its own facet, so sides pair up
+    sides = 3 * faces // 2
+    # corner orbits per vertex orbit, through each root's v
+    s, k = np.divmod(np.flatnonzero(corners == np.arange(12 * t)), 12)
+    c_count = np.bincount(verts[s * 4 + v[k]], minlength=4 * t)[vertex_roots]
     # the vertex orbits in order of their least cells, cells in increasing order
     members = np.stack(np.divmod(np.argsort(verts, kind="stable"), 4), axis=1)
     links_out = tuple(
         VertexLinkInfo(tuple(map(tuple, cells.tolist())), f, e, c, c - e + f)
         for cells, f, e, c in zip(np.split(members, np.cumsum(faces)[:-1]), faces.tolist(),
-                                  e_count.tolist(), v_count.tolist()))
-    edge_roots = roots(edges)
-    valence = np.bincount(edges, minlength=6 * t)[edge_roots]
-    s, k = np.divmod(edge_roots, 6)
+                                  sides.tolist(), c_count.tolist()))
+    # an edge orbit is named by its smaller orientation label; unique gives
+    # its first (simplex, pair) and its valence
+    pairs = list(itertools.combinations(range(4), 2))
+    p, q = np.array(pairs).T
+    orient = corners.reshape(t, 12)
+    edge = np.minimum(orient[:, ordered[p, q]], orient[:, ordered[q, p]]).ravel()
+    _, first, valence = np.unique(edge, return_index=True, return_counts=True)
+    s, k = np.divmod(first, 6)
     edge_infos = tuple(EdgeInfo((s, frozenset(pairs[k])), val)
                        for s, k, val in zip(s.tolist(), k.tolist(), valence.tolist()))
     return LinksReport(links_out, edge_infos)
@@ -670,10 +668,8 @@ def build_cover(T: Triangulation, spec: CoverSpec) -> Triangulation:
         for s in range(d):
             pairings.append(Pairing(p.a * d + s, p.facet_a,
                                     p.b * d + perm[s], p.facet_b, p.vertex_map))
-    labels = None
-    if T.labels and "name" in T.labels:
-        labels = {"name": f"{T.labels['name']}-cover-deg{d}"}
-    return Triangulation(T.dim, T.simplex_count * d, tuple(pairings), labels)
+    name = f"{T.name}-cover-deg{d}" if T.name else None
+    return Triangulation(T.dim, T.simplex_count * d, tuple(pairings), name)
 
 
 def trivial_cover_spec(T: Triangulation, degree: int = 1) -> CoverSpec:
@@ -809,8 +805,7 @@ def from_wire(data: dict, name: str | None = None) -> Triangulation:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ComplexError(f"malformed triangulation data: {exc}") from exc
-    labels = {"name": name} if name else None
-    T = Triangulation(dim, count, pairings, labels)
+    T = Triangulation(dim, count, pairings, name or None)
     report = validate(T)
     if not report.valid:
         raise ComplexError(f"invalid triangulation: {'; '.join(report.errors)}")
@@ -881,7 +876,7 @@ def inequality_dashboard(T: Triangulation) -> DashboardReport:
         z = fundamental_cycle(T)
         cycle_l1 = z.l1()
         cycle_ok = verify_cycle(T, z)
-    name = (T.labels or {}).get("name", "unnamed")
+    name = T.name or "unnamed"
     base = name.split("-cover-")[0]
     return DashboardReport(
         name=name,

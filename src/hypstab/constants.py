@@ -339,7 +339,8 @@ def estimate_a_eps(
         return step.counterexample
 
     # geometric descent until a candidate is accepted, then bisection of the
-    # bracket; bisection_depth is the total step budget for both phases
+    # bracket; bisection_depth is the total step budget for both phases.
+    # An accepted eps_start leaves lo == hi: no open bracket to bisect
     lo, hi = 0.0, eps_start
     steps_left = bisection_depth
     cand = hi
@@ -352,7 +353,7 @@ def estimate_a_eps(
         cand /= 2.0
         if cand < 1e-9:
             break
-    while steps_left > 0 and lo > 0.0:
+    while steps_left > 0 and 0.0 < lo < hi:
         steps_left -= 1
         mid = 0.5 * (lo + hi)
         if run(mid, bisection_depth - steps_left):

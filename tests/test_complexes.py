@@ -209,6 +209,17 @@ def reference_links(T):
                              for (s, pair), valence in edges))
 
 
+def random_closed_3_complex(rng, t):
+    """t tetrahedra with their 4t facets paired at random, each by a random
+    bijection: self-pairings and folded edges are common."""
+    pairings = []
+    for x, y in rng.permutation(4 * t).reshape(-1, 2).tolist():
+        (a, fa), (b, fb) = divmod(x, 4), divmod(y, 4)
+        image = tuple(rng.permutation(facet_vertices(3, fb)).tolist())
+        pairings.append(Pairing(a, fa, b, fb, image))
+    return Triangulation(3, t, tuple(pairings))
+
+
 def test_links_match_union_find_reference():
     fig8, s3 = load_fixture("figure-eight"), load_fixture("s3")
     rng = np.random.default_rng(24)
@@ -217,12 +228,17 @@ def test_links_match_union_find_reference():
     for d in range(1, 25):
         a, b = (int(v) for v in rng.integers(0, d, size=2))
         complexes.append(build_cover(fig8, figure_eight_cyclic_spec(fig8, d, a, b)))
-    several = 0
+    complexes += [random_closed_3_complex(rng, t) for t in rng.integers(1, 6, size=400).tolist()]
+    several = self_paired = folded = 0
     for T in complexes:
         rep = links(T)
         assert rep == reference_links(T)
         several += len(rep.vertex_links) > 1
+        self_paired += any(p.a == p.b for p in T.pairings)
+        # a folded edge has one corner orbit for both its ends
+        folded += sum(v.corners for v in rep.vertex_links) < 2 * len(rep.edges)
     assert several  # some complexes have more than one vertex orbit
+    assert self_paired and folded
 
 
 def test_links_reject_bad_input():

@@ -291,6 +291,17 @@ def test_verify_cascade_matches_full_budget(verify_log):
         assert record.counterexample == found[step]
 
 
+def test_estimate_a_eps_accepted_start_is_not_bisected(monkeypatch):
+    # eps_start accepted at once leaves no bracket: the two retreat checks
+    # follow, not depth - 1 reruns of eps_start
+    monkeypatch.setattr(constants, "_counterexample_search",
+                        lambda *args: (False, -1.0, 0.0, 0, 0))
+    _, eps, audit = estimate_a_eps(4, seed=0, **QUICK, delta=delta_n(4), v_n=1.0)
+    start = QUICK["eps_start"]
+    assert [s.eps for s in audit.steps] == [start, start / 2, start / 4]
+    assert eps == start / 2 and audit.halved_eps_confirmed
+
+
 def test_estimate_a_eps_rejects_low_dim():
     with pytest.raises(GeometryError):
         estimate_a_eps(3, delta=0.1, v_n=1.0)
