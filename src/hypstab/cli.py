@@ -26,12 +26,13 @@ stderr).
 
 Triangulation targets are file paths in the wire format or built-in
 fixture names (sphere, torus, klein, figure-eight/fig8,
-boundary-4-simplex/s3).  Simplex files use Klein coordinates::
+boundary-4-simplex/s3); every complex needs 1 <= dim <= 8.  Simplex
+files use Klein coordinates, and ``volume FILE`` needs dim >= 2::
 
     { "dim": n, "vertices": [ {"x": [...], "ideal": false}, ... ] }
 
-Cover specs assign a one-line permutation of {1..d} to each pairing
-index::
+Cover specs have degree d >= 1 and assign a one-line permutation of
+{1..d} to each pairing index of the complex, and to no other index::
 
     { "degree": d, "perms": { "0": [2, 1, ...], ... } }
 """
@@ -247,6 +248,7 @@ def cmd_triangulation(args) -> int:
                 spec = cx.characteristic_cover_spec(T, args.characteristic)
             else:
                 spec = cx.cover_spec_from_wire(_load_json(args.spec))
+                cx._check_spec_keys(T, spec)
         except cx.ComplexError as exc:
             raise _fail(str(exc))
         try:
@@ -345,6 +347,8 @@ def cmd_bounds(args) -> int:
             lines = [f"filling v_A={va} v_B={vb} v_D={vd} h={args.h}{label}"] + sweep_lines
     except bounds_mod.BoundsError as exc:
         raise _fail(str(exc))
+    except OverflowError:  # an int count too large for the float normalized bound
+        raise _fail("counts too large: the normalized bound overflows a float")
     _emit(args, payload, "\n".join(lines))
     return 0
 

@@ -161,11 +161,13 @@ class ValidationReport:
 
 
 def validate(T: Triangulation) -> ValidationReport:
-    """The verdict of `Triangulation._gluing`'s checks, after dim >= 1 and
-    t >= 1; the boundary slots are the unpaired ones, and none are
-    reported for invalid data."""
-    if T.dim < 1 or T.simplex_count < 1:
-        return ValidationReport(False, False, ("need dim >= 1 and at least one simplex",), ())
+    """The verdict of `Triangulation._gluing`'s checks, after 1 <= dim <= 8
+    (the largest dimension the program handles anywhere) and t >= 1; the
+    boundary slots are the unpaired ones, and none are reported for
+    invalid data."""
+    if not (1 <= T.dim <= 8 and T.simplex_count >= 1):
+        return ValidationReport(False, False,
+                                ("need 1 <= dim <= 8 and at least one simplex",), ())
     try:
         partner = T._gluing[0]
     except ComplexError as exc:
@@ -552,7 +554,7 @@ def verify_cycle(T: Triangulation, z: Chain) -> bool:
 
 @dataclass(frozen=True)
 class CoverSpec:
-    """Degree-d cover data: one permutation of {1..d} per pairing.
+    """Degree-d cover data, d >= 1: one permutation of {1..d} per pairing.
 
     ``perms[i]`` is the one-line permutation assigned to pairing i,
     stored 0-indexed internally; crossing the pairing from side a to
@@ -563,6 +565,8 @@ class CoverSpec:
     perms: dict
 
     def __post_init__(self):
+        if self.degree < 1:
+            raise ComplexError("need degree >= 1")
         for idx, perm in self.perms.items():
             if sorted(perm) != list(range(self.degree)):
                 raise ComplexError(f"assignment for pairing {idx} is not a permutation "
@@ -632,10 +636,10 @@ def check_cover_spec(T: Triangulation, spec: CoverSpec) -> list:
     """Codim-2 cycles with nontrivial holonomy (branched locus); empty if
     the assignment is an honest unbranched cover.  A step gathers the
     sheets through its pairing's permutation, or backwards through the
-    inverse, which is taken once per pairing."""
-    missing = [i for i in range(len(T.pairings)) if i not in spec.perms]
-    if missing:
-        raise ComplexError(f"no permutation assigned to pairings {missing}")
+    inverse, which is taken once per pairing.  Raises `ComplexError`
+    unless the spec keys its permutations by exactly the pairing indices
+    (`_check_spec_keys`)."""
+    _check_spec_keys(T, spec)
     forward = np.array([spec.perms[i] for i in range(len(T.pairings))],
                        dtype=np.int64).reshape(len(T.pairings), spec.degree)
     step = {1: forward, -1: np.argsort(forward, axis=1)}
@@ -648,6 +652,17 @@ def check_cover_spec(T: Triangulation, spec: CoverSpec) -> list:
         if not np.array_equal(sheets, identity):
             bad.append(cyc)
     return bad
+
+
+def _check_spec_keys(T: Triangulation, spec: CoverSpec) -> None:
+    """Raise `ComplexError`, naming the missing and the unknown indices,
+    unless ``spec`` assigns permutations to exactly the pairings of T."""
+    keys, want = set(spec.perms), set(range(len(T.pairings)))
+    if keys != want:
+        wrong = [f"{label} {sorted(ix)}" for label, ix in (("missing", want - keys),
+                                                            ("unknown", keys - want)) if ix]
+        raise ComplexError(f"cover spec keys must be the {len(want)} pairing indices: "
+                           + ", ".join(wrong))
 
 
 def build_cover(T: Triangulation, spec: CoverSpec) -> Triangulation:
@@ -738,8 +753,9 @@ def characteristic_cover_spec(T: Triangulation, x: int) -> CoverSpec:
     translates them by its two free coordinates.  Because x(Z x Z) is
     characteristic, the choice of free basis does not matter.
     """
-    if x < 1:
-        raise ComplexError("need x >= 1")
+    largest = math.isqrt(np.iinfo(np.int64).max)  # numpy numbers the x^2 sheets in int64
+    if not 1 <= x <= largest:
+        raise ComplexError(f"need 1 <= x <= {largest}")
     gens, e, V = first_homology(T)
     if sorted(ej for ej in e if ej != 1) != [0, 0]:
         raise ComplexError(f"characteristic covers need H_1 = Z^2, not H_1 = {_homology_name(e)}")
@@ -793,6 +809,15 @@ def _wire_int(value) -> int:
     return value
 
 
+def _wire_index(key: str) -> int:
+    """A pairing index keyed in JSON: the decimal text of an integer, so
+    that "00" or "+0" cannot name pairing 0 a second time."""
+    index = int(key)
+    if key != str(index):
+        raise ValueError(f"expected a pairing index, got {key!r}")
+    return index
+
+
 def from_wire(data: dict, name: str | None = None) -> Triangulation:
     try:
         dim = _wire_int(data["dim"])
@@ -821,7 +846,7 @@ def cover_spec_from_wire(data: dict) -> CoverSpec:
     """Parse {"degree": d, "perms": {pairing-id: one-line permutation of 1..d}}."""
     try:
         d = _wire_int(data["degree"])
-        perms = {int(k): tuple(_wire_int(v) - 1 for v in perm)
+        perms = {_wire_index(k): tuple(_wire_int(v) - 1 for v in perm)
                  for k, perm in data["perms"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ComplexError(f"malformed cover spec: {exc}") from exc

@@ -318,11 +318,13 @@ def _gram_incenter_coeffs(grams: np.ndarray):
     <x, q_i> = -1 diagonalizes and gives d_i = sqrt(G^-1_ii), and
     sinh r = 1 / sqrt(-d^T G d); the coefficients returned are d
     normalized to the hyperboloid.  A simplex with a facet dual that is
-    not spacelike (an edge with an ideal endpoint) has no incenter; its
-    row and its sinh r are nan.
+    not spacelike (an edge with an ideal endpoint) has no incenter and
+    raises `DualVectorError`.
     """
     _, diag, spacelike = _inverse_gram(grams)
-    d = np.sqrt(np.where(np.all(spacelike, axis=1)[:, None], diag, np.nan))
+    if not np.all(spacelike):
+        raise _no_spacelike_dual("a facet")
+    d = np.sqrt(diag)
     nx = np.einsum("fi,fij,fj->f", d, grams, d)
     if np.any(nx >= 0):
         raise SingularSystemError("incenter candidate is not timelike")
@@ -336,8 +338,6 @@ def incenter_inradius(K: GeodesicSimplex) -> IncenterResult:
     if is_degenerate(K):
         raise DegenerateSimplexError("incenter of a degenerate simplex")
     (d,), (sinh_r,) = _gram_incenter_coeffs(K.gram[None])
-    if math.isnan(sinh_r):
-        raise _no_spacelike_dual("a facet")
     return IncenterResult(ProjectivePoint(K.rep_matrix.T @ d, FINITE), math.asinh(sinh_r))
 
 
@@ -497,11 +497,9 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
 
     The minimum runs over pairs (E an (n-2)-face, E' a face of dimension
     n-2 or n-1 with E not contained in E').  The center of E is its
-    incenter; 1-dimensional faces with ideal endpoints have none (the
-    inscribed-ball radius degenerates), and for those the foot of the
-    ambient incenter on the edge is used instead, which is isometry
-    equivariant and agrees with the symmetric midpoint on the regular
-    ideal simplex.
+    incenter.  The paper needs the clearance only for n >= 4, where E has
+    at least 3 vertices, so each facet of E spans a Lorentzian subspace
+    with a spacelike dual and the incenter exists.
 
     The minimum is taken over sub-faces instead of target faces, and is
     exact: the nearest point of a target E' to a center is the feasible
@@ -515,8 +513,8 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
     `SingularSystemError`, as no nearest point was found on it.
     """
     n = K.ambient_dim
-    if K.k != n or n < 3:
-        raise GeometryError("clearance needs a full-dimensional simplex in dimension >= 3")
+    if K.k != n or n < 4:
+        raise GeometryError("clearance needs a full-dimensional simplex in dimension >= 4")
     if is_degenerate(K):
         raise DegenerateSimplexError("clearance of a degenerate simplex")
     faces, tables, apart, within, targets_apart = _clearance_tables(n)
@@ -526,17 +524,6 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
     if np.any(degenerate):
         raise DegenerateSimplexError(f"degenerate face {tuple(faces[np.argmax(degenerate)])}")
     centers, _ = _gram_incenter_coeffs(g_faces)
-    edges = np.flatnonzero(np.isnan(centers[:, 0]))
-    if len(edges):
-        (ambient,), _ = _gram_incenter_coeffs(gram[None])
-        for f in edges:
-            # ideal edge: foot of the ambient incenter on its geodesic
-            rhs = gram[faces[f]] @ ambient
-            c = np.linalg.solve(g_faces[f], rhs)
-            nsq = float(c @ rhs)
-            if not nsq < 0:
-                raise SingularSystemError("edge foot is not timelike")
-            centers[f] = c / math.sqrt(-nsq)
     coeffs = np.zeros((n + 1, len(faces)))
     coeffs[faces.T, np.arange(len(faces))] = centers.T
     cosh_d, _ = _subface_feet(gram, gram @ coeffs, K.ideal_flags(), tables, tol)

@@ -504,7 +504,7 @@ def simplex_volume(
     seed: int = 0,
     levels: int = DEFAULT_LEVELS,
 ) -> VolumeEstimate:
-    """Hyperbolic volume of a full-dimensional geodesic simplex.
+    """Hyperbolic volume of a full-dimensional geodesic simplex, n >= 2.
 
     Stratified Monte Carlo over the Klein-model simplex with dyadic
     corner shaving around ideal vertices; deterministic per seed.  The
@@ -512,8 +512,8 @@ def simplex_volume(
     added to both the value and (conservatively) the standard error.
     """
     n = K.ambient_dim
-    if K.k != n:
-        raise GeometryError("volume needs a full-dimensional simplex")
+    if K.k != n or n < 2:
+        raise GeometryError("volume needs a full-dimensional simplex in dimension >= 2")
     if is_degenerate(K):
         raise DegenerateSimplexError("volume of a degenerate simplex")
     if budget < 1000:

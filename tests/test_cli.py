@@ -369,6 +369,32 @@ IDEAL_TRIANGLE = {"dim": 2, "vertices": [{"x": [1, 0], "ideal": True}, {"x": [-1
                  id="triangulation-flag-before-action"),
     pytest.param(["bounds", "--format", "json", "seifert"], None,
                  id="bounds-flag-before-calculator"),
+    # a 1-simplex's volume printed numpy warnings and an Infinity that is not JSON
+    pytest.param(["volume", "--format", "json"],
+                 {"dim": 1, "vertices": [{"x": [1.0], "ideal": True}, {"x": [-0.5]}]},
+                 id="volume-1-simplex"),
+    # a degree below 1 died in numpy or built an empty cover
+    pytest.param(["triangulation", "cover", "torus", "--spec"],
+                 {"degree": -1, "perms": {"0": [], "1": [], "2": []}}, id="spec-degree-negative"),
+    pytest.param(["triangulation", "cover", "torus", "--spec"],
+                 {"degree": 0, "perms": {"0": [], "1": [], "2": []}}, id="spec-degree-0"),
+    # an unknown pairing index was ignored, and a missing one read as a failed check
+    *(pytest.param(["triangulation", "cover", "torus", "--spec"],
+                   {"degree": 2, "perms": {k: [1, 2] for k in keys}}, id=f"spec-keys-{name}")
+      for name, keys in (("unknown-7", ("0", "1", "2", "7")), ("unknown-negative", ("-1", "0", "1", "2")),
+                         ("missing-2", ("0", "1")),
+                         # "00" named pairing 0 again and replaced its permutation
+                         ("zero-twice", ("0", "1", "2", "00")))),
+    # numpy tried to allocate 16 TiB for dim 40; dim 9 ran
+    pytest.param(["triangulation", "info"], {"dim": 9, "simplices": 1, "pairings": []},
+                 id="wire-dim-9"),
+    # counts and parameters too large for a float or for numpy
+    *(pytest.param(argv + [str(10 ** 400)], None, id=name)
+      for name, argv in (("jsj-va-huge", ["bounds", "jsj", "--va"]),
+                         ("filling-vb-huge", ["bounds", "filling", "--vb"]),
+                         ("seifert-e-huge", ["bounds", "seifert", "--e"]),
+                         ("characteristic-huge", ["triangulation", "cover", "torus",
+                                                  "--characteristic"]))),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, spec):
     if spec is A_DIRECTORY:

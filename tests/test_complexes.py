@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -137,7 +138,8 @@ def test_validate_reports_the_first_failing_check():
                                   "facet 1 of simplex 1",)
     assert validate(Triangulation(2, 1, (Pairing(0, 2, 0, 2, (0, 1)),))).errors \
         == ("pairing 0: facet (0, 2) glued to itself",)
-    assert validate(Triangulation(0, 1, ())).errors == ("need dim >= 1 and at least one simplex",)
+    for T in (Triangulation(0, 1, ()), Triangulation(9, 1, ()), Triangulation(2, 0, ())):
+        assert validate(T).errors == ("need 1 <= dim <= 8 and at least one simplex",)
 
 
 def test_boundary_slots_reported():
@@ -1021,6 +1023,17 @@ def test_cover_spec_wire_round_trip():
     assert back == spec
     with pytest.raises(ComplexError):
         CoverSpec(2, {0: (0, 0)})
+    with pytest.raises(ComplexError, match="need degree >= 1"):
+        CoverSpec(0, {0: ()})
+
+
+def test_cover_spec_keys_are_the_pairing_indices():
+    T = load_fixture("torus")
+    for keys, wrong in (((0, 1), "missing [2]"),
+                        ((-1, 0, 1, 2, 7), "unknown [-1, 7]"),
+                        ((0, 1, 3), "missing [2], unknown [3]")):
+        with pytest.raises(ComplexError, match=re.escape(f"the 3 pairing indices: {wrong}") + "$"):
+            check_cover_spec(T, CoverSpec(1, {k: (0,) for k in keys}))
 
 
 def test_triangulation_wire_round_trip():

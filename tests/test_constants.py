@@ -78,14 +78,14 @@ def test_compute_Cn():
 
 def test_delta_positive_and_stable():
     deltas = {}
-    for n in (3, 4, 5, 6):
+    for n in (4, 5, 6):
         d = delta_n(n)
         assert d > 0
         deltas[n] = d
         assert d == pytest.approx(min_face_clearance(regular_ideal_simplex(n)) / 3.0,
                                   abs=1e-15)
     # isometry re-embedding stability
-    for n in (3, 4):
+    for n in (4, 5):
         K = regular_ideal_simplex(n)
         for k in range(3):
             g = random_isometry(n, seed=60 + k)

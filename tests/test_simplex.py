@@ -697,22 +697,14 @@ def _nearest_by_recursion(p, E):
 def _clearance_by_recursion(K):
     """Reference clearance, pair by pair: `_gram_nearest` from the center
     of each (n-2)-face E to each face of n-1 or n vertices not containing
-    E.  Centers come from `incenter_inradius`, and for an edge with an
-    ideal endpoint from the orthogonal foot of the ambient incenter on
-    the edge's geodesic."""
+    E.  Centers come from `incenter_inradius`, which raises if a face has
+    no incenter."""
     n = K.ambient_dim
-    ambient = incenter_inradius(K).incenter
     faces = list(itertools.combinations(range(n + 1), n - 1))
     targets = faces + list(itertools.combinations(range(n + 1), n))
     best = math.inf
     for e in faces:
-        F = K.face(e)
-        try:
-            center = incenter_inradius(F).incenter.rep
-        except DualVectorError:
-            rhs = _mink_rows(F.rep_matrix, ambient.rep[None, :]).ravel()
-            c = np.linalg.solve(F.gram, rhs)
-            center = F.rep_matrix.T @ c / math.sqrt(-float(c @ rhs))
+        center = incenter_inradius(K.face(e)).incenter.rep
         dots = _mink_rows(K.rep_matrix, center[None, :]).ravel()
         for t in targets:
             if not set(e) <= set(t):
@@ -726,7 +718,7 @@ def _reference_simplices():
     eps_n search (jittered regular simplices, all ideal or with one
     finite vertex)."""
     rng = np.random.default_rng(2024)
-    for n, count in ((3, 40), (4, 36), (5, 30)):
+    for n, count in ((4, 36), (5, 30)):
         for i in range(count):
             yield n, random_nondegenerate_simplex(n, rng, ideal_prob=(0.0, 0.5, 1.0)[i % 3])
         base = regular_ideal_simplex(n).klein_vertices()
@@ -746,7 +738,7 @@ def _reference_simplices():
 
 
 def test_clearance_matches_recursion():
-    seen = {3: set(), 4: set(), 5: set()}
+    seen = {4: set(), 5: set()}
     for n, K in _reference_simplices():
         ref = _clearance_by_recursion(K)
         # the absolute floor: an error of 1e-15 in cosh d moves a distance
@@ -791,7 +783,7 @@ def test_distance_errors():
 
 
 def test_clearance_positive_and_symmetric():
-    pinned = {3: 0.7833996184862051, 4: 0.4554901397219446, 5: 0.3173927781509146}
+    pinned = {4: 0.4554901397219446, 5: 0.3173927781509146}
     for n, value in pinned.items():
         c = min_face_clearance(regular_ideal_simplex(n))
         assert c == pytest.approx(value, rel=1e-12)
@@ -799,7 +791,7 @@ def test_clearance_positive_and_symmetric():
 
 
 def test_clearance_isometry_invariance():
-    for n in (3, 4):
+    for n in (4, 5):
         K = regular_ideal_simplex(n)
         c = min_face_clearance(K)
         for k in range(5):
@@ -807,25 +799,10 @@ def test_clearance_isometry_invariance():
             assert min_face_clearance(apply_isometry(g, K)) == pytest.approx(c, abs=1e-6)
 
 
-def test_clearance_n3_grid_oracle():
-    """Brute-force the minimizing pair at n=3: center of edge (0,1) against
-    the facet (1,2,3), sampled on a barycentric grid."""
-    K = regular_ideal_simplex(3)
-    c = min_face_clearance(K)
-    # edge center: foot of the ambient incenter on the ideal edge
-    inc = incenter_inradius(K).incenter
-    edge = K.face((0, 1))
-    _, center = nearest_point_on_simplex(inc, edge)
-    facet = K.face((1, 2, 3))
-    grid = _grid_distances(center, facet, 1000)
-    assert c <= grid + 1e-9
-    assert grid - c < 2e-3
-
-
 def test_clearance_symmetric_pairs_equal():
     # vertex permutations are isometries of the regular simplex, so the
     # minimum and each symmetric pair distance are label-independent
-    for n in (3, 4):
+    for n in (4, 5):
         K = regular_ideal_simplex(n)
         c = min_face_clearance(K)
         perms = ([1, 0] + list(range(2, n + 1)),
@@ -844,8 +821,10 @@ def test_clearance_symmetric_pairs_equal():
 
 
 def test_clearance_requires_full_dimension():
-    with pytest.raises(GeometryError):
-        min_face_clearance(regular_ideal_simplex(4, 3))
+    # in H^3 a 2-face is an edge, which has no incenter when an end is ideal
+    for K in (regular_ideal_simplex(4, 3), regular_ideal_simplex(3)):
+        with pytest.raises(GeometryError):
+            min_face_clearance(K)
 
 
 def test_ideal_edge_has_no_incenter():
