@@ -15,15 +15,10 @@ from .minkowski import (  # noqa: F401
 )
 from .simplex import (  # noqa: F401
     GeodesicSimplex,
-    dihedral_angle,
-    distance_point_to_simplex,
-    facet_dual,
     incenter_inradius,
     is_degenerate,
     min_face_clearance,
-    orientation_sign,
     regular_ideal_simplex,
-    straighten,
 )
 from .volume import (  # noqa: F401
     VolumeEstimate,

@@ -9,12 +9,11 @@ A rank-2 subgroup of Z x Z is stored by its Hermite basis
 
     (a, b), (0, d)      with a > 0, d > 0, 0 <= b < d,
 
-whose index is a*d; `hermite_reduce` is the 2x2 case of `hermite_form`.
-The x-characteristic subgroup is x(Z x Z), the one generated by (x, 0)
-and (0, x); it has index x^2 and is contained in every subgroup of index
-x, which is what makes characteristic coverings gluable.  Subgroups of
-index m are enumerated by divisor: the count is sigma_1(m), the sum of
-divisors.
+whose index is a*d.  The x-characteristic subgroup is x(Z x Z), the one
+generated by (x, 0) and (0, x); it has index x^2 and is contained in
+every subgroup of index x, which is what makes characteristic coverings
+gluable.  Subgroups of index m are enumerated by divisor: the count is
+sigma_1(m), the sum of divisors.
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ def diagonal_form(rows, width: int) -> tuple:
         v = [[sum(x * y for x, y in zip(row, col)) for col in w] for row in v]
 
 
-def hermite_reduce(u: tuple, v: tuple) -> LatticeSubgroup:
-    """Hermite normal form of the subgroup generated by two integer vectors."""
-    if u[0] * v[1] - u[1] * v[0] == 0:
-        raise LatticeError("generators are linearly dependent")
-    (a, b), (_, d) = hermite_form([u, v])[0]
-    return LatticeSubgroup(a, b, d)
-
-
 def x_characteristic(x: int) -> LatticeSubgroup:
     """The subgroup x(Z x Z) generated by (x, 0) and (0, x)."""
     if x < 1:
@@ -127,11 +118,6 @@ def contains(s: LatticeSubgroup, other: LatticeSubgroup) -> bool:
         return t % s.d == 0
 
     return all(member(w1, w2) for w1, w2 in other.basis)
-
-
-def is_characteristic(s: LatticeSubgroup) -> bool:
-    """True iff s = x(Z x Z) for some x (invariance under all automorphisms)."""
-    return s.b == 0 and s.a == s.d
 
 
 def subgroups_of_index(m: int) -> list[LatticeSubgroup]:

@@ -147,24 +147,6 @@ def distance(p: ProjectivePoint, q: ProjectivePoint, tol: float = DEFAULT_TOL) -
     return math.inf
 
 
-def dist_to_hyperplane(w: ProjectivePoint, q: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Distance from a finite point to the hyperplane with unit spacelike normal q.
-
-    Uses sinh d(w, H) = -<w, q>; requires w on the nonpositive side of q
-    (a positive product signals an orientation bug upstream).
-    """
-    q = np.asarray(q, dtype=float)
-    if w.kind != FINITE:
-        raise GeometryError("hyperplane distance needs a finite point")
-    nq = mink(q, q)
-    if abs(nq - 1.0) > 1e3 * tol:
-        raise GeometryError(f"normal is not unit spacelike: <q,q>={nq}")
-    s = -mink(w.rep, q)
-    if s < -1e3 * tol:
-        raise GeometryError(f"point lies on the positive side of the hyperplane (<w,q>={-s})")
-    return math.asinh(max(s, 0.0))
-
-
 def to_klein(p: ProjectivePoint) -> np.ndarray:
     """Klein (projective ball) coordinates (rep_1, ..., rep_n) / rep_0."""
     return p.rep[1:] / p.rep[0]

@@ -27,16 +27,14 @@ kernels and the Schlafli path of `volume` call them too.  Likewise
 `_degenerate` is the one rank test of a stack of Gram matrices, behind
 `is_degenerate` and the per-face check of `min_face_clearance`.
 
-Point-to-face distances are exact: the nearest point of a convex
-simplex to a finite point lies in the relative interior of exactly one
-face, where it is the Minkowski-orthogonal foot on the face span with
-nonnegative vertex coefficients (a feasible foot).  Conversely every
-feasible foot on a face is a point of the simplex.  So the distance is
-the least distance to a feasible foot over all faces, and one kernel
-(`_subface_feet`) computes every foot of a batch of points on every
-face, one stacked solve of Gram sub-matrices per face size.  The face
-clearance `min_face_clearance` and `nearest_point_on_simplex` both
-read their minima from it.
+The face clearance `min_face_clearance` is exact: the nearest point of
+a face to a finite point is the Minkowski-orthogonal foot on the span
+of one of its sub-faces with nonnegative vertex coefficients (a
+feasible foot), and every feasible foot on a sub-face is a point of the
+face.  One kernel (`_subface_feet`) gives cosh of the distance from
+each face center to its feasible foot on every vertex subset, one
+stacked solve of Gram sub-matrices per subset size, and the clearance
+is their least value over the pairs it counts.
 """
 
 from __future__ import annotations
@@ -120,21 +118,6 @@ class GeodesicSimplex:
         idx = tuple(indices)
         return GeodesicSimplex(tuple(self.vertices[i] for i in idx), self.ambient_dim)
 
-    def facet(self, i: int) -> "GeodesicSimplex":
-        """The facet opposite vertex i."""
-        return self.face([j for j in range(self.k + 1) if j != i])
-
-
-def straighten(vertex_images) -> GeodesicSimplex:
-    """The geodesic simplex spanned by a tuple of vertex images.
-
-    This is the combinatorial shadow of straightening a singular simplex
-    with these vertices by barycentric coordinates: the map itself is not
-    materialized, only its image and orientation data.
-    """
-    pts = tuple(vertex_images)
-    return GeodesicSimplex(pts, pts[0].dim)
-
 
 def apply_isometry(g: Isometry, K: GeodesicSimplex) -> GeodesicSimplex:
     return GeodesicSimplex(tuple(g.apply(v) for v in K.vertices), K.ambient_dim)
@@ -180,22 +163,6 @@ def _degenerate(grams: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     its largest and 1."""
     s = np.linalg.svd(grams, compute_uv=False)
     return s[..., -1] <= tol * np.maximum(s[..., 0], 1.0)
-
-
-def orientation_sign(K: GeodesicSimplex, tol: float = 1e-10) -> int:
-    """Sign of det of the vertex representative matrix; 0 iff degenerate.
-
-    Equals the sign of the algebraic volume of the straight simplex with
-    these ordered vertices, and alternates under vertex transpositions.
-    """
-    if K.k != K.ambient_dim:
-        raise GeometryError("orientation sign needs a full-dimensional simplex")
-    v = K.rep_matrix
-    det = np.linalg.det(v)
-    scale = float(np.prod(np.linalg.norm(v, axis=1)))
-    if abs(det) <= tol * max(scale, 1.0):
-        return 0
-    return 1 if det > 0 else -1
 
 
 def _inverse_gram(grams: np.ndarray):
@@ -256,23 +223,13 @@ class FacetDual:
     facet_index: int
 
 
-def facet_dual(K: GeodesicSimplex, i: int) -> FacetDual:
+def all_facet_duals(K: GeodesicSimplex) -> list:
     """Dual vector q_i = -V^T G^-1 e_i / sqrt(G^-1_ii) of the facet opposite
-    vertex i: <q_i, v_m> = 0 for m != i and <q_i, v_i> < 0."""
-    if not (0 <= i <= K.k):
-        raise GeometryError(f"facet index {i} out of range")
-    return _facet_duals(K, (i,))[0]
-
-
-def all_facet_duals(K: GeodesicSimplex):
-    return _facet_duals(K, range(K.k + 1))
-
-
-def _facet_duals(K: GeodesicSimplex, facets) -> list:
-    """`facet_dual` of each listed facet, in order, from one Gram inverse."""
+    each vertex i, in order, from one Gram inverse: <q_i, v_m> = 0 for
+    m != i and <q_i, v_i> < 0."""
     ginv, diag, spacelike = _inverse_gram(K.gram)
     duals = []
-    for i in facets:
+    for i in range(K.k + 1):
         if not spacelike[i]:
             raise _no_spacelike_dual(f"facet {i}")
         duals.append(FacetDual(-(K.rep_matrix.T @ ginv[:, i]) / math.sqrt(diag[i]), i))
@@ -293,15 +250,6 @@ def dihedral_angles(K: GeodesicSimplex) -> np.ndarray:
     angles = np.arccos(np.clip(_dihedral_cosines(ginv, diag), -1.0, 1.0))
     np.fill_diagonal(angles, np.nan)
     return angles
-
-
-def dihedral_angle(K: GeodesicSimplex, i: int, j: int) -> float:
-    """Interior dihedral angle at the codimension-2 face F_i ∩ F_j."""
-    if not (0 <= i <= K.k and 0 <= j <= K.k):
-        raise GeometryError(f"facet index pair ({i}, {j}) out of range")
-    if i == j:
-        raise GeometryError("need two distinct facets")
-    return float(dihedral_angles(K)[i, j])
 
 
 @dataclass(frozen=True)
@@ -370,7 +318,7 @@ def barycentric_coords(K: GeodesicSimplex, p: ProjectivePoint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# point-to-face distance
+# feasible feet of the face clearance
 
 
 @functools.cache
@@ -396,73 +344,38 @@ def _members(table: np.ndarray, m: int) -> np.ndarray:
 
 
 def _subface_feet(gram: np.ndarray, dots: np.ndarray, ideal: np.ndarray,
-                  tables: tuple, tol: float):
-    """Orthogonal feet of finite points on every vertex subset of a simplex.
+                  tables: tuple, tol: float) -> np.ndarray:
+    """cosh of the distance from finite points to their orthogonal feet on
+    every vertex subset of a simplex.
 
     ``gram`` is the (m, m) vertex Gram matrix, ``dots`` the (m, p)
     products <v_j, x> with p finite points x, and ``tables`` index tables
     from `_subsets`.  The foot of x on the span of a subset S solves
     G_S c = <v_S, x>, and cosh d(x, foot) = sqrt(-c . <v_S, x>); it is
     feasible, a point of the face on S, when that square is timelike
-    beyond ``tol`` and no coefficient is negative.  A single vertex is its
-    own foot and counts only when it is finite.  All subsets of one size
-    share one stacked solve with the p points as right-hand sides.
+    beyond ``tol`` and c >= 0.  A single vertex is its own foot and
+    counts only when it is finite.  All subsets of one size share one
+    stacked solve with the p points as right-hand sides.
 
-    Returns (cosh_d, coeffs) with a row per subset, in table order:
-    cosh_d[s, i] is cosh of the distance from point i to its foot on S
-    where that foot is feasible and inf elsewhere, and coeffs[s, :, i]
-    are the foot's coefficients over all m vertices, normalized to the
-    hyperboloid.
+    Returns a row per subset, in table order: entry [s, i] is cosh of the
+    distance from point i to its foot on S where that foot is feasible
+    and inf elsewhere.
     """
-    m, p = dots.shape
-    cosh_d, coeffs = [], []
+    cosh_d = []
     for t in tables:
         r = dots[t]  # (count, size, p)
         if t.shape[1] == 1:
-            c = np.ones_like(r)
-            x = np.where(ideal[t], np.inf, -r[:, 0])
-        else:
-            try:
-                c = np.linalg.solve(gram[t[:, :, None], t[:, None, :]], r)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateSimplexError(f"singular face Gram matrix: {exc}") from exc
-            nsq = np.einsum("skp,skp->sp", c, r)
-            scale = np.maximum(1.0, np.max(np.abs(c), axis=1))
-            feasible = (nsq < -tol) & (np.min(c, axis=1) >= -1e-12 * scale)
-            x = np.sqrt(np.where(feasible, -nsq, np.inf))
-            c = c / x[:, None, :]
-        full = np.zeros((len(t), m, p))
-        full[np.arange(len(t))[:, None], t] = c
-        cosh_d.append(x)
-        coeffs.append(full)
-    return np.concatenate(cosh_d), np.concatenate(coeffs)
-
-
-def nearest_point_on_simplex(p: ProjectivePoint, E: GeodesicSimplex,
-                             tol: float = DEFAULT_TOL):
-    """(distance, nearest point) from a finite point to a geodesic simplex.
-
-    The nearest point is the feasible orthogonal foot on some face of E
-    (see `_subface_feet`), and every such foot is a point of E, so it is
-    the closest feasible foot over all faces.
-    """
-    if p.kind != FINITE:
-        raise GeometryError("distance from an ideal point is not defined")
-    if is_degenerate(E):
-        raise DegenerateSimplexError("distance to a degenerate simplex")
-    m = E.k + 1
-    dots = _mink_rows(E.rep_matrix, p.rep[None, :])
-    cosh_d, coeffs = _subface_feet(E.gram, dots, E.ideal_flags(), _subsets(m, m), tol)
-    best = int(np.argmin(cosh_d[:, 0]))
-    if not np.isfinite(cosh_d[best, 0]):
-        raise SingularSystemError("no feasible foot found on any subface")
-    foot = E.rep_matrix.T @ coeffs[best, :, 0]
-    return _arccosh_stable(float(cosh_d[best, 0])), ProjectivePoint(foot, FINITE)
-
-
-def distance_point_to_simplex(p: ProjectivePoint, E: GeodesicSimplex) -> float:
-    """min over x in E of d(p, x)."""
-    return nearest_point_on_simplex(p, E)[0]
+            cosh_d.append(np.where(ideal[t], np.inf, -r[:, 0]))
+            continue
+        try:
+            c = np.linalg.solve(gram[t[:, :, None], t[:, None, :]], r)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSimplexError(f"singular face Gram matrix: {exc}") from exc
+        nsq = np.einsum("skp,skp->sp", c, r)
+        scale = np.maximum(1.0, np.max(np.abs(c), axis=1))
+        feasible = (nsq < -tol) & (np.min(c, axis=1) >= -1e-12 * scale)
+        cosh_d.append(np.sqrt(np.where(feasible, -nsq, np.inf)))
+    return np.concatenate(cosh_d)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +439,7 @@ def min_face_clearance(K: GeodesicSimplex, tol: float = DEFAULT_TOL) -> float:
     centers, _ = _gram_incenter_coeffs(g_faces)
     coeffs = np.zeros((n + 1, len(faces)))
     coeffs[faces.T, np.arange(len(faces))] = centers.T
-    cosh_d, _ = _subface_feet(gram, gram @ coeffs, K.ideal_flags(), tables, tol)
+    cosh_d = _subface_feet(gram, gram @ coeffs, K.ideal_flags(), tables, tol)
     if np.any(targets_apart & ~(np.isfinite(cosh_d).T @ within)):
         raise SingularSystemError("no feasible foot found on any subface")
     return _arccosh_stable(float(np.min(cosh_d, where=apart, initial=math.inf)))

@@ -1052,16 +1052,17 @@ def test_triangulation_wire_round_trip():
 def test_x_characteristic_index():
     assert lat.index(lat.x_characteristic(3)) == 9
     assert lat.index(lat.x_characteristic(1)) == 1
-    assert lat.is_characteristic(lat.x_characteristic(7))
+    assert lat.x_characteristic(7) == lat.LatticeSubgroup(7, 0, 7)
     with pytest.raises(lat.LatticeError):
         lat.x_characteristic(0)
 
 
 def test_contains_witness():
-    s = lat.hermite_reduce((2, 0), (1, 1))
+    (a, b), (_, d) = lat.hermite_form([(2, 0), (1, 1)])[0]
+    s = lat.LatticeSubgroup(a, b, d)
+    assert (a, b, d) == (1, 1, 2)  # b != 0: not characteristic
     assert lat.index(s) == 2
     assert lat.contains(s, lat.x_characteristic(2))
-    assert not lat.is_characteristic(s)
 
 
 def test_exhaustive_containment_and_counts():
@@ -1074,7 +1075,7 @@ def test_exhaustive_containment_and_counts():
             assert lat.index(s) == m
             assert lat.contains(s, xm)
             # a Hermite basis is its own Hermite form
-            assert lat.hermite_reduce(*s.basis) == s
+            assert lat.hermite_form(s.basis)[0] == [list(row) for row in s.basis]
 
 
 def reference_hermite_reduce(u, v):
@@ -1093,8 +1094,8 @@ def test_hermite_reduce_matches_two_row_euclid():
     nonsingular = 0
     for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
         if a * d - b * c:
-            s = lat.hermite_reduce((a, b), (c, d))
-            assert (s.a, s.b, s.d) == reference_hermite_reduce((a, b), (c, d))
+            ra, rb, rd = reference_hermite_reduce((a, b), (c, d))
+            assert lat.hermite_form([(a, b), (c, d)])[0] == [[ra, rb], [0, rd]]
             nonsingular += 1
     assert nonsingular == 27248
 
@@ -1161,23 +1162,6 @@ def test_normal_forms_of_empty_matrices():
     assert lat.hermite_form([[], []]) == ([[], []], [[1, 0], [0, 1]])
     assert lat.diagonal_form([], 2) == ([0, 0], [[1, 0], [0, 1]])
     assert lat.diagonal_form([[], []], 0) == ([], [])
-
-
-def test_hermite_reduce_rejects_degenerate():
-    with pytest.raises(lat.LatticeError):
-        lat.hermite_reduce((2, 4), (1, 2))
-
-
-@settings(max_examples=60)
-@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
-def test_hermite_reduce_preserves_index(a, b, c, d):
-    det = a * d - b * c
-    if det == 0:
-        return
-    s = lat.hermite_reduce((a, b), (c, d))
-    assert lat.index(s) == abs(det)
-    # the original generators lie in the reduced lattice
-    assert lat.contains(s, lat.hermite_reduce((a, b), (c, d)))
 
 
 # ---------------------------------------------------------------------------

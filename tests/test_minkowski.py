@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from hypstab.minkowski import (
     GeometryError,
-    dist_to_hyperplane,
     distance,
     finite_point,
     ideal_point,
@@ -73,32 +72,6 @@ def test_distance_symmetry_positivity(seed):
     assert d >= 0.0
     if not p.same_point_as(q):
         assert d > 0.0
-
-
-def test_dist_to_hyperplane_examples():
-    w = finite_point([1.0, 0, 0])
-    assert dist_to_hyperplane(w, np.array([0.0, 1.0, 0.0])) == 0.0
-    w = finite_point([math.cosh(1.0), 0.0, math.sinh(1.0)])
-    assert dist_to_hyperplane(w, np.array([0.0, 0.0, -1.0])) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(GeometryError):
-        dist_to_hyperplane(w, np.array([0.0, 0.0, 2.0]))  # not unit
-    with pytest.raises(GeometryError):
-        dist_to_hyperplane(w, np.array([0.0, 0.0, 1.0]))  # wrong side
-
-
-def test_dist_to_hyperplane_isometry_invariant():
-    rng = np.random.default_rng(3)
-    for k in range(20):
-        g = random_isometry(3, seed=100 + k)
-        w = lift_klein(0.7 * rng.uniform(-1, 1, size=3) / 2)
-        q = rng.standard_normal(4)
-        q[0] = 0.2 * q[0]
-        q = q / math.sqrt(mink(q, q))
-        if mink(w.rep, q) > 0:
-            q = -q
-        d1 = dist_to_hyperplane(w, q)
-        d2 = dist_to_hyperplane(g.apply(w), g.apply_vector(q))
-        assert d2 == pytest.approx(d1, abs=1e-9)
 
 
 def test_klein_round_trip():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -13,7 +12,6 @@ from hypstab.simplex import (
     GeodesicSimplex,
     apply_isometry,
     barycentric_point,
-    dihedral_angle,
     dihedral_angles,
     is_degenerate,
     random_nondegenerate_simplex,
@@ -148,7 +146,7 @@ def test_mc_matches_angle_defect_oracle():
     rng = np.random.default_rng(31)
     for _ in range(4):
         K = random_nondegenerate_simplex(2, rng, ideal_prob=0.4)
-        angles = [dihedral_angle(K, i, j) for i, j in itertools.combinations(range(3), 2)]
+        angles = dihedral_angles(K)[np.triu_indices(3, 1)]
         defect = math.pi - sum(angles)
         est = simplex_volume(K, budget=200_000, seed=8)
         assert abs(est.value - defect) < max(4 * est.std_error, 2e-3)
@@ -222,8 +220,8 @@ V4 = 4 * math.pi ** 2 / 3 - 10 * math.pi / 3 * math.acos(1 / 3)
 def exact_ideal_volume(K):
     """Milnor (n = 3) or Gauss-Bonnet (n = 4) volume of an ideal simplex."""
     if K.ambient_dim == 3:
-        return sum(quad_lobachevsky(dihedral_angle(K, 0, j)) for j in (1, 2, 3))
-    angles = sum(dihedral_angle(K, i, j) for i, j in itertools.combinations(range(5), 2))
+        return sum(quad_lobachevsky(dihedral_angles(K)[0, j]) for j in (1, 2, 3))
+    angles = sum(dihedral_angles(K)[np.triu_indices(5, 1)])
     return math.pi / 3 * (4 * math.pi - angles)
 
 
@@ -445,7 +443,7 @@ def test_exact_triangles_are_pi_minus_the_angle_sum():
     rng = np.random.default_rng(50)
     for _ in range(10):
         K = random_nondegenerate_simplex(2, rng, ideal_prob=0.5)
-        angles = [0.0 if K.vertices[a].is_ideal else dihedral_angle(K, b, c)
+        angles = [0.0 if K.vertices[a].is_ideal else dihedral_angles(K)[b, c]
                   for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
         assert volume._exact_volume(K) == pytest.approx(math.pi - sum(angles), rel=1e-13)
     assert volume._exact_volume(regular_ideal_simplex(2)) == math.pi
@@ -455,7 +453,7 @@ def test_exact_ideal_tetrahedra_match_milnor():
     # Milnor: Lambda(alpha) + Lambda(beta) + Lambda(gamma) over the angles at
     # the edges through one vertex; the kernel takes six right triangles
     for K in _ideal_simplices(3, 10, np.random.default_rng(51)):
-        milnor = sum(lobachevsky(dihedral_angle(K, 0, j)) for j in (1, 2, 3))
+        milnor = sum(lobachevsky(dihedral_angles(K)[0, j]) for j in (1, 2, 3))
         assert abs(volume._exact_volume(K) - milnor) <= 1e-13
 
 
